@@ -25,7 +25,7 @@ for k in (20, 100, 500):
         f"{res[t].rate:6.3f}" for t in ("test1", "test2", "test3", "wk")))
 
 # Power under Setting 3: every group's second population is tilted with
-# probability 0.1 toward library vector 4 (squared distance 0.180).
+# probability 0.2 toward library vector 4 (squared distance 0.090).
 print("\nSetting 3 (sparse common-direction alternative), d = 5, (30, 30):")
 print(f"{'k':>5}  {'test1':>6}  {'chi2':>6}")
 for k in (20, 50, 200):

@@ -81,14 +81,8 @@ from .ustat import (
 )
 from .variance import (
     VarianceEstimate,
-    trace_product,
     trace_sigma_sq_unbiased,
-    unbiased_sigma,
     var0_bootstrap,
-    var0_group_plugin,
-    var0_group_test1,
-    var0_group_test2,
-    var0_group_test3,
     var0_true,
     var_true_full,
 )
@@ -113,13 +107,7 @@ __all__ = [
     "aggregate_statistic",
     # variance estimators
     "VarianceEstimate",
-    "unbiased_sigma",
     "trace_sigma_sq_unbiased",
-    "trace_product",
-    "var0_group_test1",
-    "var0_group_test2",
-    "var0_group_test3",
-    "var0_group_plugin",
     "var0_bootstrap",
     "var0_true",
     "var_true_full",

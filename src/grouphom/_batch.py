@@ -2,10 +2,10 @@
 
 Every function here takes count (or proportion) arrays whose last axis is
 the category dimension ``d`` and reduces over it, broadcasting freely over
-any leading axes.  These are the hot-path twins of the scalar operations
-in :mod:`grouphom.ustat`, :mod:`grouphom.variance` and
-:mod:`grouphom.classical`; the test suite pins the two routes against each
-other, so keep any formula change mirrored.
+any leading axes.  These are the one definition of each per-group
+formula: the dataset-level statistics, the per-group functions of
+:mod:`grouphom.ustat`, :mod:`grouphom.variance` and
+:mod:`grouphom.classical`, and the Monte Carlo engine all call them.
 
 Sample sizes ``n1``/``n2`` may be scalars or arrays broadcastable against
 the leading shape.
@@ -18,6 +18,7 @@ from scipy.special import xlogy
 
 __all__ = [
     "tu_group",
+    "tu_numerator",
     "trace_cross",
     "trace_sq_unbiased",
     "chi2_group",
@@ -35,6 +36,25 @@ def tu_group(p1, p2, n1, n2):
         (n1 * s11 - 1.0) / (n1 - 1.0)
         + (n2 * s22 - 1.0) / (n2 - 1.0)
         - 2.0 * s12
+    )
+
+
+def tu_numerator(c1, c2, n1, n2):
+    """The per-group statistic times ``n1 (n1-1) n2 (n2-1)``, in integers.
+
+    ``(S11 - n1) n2 (n2-1) + (S22 - n2) n1 (n1-1) - 2 S12 (n1-1) (n2-1)``
+    with ``S11 = sum c1^2``, ``S22 = sum c2^2`` and ``S12 = sum c1 c2``,
+    from integer counts and totals.  Every term stays below
+    ``2 n1^2 n2^2``, so the result is exact in int64 while
+    ``4 n1^2 n2^2 < 2^63``; beyond that it silently wraps.
+    """
+    s11 = np.einsum("...j,...j->...", c1, c1)
+    s22 = np.einsum("...j,...j->...", c2, c2)
+    s12 = np.einsum("...j,...j->...", c1, c2)
+    return (
+        (s11 - n1) * n2 * (n2 - 1)
+        + (s22 - n2) * n1 * (n1 - 1)
+        - 2 * s12 * (n1 - 1) * (n2 - 1)
     )
 
 

@@ -57,41 +57,33 @@ class MomentPair:
             raise ZeroVariance(f"negative variance {self.variance!r}")
 
 
+def _pair_args(pair: GroupPair) -> tuple:
+    s1, s2 = pair.sample1, pair.sample2
+    return s1.counts, s2.counts, float(s1.total), float(s2.total)
+
+
 def chi_square_group(pair: GroupPair) -> float:
     """Two-sample chi-square statistic for one group.
 
     ``(n1 n2 / n) * sum_j (p1j - p2j)^2 / pj`` with ``pj`` the pooled
     proportions; categories with pooled count zero contribute 0.
     """
-    return float(
-        _batch.chi2_group(
-            pair.sample1.counts,
-            pair.sample2.counts,
-            float(pair.sample1.total),
-            float(pair.sample2.total),
-        )
-    )
+    return float(_batch.chi2_group(*_pair_args(pair)))
 
 
 def lrt_group(pair: GroupPair) -> float:
     """-2 log likelihood-ratio statistic for one group (0*log 0 = 0)."""
-    return float(
-        _batch.lrt_group(
-            pair.sample1.counts,
-            pair.sample2.counts,
-            float(pair.sample1.total),
-            float(pair.sample2.total),
-        )
-    )
+    return float(_batch.lrt_group(*_pair_args(pair)))
 
 
-def _group_values(ds: GroupedDataset, stat) -> np.ndarray:
-    return np.array([stat(g) for g in ds], dtype=np.float64)
+def _group_values(ds: GroupedDataset, kernel) -> np.ndarray:
+    """Per-group values of a ``_batch`` kernel over the whole dataset."""
+    return kernel(ds.c1, ds.c2, ds.sizes(1), ds.sizes(2))
 
 
 def uit_statistic(ds: GroupedDataset) -> float:
     """Sum of the per-group chi-square statistics."""
-    return float(_group_values(ds, chi_square_group).sum())
+    return float(_group_values(ds, _batch.chi2_group).sum())
 
 
 def _naive_standardized(values: np.ndarray, d: int) -> float:
@@ -107,14 +99,14 @@ def wk_statistic(ds: GroupedDataset, d: int | None = None) -> float:
     ``sum_r (T_r - (d-1)) / sqrt(2(d-1)) / sqrt(k)``.
     """
     return _naive_standardized(
-        _group_values(ds, chi_square_group), ds.d if d is None else d
+        _group_values(ds, _batch.chi2_group), ds.d if d is None else d
     )
 
 
 def vk_statistic(ds: GroupedDataset, d: int | None = None) -> float:
     """Likelihood-ratio aggregate standardized by the limiting moments."""
     return _naive_standardized(
-        _group_values(ds, lrt_group), ds.d if d is None else d
+        _group_values(ds, _batch.lrt_group), ds.d if d is None else d
     )
 
 
@@ -146,14 +138,16 @@ def wk_prime(ds: GroupedDataset, moments) -> float:
     """
     means, variances = _moments_arrays(moments, ds.k)
     return _oracle_standardized(
-        _group_values(ds, chi_square_group), means, variances
+        _group_values(ds, _batch.chi2_group), means, variances
     )
 
 
 def vk_prime(ds: GroupedDataset, moments) -> float:
     """Likelihood-ratio aggregate standardized by exact null moments."""
     means, variances = _moments_arrays(moments, ds.k)
-    return _oracle_standardized(_group_values(ds, lrt_group), means, variances)
+    return _oracle_standardized(
+        _group_values(ds, _batch.lrt_group), means, variances
+    )
 
 
 def chi_square_pooled(ds: GroupedDataset) -> tuple[float, float]:
@@ -162,8 +156,8 @@ def chi_square_pooled(ds: GroupedDataset) -> tuple[float, float]:
     Returns the statistic and its upper-tail p-value against the
     chi-square distribution with ``d - 1`` degrees of freedom.
     """
-    c1 = ds.counts_matrix(1).sum(axis=0)
-    c2 = ds.counts_matrix(2).sum(axis=0)
+    c1 = ds.c1.sum(axis=0)
+    c2 = ds.c2.sum(axis=0)
     stat = float(_batch.chi2_group(c1, c2, float(c1.sum()), float(c2.sum())))
     return stat, float(_chi2_dist.sf(stat, ds.d - 1))
 

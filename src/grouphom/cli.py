@@ -51,6 +51,10 @@ def _fmt(x, digits=6) -> str:
     return str(x)
 
 
+def _csv_row(*values) -> None:
+    print(",".join(_fmt(v) for v in values))
+
+
 def _report_payload(report: decision.TestReport) -> dict:
     return {
         "statistic": float(report.statistic),
@@ -106,15 +110,9 @@ def _cmd_test(args) -> int:
     elif args.format == "csv":
         print("estimator,statistic,variance,z,p_value,reject,degenerate")
         for est, r in reports.items():
-            print(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        est, float(r.statistic), float(r.variance.value),
-                        float(r.z), float(r.p_value), bool(r.reject),
-                        bool(r.degenerate_variance),
-                    )
-                )
+            _csv_row(
+                est, float(r.statistic), float(r.variance.value), float(r.z),
+                float(r.p_value), bool(r.reject), bool(r.degenerate_variance),
             )
         if chi2_stat is not None:
             print(
@@ -145,10 +143,9 @@ def _cmd_test(args) -> int:
             )
         stats = ustat.group_statistics(ds)
         order = np.argsort(stats)[::-1][: min(5, ds.k)]
-        ids = list(ds.group_ids())
         print("largest per-group statistics:")
         for i in order:
-            print(f"  {ids[i]}: T_U_r = {_fmt(float(stats[i]), 4)}")
+            print(f"  {ds.ids[i]}: T_U_r = {_fmt(float(stats[i]), 4)}")
     return 0
 
 
@@ -199,15 +196,9 @@ def _cmd_pergroup(args) -> int:
     elif args.format == "csv":
         print("group,statistic,p_raw,p_bh,p_bonferroni,degenerate")
         for r in results:
-            print(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        r.group_id, float(r.statistic), float(r.p_raw),
-                        float(r.p_bh), float(r.p_bonferroni),
-                        bool(r.degenerate),
-                    )
-                )
+            _csv_row(
+                r.group_id, float(r.statistic), float(r.p_raw),
+                float(r.p_bh), float(r.p_bonferroni), bool(r.degenerate),
             )
         print(
             f"min-p global rule: "
@@ -288,7 +279,7 @@ def _cmd_simulate(args) -> int:
         else:
             print(",".join(result.columns))
             for row in result.rows:
-                print(",".join(_fmt(row.get(c)) for c in result.columns))
+                _csv_row(*(row.get(c) for c in result.columns))
         return 0
 
     spec = simulate.SettingSpec(

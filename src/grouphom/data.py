@@ -10,7 +10,9 @@ per population.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -23,6 +25,7 @@ from .errors import (
     MissingMate,
     MixedDimension,
     NegativeCount,
+    SampleTooSmall,
     ZeroTotal,
 )
 
@@ -40,11 +43,19 @@ __all__ = [
 ]
 
 
-def _frozen_array(values, dtype):
-    arr = np.asarray(values, dtype=dtype)
-    if arr.ndim != 1:
-        raise DatasetError(f"expected a 1-d vector, got shape {arr.shape}")
-    arr = arr.copy()
+def _frozen_array(values, dtype, ndim: int = 1) -> np.ndarray:
+    """Read-only ``ndim``-d copy of ``values``; an integer ``dtype`` also
+    requires integer values that fit it."""
+    arr = np.asarray(values)
+    if dtype is np.int64 and arr.dtype.kind != "i":
+        if not np.all(np.equal(np.mod(arr, 1), 0)):
+            raise DatasetError("counts must be integers")
+        # float, unsigned and object input cast without an overflow check
+        if np.any(np.abs(arr) >= 2**63):
+            raise DatasetError("counts must fit in 64-bit integers")
+    arr = arr.astype(dtype)
+    if arr.ndim != ndim:
+        raise DatasetError(f"expected a {ndim}-d array, got shape {arr.shape}")
     arr.flags.writeable = False
     return arr
 
@@ -57,11 +68,7 @@ class CountVector:
     total: int = field(init=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.counts)
-        if arr.dtype.kind not in "iu":
-            if not np.all(np.equal(np.mod(arr, 1), 0)):
-                raise DatasetError("counts must be integers")
-        arr = _frozen_array(arr, np.int64)
+        arr = _frozen_array(self.counts, np.int64)
         if arr.size == 0:
             raise DatasetError("count vector must have at least one category")
         if np.any(arr < 0):
@@ -132,15 +139,23 @@ class GroupPair:
         return self.sample1.d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class GroupedDataset:
-    """An ordered collection of groups over a common category dimension."""
+    """An ordered collection of groups over a common category dimension.
 
-    groups: tuple[GroupPair, ...]
-    d: int = field(init=False)
+    Held as two read-only ``(k, d)`` int64 arrays: row ``r`` of ``c1``
+    and ``c2`` is group ``r``'s sample from population 1 and 2, and
+    ``ids[r]`` is its id.  Build one from :class:`GroupPair` objects, or
+    from arrays with :meth:`from_counts`; ``groups`` and iteration give
+    per-group :class:`GroupPair` views, built on first use.
+    """
 
-    def __post_init__(self):
-        groups = tuple(self.groups)
+    c1: np.ndarray
+    c2: np.ndarray
+    ids: tuple[str, ...]
+
+    def __init__(self, groups: Iterable[GroupPair]):
+        groups = tuple(groups)
         if not groups:
             raise EmptyInput("dataset has no groups")
         d = groups[0].d
@@ -149,35 +164,113 @@ class GroupedDataset:
                 raise MixedDimension(
                     f"group {g.group_id!r} has {g.d} categories, expected {d}"
                 )
+        self._assign(
+            np.stack([g.sample1.counts for g in groups]),
+            np.stack([g.sample2.counts for g in groups]),
+            [g.group_id for g in groups],
+        )
         object.__setattr__(self, "groups", groups)
-        object.__setattr__(self, "d", d)
+
+    @classmethod
+    def from_counts(cls, c1, c2, ids: Sequence) -> "GroupedDataset":
+        """Dataset from two ``(k, d)`` integer count arrays and ``k``
+        distinct ids, validated as :func:`validate_dataset` validates rows."""
+        ds = cls.__new__(cls)
+        ds._assign(
+            _frozen_array(c1, np.int64, 2), _frozen_array(c2, np.int64, 2), ids
+        )
+        return ds
+
+    def _assign(self, c1: np.ndarray, c2: np.ndarray, ids) -> None:
+        ids = tuple(str(i) for i in ids)
+        k, d = c1.shape
+        if c2.shape != c1.shape or len(ids) != k:
+            raise DatasetError(
+                f"count arrays of shapes {c1.shape} and {c2.shape} with "
+                f"{len(ids)} group ids"
+            )
+        if k == 0:
+            raise EmptyInput("dataset has no groups")
+        if d < 2:
+            raise DatasetError(f"need at least 2 categories, got {d}")
+        if len(set(ids)) != k:
+            dup = next(i for i, n in Counter(ids).items() if n > 1)
+            raise DuplicateSample(f"group {dup!r} population 1 appears twice")
+        totals = []
+        for c in (c1, c2):
+            bad = np.flatnonzero((c < 0).any(axis=1))
+            if bad.size:
+                raise NegativeCount(f"negative count in {c[bad[0]].tolist()}")
+            # int64 sums wrap silently; 2**62 leaves room for float rounding
+            if c.sum(axis=1, dtype=np.float64).max() >= 2.0**62:
+                raise DatasetError("sample totals must stay below 2**62")
+            n = c.sum(axis=1)
+            c.flags.writeable = n.flags.writeable = False
+            totals.append(n)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "_totals", tuple(totals))
 
     @property
     def k(self) -> int:
-        return len(self.groups)
+        return self.c1.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.c1.shape[1]
+
+    @cached_property
+    def groups(self) -> tuple[GroupPair, ...]:
+        return tuple(
+            GroupPair(gid, CountVector(a), CountVector(b))
+            for gid, a, b in zip(self.ids, self.c1, self.c2)
+        )
 
     def __iter__(self) -> Iterator[GroupPair]:
         return iter(self.groups)
 
     def __len__(self) -> int:
-        return len(self.groups)
+        return self.k
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GroupedDataset):
+            return NotImplemented
+        return (
+            self.ids == other.ids
+            and np.array_equal(self.c1, other.c1)
+            and np.array_equal(self.c2, other.c2)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ids, self.c1.tobytes(), self.c2.tobytes()))
 
     def group_ids(self) -> list[str]:
-        return [g.group_id for g in self.groups]
+        return list(self.ids)
 
     def counts_matrix(self, population: int) -> np.ndarray:
-        """Stack one population's counts as a (k, d) int64 matrix."""
+        """One population's counts as a read-only (k, d) int64 matrix."""
         if population not in (1, 2):
             raise DatasetError(f"population must be 1 or 2, got {population}")
-        attr = "sample1" if population == 1 else "sample2"
-        return np.stack([getattr(g, attr).counts for g in self.groups])
+        return (self.c1, self.c2)[population - 1]
 
     def sizes(self, population: int) -> np.ndarray:
-        """Per-group totals of one population as a (k,) int64 array."""
-        attr = "sample1" if population == 1 else "sample2"
-        return np.array(
-            [getattr(g, attr).total for g in self.groups], dtype=np.int64
-        )
+        """Per-group totals of one population as a read-only (k,) int64
+        array, summed once when the dataset is built."""
+        self.counts_matrix(population)  # validates population
+        return self._totals[population - 1]
+
+    def require_totals(self, minimum: int, what: str) -> None:
+        """Raise :class:`SampleTooSmall` naming the first group with a
+        sample total below ``minimum``, which ``what`` needs."""
+        n1, n2 = self.sizes(1), self.sizes(2)
+        small = np.flatnonzero((n1 < minimum) | (n2 < minimum))
+        if small.size:
+            r = small[0]
+            raise SampleTooSmall(
+                f"{what} needs totals >= {minimum} per population; "
+                f"group {self.ids[r]!r} has ({n1[r]}, {n2[r]})"
+            )
 
 
 RawRow = tuple[str, int, Sequence[int]]
@@ -192,16 +285,18 @@ def validate_dataset(rows: Iterable[RawRow]) -> GroupedDataset:
     Raises
     ------
     EmptyInput, MixedDimension, NegativeCount, DuplicateSample, MissingMate
-        On the corresponding defect.  Validation is idempotent: re-running
-        it on a dataset's own rows returns an equal dataset.
+        On the corresponding defect; :class:`DatasetError` on a
+        population other than 1 or 2 or fewer than 2 categories.
+        Validation is idempotent: re-running it on a dataset's own rows
+        returns an equal dataset.
     """
     rows = list(rows)
     if not rows:
         raise EmptyInput("no data rows")
     d = len(rows[0][2])
-    order: list[str] = []
-    seen: dict[tuple[str, int], CountVector] = {}
-    for group_id, population, counts in rows:
+    # Row index of each group's two samples, in order of first appearance.
+    where: dict[str, list] = {}
+    for i, (group_id, population, counts) in enumerate(rows):
         group_id = str(group_id)
         if population not in (1, 2):
             raise DatasetError(
@@ -212,25 +307,24 @@ def validate_dataset(rows: Iterable[RawRow]) -> GroupedDataset:
                 f"group {group_id!r} population {population}: row has "
                 f"{len(counts)} categories, expected {d}"
             )
-        key = (group_id, population)
-        if key in seen:
+        slots = where.setdefault(group_id, [None, None])
+        j = 0 if population == 1 else 1
+        if slots[j] is not None:
             raise DuplicateSample(
                 f"group {group_id!r} population {population} appears twice"
             )
-        if group_id not in order:
-            order.append(group_id)
-        seen[key] = CountVector(np.asarray(counts))
-    groups = []
-    for group_id in order:
-        try:
-            s1 = seen[(group_id, 1)]
-            s2 = seen[(group_id, 2)]
-        except KeyError as exc:
+        slots[j] = i
+    for group_id, slots in where.items():
+        if None in slots:
             raise MissingMate(
-                f"group {group_id!r} is missing population {exc.args[0][1]}"
-            ) from None
-        groups.append(GroupPair(group_id, s1, s2))
-    return GroupedDataset(tuple(groups))
+                f"group {group_id!r} is missing population "
+                f"{slots.index(None) + 1}"
+            )
+    matrix = _frozen_array([row[2] for row in rows], np.int64, 2)
+    index = np.array(list(where.values()), dtype=np.intp)
+    return GroupedDataset.from_counts(
+        matrix[index[:, 0]], matrix[index[:, 1]], where.keys()
+    )
 
 
 def empirical_proportions(v: CountVector) -> ProbVector:
@@ -253,7 +347,8 @@ def pooled_counts(pair: GroupPair) -> CountVector:
 
 def read_counts_csv(path) -> list[RawRow]:
     """Read raw rows from a ``group,population,c1,...,cd`` CSV file."""
-    with open(path, newline="") as fh:
+    # utf-8-sig drops the byte-order mark spreadsheet programs write.
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -303,6 +398,6 @@ def write_dataset_csv(ds: GroupedDataset, path) -> None:
         writer.writerow(
             ["group", "population"] + [f"c{j + 1}" for j in range(ds.d)]
         )
-        for g in ds.groups:
-            writer.writerow([g.group_id, 1] + g.sample1.counts.tolist())
-            writer.writerow([g.group_id, 2] + g.sample2.counts.tolist())
+        for group_id, c1, c2 in zip(ds.ids, ds.c1.tolist(), ds.c2.tolist()):
+            writer.writerow([group_id, 1] + c1)
+            writer.writerow([group_id, 2] + c2)

@@ -38,7 +38,8 @@ import numpy as np
 from scipy.stats import chi2 as _chi2_dist
 
 from . import _batch, classical
-from .data import CountVector, GroupedDataset, GroupPair, ProbVector
+from .data import CountVector, GroupedDataset, ProbVector
+from .decision import ESTIMATORS, run_global_test
 from .errors import (
     InvalidReps,
     OutOfRange,
@@ -275,15 +276,8 @@ def generate_replicate(
     rng = _replicate_rng(spec, replicate_index)
     counts1, counts2, _, null_flags = _draw_replicate(spec, rng)
     width = max(3, len(str(spec.k)))
-    groups = tuple(
-        GroupPair(
-            f"g{r + 1:0{width}d}",
-            CountVector(counts1[r]),
-            CountVector(counts2[r]),
-        )
-        for r in range(spec.k)
-    )
-    return GroupedDataset(groups), null_flags
+    ids = [f"g{r + 1:0{width}d}" for r in range(spec.k)]
+    return GroupedDataset.from_counts(counts1, counts2, ids), null_flags
 
 
 # ---------------------------------------------------------------------------
@@ -292,18 +286,7 @@ def generate_replicate(
 
 #: Minimum per-population sample total required by each test id.
 TEST_MINIMUM = {
-    "test1": 4,
-    "test2": 2,
-    "test3": 2,
-    "test4": 2,
-    "test5": 2,
-    "test6": 2,
-    "test7": 2,
-    "chi2": 1,
-    "wk": 1,
-    "wkprime": 1,
-    "vk": 1,
-    "vkprime": 1,
+    **ESTIMATORS, "chi2": 1, "wk": 1, "wkprime": 1, "vk": 1, "vkprime": 1,
     "minp": 2,
 }
 
@@ -613,7 +596,7 @@ def null_z_scores(
 
     Degenerate-variance replicates yield NaN.
     """
-    if estimator not in _VARIANCE_TESTS and estimator != "test7":
+    if estimator not in ESTIMATORS:
         raise OutOfRange(
             f"z-scores are defined for the variance-estimator tests, "
             f"got {estimator!r}"
@@ -930,8 +913,6 @@ def benchmark_statistics(
     Informational only — one synthetic null dataset per ``k``, ``reps``
     timed runs per estimator, median reported.
     """
-    from .decision import ESTIMATORS, run_global_test
-
     out = []
     for k in k_values:
         spec = SettingSpec(1, d, k, sizes[0], sizes[1], master_seed=seed)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _batch
 from .data import GroupedDataset, GroupPair
 from .errors import SampleTooSmall
 
@@ -46,13 +47,8 @@ def group_ustat(pair: GroupPair) -> float:
         If either sample total is below 2.
     """
     n1, n2 = _check_sizes(pair)
-    p1 = pair.sample1.counts / n1
-    p2 = pair.sample2.counts / n2
-    return float(
-        (n1 * np.dot(p1, p1) - 1.0) / (n1 - 1.0)
-        + (n2 * np.dot(p2, p2) - 1.0) / (n2 - 1.0)
-        - 2.0 * np.dot(p1, p2)
-    )
+    p1, p2 = pair.sample1.counts / n1, pair.sample2.counts / n2
+    return float(_batch.tu_group(p1, p2, float(n1), float(n2)))
 
 
 def group_ustat_kernel_oracle(pair: GroupPair) -> float:
@@ -91,8 +87,16 @@ def group_ustat_kernel_oracle(pair: GroupPair) -> float:
 
 
 def group_statistics(ds: GroupedDataset) -> np.ndarray:
-    """Vector of per-group statistics, in group order."""
-    return np.array([group_ustat(g) for g in ds], dtype=np.float64)
+    """Vector of per-group statistics, in group order.
+
+    Raises
+    ------
+    SampleTooSmall
+        If any sample total is below 2 (the first such group is named).
+    """
+    ds.require_totals(2, "the per-group statistic")
+    n1, n2 = ds.sizes(1), ds.sizes(2)
+    return _batch.tu_group(ds.c1 / n1[:, None], ds.c2 / n2[:, None], n1, n2)
 
 
 def aggregate_statistic(ds: GroupedDataset) -> float:

@@ -32,26 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _batch
-from .data import (
-    CountVector,
-    GroupedDataset,
-    GroupPair,
-    ProbVector,
-    empirical_proportions,
-    pooled_counts,
-)
+from .data import CountVector, GroupedDataset, ProbVector
 from .errors import DimensionMismatch, InvalidB, SampleTooSmall
 
 __all__ = [
     "VarianceEstimate",
     "centered_outer",
-    "unbiased_sigma",
     "trace_sigma_sq_unbiased",
     "trace_product",
-    "var0_group_test1",
-    "var0_group_test2",
-    "var0_group_test3",
-    "var0_group_plugin",
     "var0_bootstrap",
     "var0_true",
     "var_true_full",
@@ -72,20 +60,6 @@ def centered_outer(pi: ProbVector) -> np.ndarray:
     return np.diag(p) - np.outer(p, p)
 
 
-def unbiased_sigma(v: CountVector) -> np.ndarray:
-    """Bias-corrected covariance estimate n/(n-1) * (diag(p) - p p').
-
-    Raises
-    ------
-    SampleTooSmall
-        If the total is below 2.
-    """
-    n = v.total
-    if n < 2:
-        raise SampleTooSmall(f"covariance estimate needs a total >= 2, got {n}")
-    return (n / (n - 1.0)) * centered_outer(empirical_proportions(v))
-
-
 def trace_sigma_sq_unbiased(v: CountVector) -> float:
     """Unbiased estimate of tr(Sigma^2) from one count vector.
 
@@ -93,7 +67,8 @@ def trace_sigma_sq_unbiased(v: CountVector) -> float:
 
         n_t n_s [ (n_t + n_s - 2)/(n - 2) - ((n_t - n_s)/(n - 2))^2 ]
 
-    scaled by (n - 2) / (2 n (n-1) (n-3)).
+    scaled by (n - 2) / (2 n (n-1) (n-3)), evaluated through its
+    power-sum reduction :func:`grouphom._batch.trace_sq_unbiased`.
 
     Raises
     ------
@@ -105,15 +80,7 @@ def trace_sigma_sq_unbiased(v: CountVector) -> float:
         raise SampleTooSmall(
             f"tr(Sigma^2) estimate needs a total >= 4, got {n}"
         )
-    c = v.counts.astype(np.float64)
-    nt = c[:, None]
-    ns = c[None, :]
-    terms = nt * ns * (
-        (nt + ns - 2.0) / (n - 2.0) - ((nt - ns) / (n - 2.0)) ** 2
-    )
-    np.fill_diagonal(terms, 0.0)
-    coef = 0.5 * (n - 2.0) / (n * (n - 1.0) * (n - 3.0))
-    return float(coef * terms.sum())
+    return float(_batch.trace_sq_unbiased(v.counts, n))
 
 
 def trace_product(a: np.ndarray, b: np.ndarray) -> float:
@@ -128,74 +95,36 @@ def trace_product(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b.T))
 
 
-def _bracket(n1: int, n2: int) -> float:
-    return 2.0 / (n1 * (n1 - 1)) + 2.0 / (n2 * (n2 - 1)) + 4.0 / (n1 * n2)
+#: Bootstrap count vectors held at once per population: groups are
+#: resampled in chunks of ``max(1, CHUNK_DRAWS // B)``, so memory does not
+#: grow with k.
+CHUNK_DRAWS = 1 << 14
 
 
-def _sizes(pair: GroupPair, minimum: int) -> tuple[int, int]:
-    n1, n2 = pair.sample1.total, pair.sample2.total
-    if n1 < minimum or n2 < minimum:
-        raise SampleTooSmall(
-            f"group {pair.group_id!r}: estimator needs totals >= {minimum} "
-            f"per population, got ({n1}, {n2})"
-        )
-    return n1, n2
+def null_draws(ds: GroupedDataset, B: int, seed):
+    """Pooled-null bootstrap counts of every group, a chunk at a time.
 
-
-def var0_group_test1(pair: GroupPair) -> VarianceEstimate:
-    """Fully unbiased per-group null-variance estimate (needs totals >= 4)."""
-    n1, n2 = _sizes(pair, 4)
-    cross = trace_product(
-        unbiased_sigma(pair.sample1), unbiased_sigma(pair.sample2)
-    )
-    value = (
-        2.0 / (n1 * (n1 - 1)) * trace_sigma_sq_unbiased(pair.sample1)
-        + 2.0 / (n2 * (n2 - 1)) * trace_sigma_sq_unbiased(pair.sample2)
-        + 4.0 / (n1 * n2) * cross
-    )
-    return VarianceEstimate(float(value), "test1")
-
-
-def var0_group_test2(pair: GroupPair) -> VarianceEstimate:
-    """Cross-product-trace estimate (needs totals >= 2)."""
-    n1, n2 = _sizes(pair, 2)
-    cross = trace_product(
-        unbiased_sigma(pair.sample1), unbiased_sigma(pair.sample2)
-    )
-    return VarianceEstimate(float(_bracket(n1, n2) * cross), "test2")
-
-
-def var0_group_test3(pair: GroupPair) -> VarianceEstimate:
-    """Pooled-sample estimate (needs totals >= 2, pooled >= 4)."""
-    n1, n2 = _sizes(pair, 2)
-    pooled = pooled_counts(pair)
-    if pooled.total < 4:
-        raise SampleTooSmall(
-            f"group {pair.group_id!r}: pooled total {pooled.total} < 4"
-        )
-    value = _bracket(n1, n2) * trace_sigma_sq_unbiased(pooled)
-    return VarianceEstimate(float(value), "test3")
-
-
-def var0_group_plugin(pair: GroupPair, which: str) -> VarianceEstimate:
-    """Plug-in analogue ``which`` in {'test4', 'test5', 'test6'}."""
-    if which not in ("test4", "test5", "test6"):
-        raise ValueError(f"unknown plug-in estimator {which!r}")
-    n1, n2 = _sizes(pair, 2)
-    s1 = centered_outer(empirical_proportions(pair.sample1))
-    s2 = centered_outer(empirical_proportions(pair.sample2))
-    if which == "test4":
-        value = (
-            2.0 / (n1 * (n1 - 1)) * trace_product(s1, s1)
-            + 2.0 / (n2 * (n2 - 1)) * trace_product(s2, s2)
-            + 4.0 / (n1 * n2) * trace_product(s1, s2)
-        )
-    elif which == "test5":
-        value = _bracket(n1, n2) * trace_product(s1, s2)
-    else:
-        sp = centered_outer(empirical_proportions(pooled_counts(pair)))
-        value = _bracket(n1, n2) * trace_product(sp, sp)
-    return VarianceEstimate(float(value), which)
+    Group ``g`` draws from the Philox stream of ``SeedSequence(seed,
+    spawn_key=(g,))``: ``B`` sample-1 vectors, then ``B`` sample-2
+    vectors, each multinomial on the group's pooled proportions.  Yields
+    ``(lo, hi, b1, b2)`` in group order, with ``b1``/``b2`` of shape
+    ``(hi - lo, B, d)`` for groups ``lo..hi-1``; the buffers are reused,
+    so each chunk is valid until the next is drawn.
+    """
+    n1, n2 = ds.sizes(1), ds.sizes(2)
+    chunk = min(ds.k, max(1, CHUNK_DRAWS // B))
+    b1 = np.empty((chunk, B, ds.d), dtype=np.int64)
+    b2 = np.empty_like(b1)
+    for lo in range(0, ds.k, chunk):
+        hi = min(lo + chunk, ds.k)
+        phat = (ds.c1[lo:hi] + ds.c2[lo:hi]) / (n1[lo:hi] + n2[lo:hi])[:, None]
+        for i, g in enumerate(range(lo, hi)):
+            rng = np.random.Generator(
+                np.random.Philox(np.random.SeedSequence(seed, spawn_key=(g,)))
+            )
+            b1[i] = rng.multinomial(n1[g], phat[i], size=B)
+            b2[i] = rng.multinomial(n2[g], phat[i], size=B)
+        yield lo, hi, b1[: hi - lo], b2[: hi - lo]
 
 
 def var0_bootstrap(
@@ -209,9 +138,9 @@ def var0_bootstrap(
     of the aggregated statistic over the ``B`` replicates.
 
     Each group consumes its own stream derived from ``(seed, group
-    index)``, so the result is bit-reproducible for a fixed seed
-    regardless of evaluation order.  Resampling uses numpy's multinomial
-    generator.
+    index)`` (see :func:`null_draws`), so the result is bit-reproducible
+    for a fixed seed regardless of evaluation order.  Resampling uses
+    numpy's multinomial generator.
 
     Raises
     ------
@@ -222,20 +151,19 @@ def var0_bootstrap(
     """
     if B < 2:
         raise InvalidB(f"bootstrap needs B >= 2, got {B}")
+    ds.require_totals(2, "estimator test7")
     if seed is None:
         seed = np.random.SeedSequence().entropy
-    k = ds.k
+    n1 = ds.sizes(1).astype(np.float64)[:, None]
+    n2 = ds.sizes(2).astype(np.float64)[:, None]
     total = np.zeros(B, dtype=np.float64)
-    for g_index, pair in enumerate(ds):
-        n1, n2 = _sizes(pair, 2)
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(seed, spawn_key=(g_index,)))
-        )
-        phat = pooled_counts(pair).counts / (n1 + n2)
-        c1 = rng.multinomial(n1, phat, size=B)
-        c2 = rng.multinomial(n2, phat, size=B)
-        total += _batch.tu_group(c1 / n1, c2 / n2, float(n1), float(n2))
-    values = total / np.sqrt(k)
+    for lo, hi, b1, b2 in null_draws(ds, B, seed):
+        m1, m2 = n1[lo:hi], n2[lo:hi]
+        t = _batch.tu_group(b1 / m1[..., None], b2 / m2[..., None], m1, m2)
+        # accumulate adds the groups one at a time, in order, so the sum
+        # rounds exactly as a running total over the groups would.
+        total = np.add.accumulate(np.concatenate([total[None], t]))[-1]
+    values = total / np.sqrt(ds.k)
     return VarianceEstimate(float(values.var(ddof=1)), "test7")
 
 
@@ -244,7 +172,7 @@ def var0_true(pi: ProbVector, n1: int, n2: int) -> float:
     if n1 < 2 or n2 < 2:
         raise SampleTooSmall(f"null variance needs n1, n2 >= 2, got ({n1}, {n2})")
     sigma = centered_outer(pi)
-    return float(_bracket(n1, n2) * trace_product(sigma, sigma))
+    return float(_batch._bracket(n1, n2) * trace_product(sigma, sigma))
 
 
 def var_true_full(pi1: ProbVector, pi2: ProbVector, n1: int, n2: int) -> float:

@@ -99,6 +99,27 @@ class TestTestCommand:
         path.write_text("group,population,c1,c2\ng1,1,2,1\n")  # no mate
         assert main(["test", str(path)]) == 2
 
+    def test_byte_order_mark_header(self, data_csv, tmp_path, capsys):
+        # spreadsheet programs write a UTF-8 byte-order mark before the header
+        bom = tmp_path / "bom.csv"
+        with open(data_csv, encoding="utf-8") as fh:
+            bom.write_text(fh.read(), encoding="utf-8-sig")
+        argv = ["--estimator", "test2", "--format", "json"]
+        assert main(["test", data_csv] + argv) == 0
+        plain = json.loads(capsys.readouterr().out)
+        assert main(["test", str(bom)] + argv) == 0
+        marked = json.loads(capsys.readouterr().out)
+        assert (
+            marked["reports"]["test2"]["statistic"]
+            == plain["reports"]["test2"]["statistic"]
+        )
+
+    def test_single_category_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "d1.csv"
+        path.write_text("group,population,c1\ng1,1,3\ng1,2,4\n")
+        assert main(["test", str(path), "--estimator", "all"]) == 2
+        assert "at least 2 categories" in capsys.readouterr().err
+
     def test_unknown_estimator_argparse_exit(self, data_csv):
         with pytest.raises(SystemExit) as exc:
             main(["test", data_csv, "--estimator", "test99"])

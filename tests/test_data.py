@@ -124,6 +124,63 @@ class TestGroupedDataset:
         ds = GroupedDataset((make_pair("a", [1, 2], [3, 4]),))
         with pytest.raises(DatasetError):
             ds.counts_matrix(3)
+        with pytest.raises(DatasetError):
+            ds.sizes(3)
+
+    def test_from_counts_matches_pairs(self):
+        ds = GroupedDataset.from_counts(
+            np.array([[1, 2], [5, 6]]), [[3, 4], [7, 8]], ["a", "b"]
+        )
+        assert ds == GroupedDataset(
+            (make_pair("a", [1, 2], [3, 4]), make_pair("b", [5, 6], [7, 8]))
+        )
+        assert ds.ids == ("a", "b")
+        assert ds.groups[1].sample2.counts.tolist() == [7, 8]
+        assert ds.c1.dtype == np.int64
+        with pytest.raises(ValueError):
+            ds.c1[0, 0] = 9
+
+    def test_from_counts_copies_its_input(self):
+        c1 = np.array([[1, 2]])
+        ds = GroupedDataset.from_counts(c1, [[3, 4]], ["a"])
+        c1[0, 0] = 99
+        assert ds.c1[0, 0] == 1
+
+    @pytest.mark.parametrize(
+        "c1,c2,ids,error",
+        [
+            ([[1, 2]], [[1, 2, 3]], ["a"], DatasetError),
+            ([1, 2], [1, 2], ["a"], DatasetError),
+            ([[1, 2]], [[1, 2]], ["a", "b"], DatasetError),
+            (np.zeros((0, 2)), np.zeros((0, 2)), [], EmptyInput),
+            ([[1, -2]], [[1, 2]], ["a"], NegativeCount),
+            ([[1.5, 2]], [[1, 2]], ["a"], DatasetError),
+            ([[3]], [[4]], ["a"], DatasetError),
+            ([[1, 2], [3, 4]], [[1, 2], [3, 4]], ["a", "a"], DuplicateSample),
+            ([[1e20, 2]], [[1, 2]], ["a"], DatasetError),
+            (np.array([[2**63, 2]], np.uint64), [[1, 2]], ["a"], DatasetError),
+            ([[2**62] * 4], [[1, 2, 3, 4]], ["a"], DatasetError),
+        ],
+    )
+    def test_from_counts_rejects(self, c1, c2, ids, error):
+        with pytest.raises(error):
+            GroupedDataset.from_counts(c1, c2, ids)
+
+    def test_rejects_duplicate_ids(self):
+        # a dataset with repeated ids would write a CSV load_dataset refuses
+        with pytest.raises(DuplicateSample, match="'a' population 1"):
+            GroupedDataset(
+                (make_pair("a", [1, 2], [3, 4]), make_pair("a", [5, 6], [7, 8]))
+            )
+
+    def test_sizes_are_read_only(self):
+        ds = GroupedDataset((make_pair("a", [1, 2], [3, 4]),))
+        with pytest.raises(ValueError):
+            ds.sizes(1)[0] = 0
+
+    def test_rejects_single_category(self):
+        with pytest.raises(DatasetError, match="at least 2 categories"):
+            GroupedDataset((make_pair("a", [3], [4]),))
 
 
 class TestValidateDataset:
@@ -170,6 +227,20 @@ class TestValidateDataset:
         with pytest.raises(MixedDimension):
             validate_dataset([("g", 1, [1, 2]), ("g", 2, [1, 2, 3])])
 
+    def test_single_category(self):
+        with pytest.raises(DatasetError, match="at least 2 categories"):
+            validate_dataset([("g", 1, [3]), ("g", 2, [4])])
+
+    def test_single_group(self):
+        ds = validate_dataset([("only", 2, [0, 4]), ("only", 1, [2, 2])])
+        assert ds.k == 1
+        assert ds.c1.tolist() == [[2, 2]]
+        assert ds.c2.tolist() == [[0, 4]]
+
+    def test_negative_count_names_the_row(self):
+        with pytest.raises(NegativeCount, match=r"\[1, -1\]"):
+            validate_dataset([("g", 1, [1, 2]), ("g", 2, [1, -1])])
+
 
 class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):
@@ -215,6 +286,41 @@ class TestCsvRoundTrip:
         path.write_text("group,population,c1,c2\ng1,1,3\n")
         with pytest.raises(MixedDimension, match=":2"):
             read_counts_csv(path)
+
+    def test_interleaved_out_of_order_rows(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text(
+            "group,population,c1,c2\n"
+            "b,2,0,3\n"
+            "a,1,1,1\n"
+            "c,1,4,0\n"
+            "b,1,2,2\n"
+            "c,2,1,1\n"
+            "a,2,5,5\n"
+        )
+        ds = load_dataset(path)
+        assert ds.group_ids() == ["b", "a", "c"]
+        assert ds.c1.tolist() == [[2, 2], [1, 1], [4, 0]]
+        assert ds.c2.tolist() == [[0, 3], [5, 5], [1, 1]]
+
+    def test_huge_counts_load_exactly(self, tmp_path):
+        big = 10**12 + 7
+        path = tmp_path / "data.csv"
+        path.write_text(
+            "group,population,c1,c2\n"
+            f"g1,1,{big},{3 * big}\n"
+            f"g1,2,{2 * big},1\n"
+        )
+        ds = load_dataset(path)
+        assert ds.c1.dtype == np.int64
+        assert ds.c1.tolist() == [[big, 3 * big]]
+        assert ds.sizes(2).tolist() == [2 * big + 1]
+
+    def test_single_category_csv(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("group,population,c1\ng1,1,3\ng1,2,4\n")
+        with pytest.raises(DatasetError, match="at least 2 categories"):
+            load_dataset(path)
 
     def test_non_integer_count(self, tmp_path):
         path = tmp_path / "data.csv"

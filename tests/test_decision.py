@@ -4,12 +4,14 @@ bootstrap."""
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grouphom import _batch
 from grouphom.decision import (
     ESTIMATORS,
     adjust_pvalues,
@@ -21,8 +23,9 @@ from grouphom.decision import (
 from grouphom.data import CountVector, GroupedDataset, GroupPair
 from grouphom.errors import InvalidB, OutOfRange, SampleTooSmall
 from grouphom.normal import normal_cdf, normal_quantile
+from grouphom.simulate import SettingSpec, generate_replicate
 from grouphom.ustat import aggregate_statistic
-from grouphom.variance import var0_group_test2
+from grouphom.variance import var0_bootstrap
 
 
 def pair(c1, c2, gid="g"):
@@ -49,7 +52,9 @@ class TestRunGlobalTest:
         ds = null_dataset(seed=1)
         report = run_global_test(ds, "test2", alpha=0.10)
         stat = aggregate_statistic(ds)
-        var = float(np.mean([var0_group_test2(g).value for g in ds]))
+        var = float(np.mean(_batch.var_group(
+            "test2", ds.c1, ds.c2, ds.sizes(1), ds.sizes(2)
+        )))
         assert report.statistic == pytest.approx(stat)
         assert report.variance.value == pytest.approx(var, abs=1e-12)
         assert report.z == pytest.approx(stat / math.sqrt(var))
@@ -108,6 +113,55 @@ class TestRunGlobalTest:
         b = run_global_test(ds, "test7", seed=11, B=100)
         assert a.variance.value == b.variance.value
         assert a.p_value == b.p_value
+
+
+class TestSeededGolden:
+    """Exact seeded values, compared with ``==`` so that no change to the
+    data model or the kernels shifts a seeded stream or an operation order
+    silently."""
+
+    C1 = [[3, 1, 0, 2], [1, 1, 1, 1], [0, 4, 2, 1],
+          [2, 2, 2, 0], [5, 0, 1, 1], [1, 3, 0, 4]]
+    C2 = [[1, 2, 2, 1], [0, 3, 1, 2], [2, 1, 1, 3],
+          [1, 0, 4, 1], [2, 2, 2, 2], [0, 1, 5, 1]]
+    VARIANCES = {
+        "test1": 0.03427380866682778,
+        "test2": 0.04000100245439572,
+        "test3": 0.04189320044195327,
+        "test4": 0.0350532807211792,
+        "test5": 0.027161380264616185,
+        "test6": 0.042705410533937206,
+        "test7": 0.033197105592253605,
+    }
+
+    def dataset(self):
+        return GroupedDataset(
+            tuple(pair(a, b, f"g{i}")
+                  for i, (a, b) in enumerate(zip(self.C1, self.C2)))
+        )
+
+    def test_variances_bit_identical(self):
+        reports = run_all_tests(self.dataset(), seed=2024, B=50)
+        assert {est: r.variance.value for est, r in reports.items()} == (
+            self.VARIANCES
+        )
+        assert reports["test1"].statistic == pytest.approx(
+            0.2634636359773593, rel=1e-12
+        )
+
+    def test_bootstrap_bit_identical(self):
+        ds = self.dataset()
+        assert var0_bootstrap(ds, B=30, seed=5).value == 0.04033586889851901
+        # large B spreads the groups over several resampling chunks
+        assert var0_bootstrap(ds, B=5000, seed=5).value == 0.042935000121606386
+        # many groups: the running total must add them one at a time
+        many, _ = generate_replicate(
+            SettingSpec(3, 5, 400, 5, 10, pi0=4, master_seed=3), 0
+        )
+        assert var0_bootstrap(many, B=200, seed=9).value == 0.04018303591910168
+        assert var0_bootstrap(many, B=1000, seed=9).value == (
+            0.03683006462757819
+        )
 
 
 class TestAdjustPvalues:
@@ -204,6 +258,73 @@ class TestPergroupBootstrap:
         assert flat.degenerate
         assert flat.p_raw == 0.0  # strict ">" convention on a point mass
         assert not live.degenerate
+
+    def test_ties_are_not_exceedances(self):
+        # pooled proportions (0, 0, 0, 6, 9)/15 leave two live categories,
+        # so T* is a function of two binomial counts and its tail is exact
+        n1, n2, q = 5, 10, 0.4
+
+        def stat(a, b):
+            c1, c2 = (a, n1 - a), (b, n2 - b)
+            return (
+                (Fraction(sum(x * x for x in c1), n1) - 1) / (n1 - 1)
+                + (Fraction(sum(x * x for x in c2), n2) - 1) / (n2 - 1)
+                - 2 * Fraction(sum(x * y for x, y in zip(c1, c2)), n1 * n2)
+            )
+
+        def pmf(n, a):
+            return math.comb(n, a) * q**a * (1 - q) ** (n - a)
+
+        observed = stat(1, 5)
+        above = tied = 0.0
+        for a in range(n1 + 1):
+            for b in range(n2 + 1):
+                t = stat(a, b)
+                above += pmf(n1, a) * pmf(n2, b) * (t > observed)
+                tied += pmf(n1, a) * pmf(n2, b) * (t == observed)
+        assert round(above, 4) == 0.2115
+        assert round(above + tied, 4) == 0.2884
+        B = 20_000
+        ds = GroupedDataset((pair([0, 0, 0, 1, 4], [0, 0, 0, 5, 5]),))
+        result = pergroup_bootstrap_pvalues(ds, B=B, seed=1)[0]
+        se = math.sqrt(above * (1 - above) / B)
+        assert abs(result.p_raw - above) < 4 * se
+        smoothed = pergroup_bootstrap_pvalues(ds, B=B, seed=1, smoothed=True)
+        se = math.sqrt((above + tied) * (1 - above - tied) / B)
+        assert abs(smoothed[0].p_raw - (above + tied)) < 4 * se
+
+    def test_large_totals_fall_back_to_float(self):
+        # n1 * n2 >= 2**30, where the integer numerator can overflow: a
+        # large group is compared in floating point, here checked against
+        # the same draws redone from its documented stream; the small group
+        # in the same resampling chunk keeps its exact result
+        small = pair([3, 2, 1], [1, 2, 3], "small")
+        c1, c2 = [50_000, 37_500, 12_500], [49_700, 37_800, 12_500]
+        both = pergroup_bootstrap_pvalues(
+            GroupedDataset((small, pair(c1, c2, "large"))), B=200, seed=4
+        )
+        alone = pergroup_bootstrap_pvalues(
+            GroupedDataset((small,)), B=200, seed=4
+        )
+        assert both[0].p_raw == alone[0].p_raw
+        rng = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(4, spawn_key=(1,)))
+        )
+        n1, n2 = sum(c1), sum(c2)
+        phat = (np.array(c1) + np.array(c2)) / (n1 + n2)
+        b1 = rng.multinomial(n1, phat, size=200)
+        b2 = rng.multinomial(n2, phat, size=200)
+        t_star = _batch.tu_group(b1 / n1, b2 / n2, float(n1), float(n2))
+        assert both[1].p_raw == np.mean(t_star > both[1].statistic)
+        assert 0.0 < both[1].p_raw < 1.0
+        # disjoint samples: T = 2 times n1 (n1-1) n2 (n2-1) ~ 2e20 does
+        # not fit in int64, yet no pooled-null draw comes near T
+        split = pair([100_000, 0], [0, 100_000], "split")
+        result = pergroup_bootstrap_pvalues(
+            GroupedDataset((split,)), B=50, seed=4
+        )
+        assert result[0].statistic == pytest.approx(2.0)
+        assert result[0].p_raw == 0.0
 
     def test_rejects_tiny_b(self):
         with pytest.raises(InvalidB):

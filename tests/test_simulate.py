@@ -181,6 +181,21 @@ class TestGenerateReplicate:
         with pytest.raises(OutOfRange):
             generate_replicate(SettingSpec(1, 5, 5, 5, 5), -1)
 
+    def test_counts_bit_identical(self):
+        # exact seeded counts, so that no change shifts the replicate stream
+        spec = SettingSpec(3, 5, 6, 5, 10, pi0=4, master_seed=7)
+        ds, flags = generate_replicate(spec, 2)
+        assert ds.counts_matrix(1).tolist() == [
+            [0, 1, 0, 3, 1], [1, 0, 0, 1, 3], [0, 0, 1, 3, 1],
+            [2, 1, 1, 0, 1], [1, 1, 1, 2, 0], [1, 0, 1, 0, 3],
+        ]
+        assert ds.counts_matrix(2).tolist() == [
+            [1, 0, 3, 4, 2], [1, 0, 1, 4, 4], [0, 0, 1, 4, 5],
+            [1, 2, 3, 4, 0], [0, 1, 2, 3, 4], [0, 1, 2, 1, 6],
+        ]
+        assert flags.tolist() == [False, False, True, True, False, True]
+        assert ds.group_ids() == [f"g00{i}" for i in range(1, 7)]
+
 
 class TestRejectionRateEngine:
     SPEC = SettingSpec(1, 5, 20, 10, 10, master_seed=31)

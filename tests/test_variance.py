@@ -1,6 +1,7 @@
 """Null-variance estimators: hand-checked values, unbiasedness, the
 population-ratio bounds that justify the plug-in estimators, and
-agreement between the scalar and vectorized code paths."""
+agreement between the vectorized kernels and the matrix-form
+definitions of each estimator."""
 
 from __future__ import annotations
 
@@ -14,17 +15,13 @@ from hypothesis import strategies as st
 
 from grouphom import _batch
 from grouphom.data import CountVector, GroupedDataset, GroupPair, ProbVector
+from grouphom.decision import run_global_test
 from grouphom.errors import DimensionMismatch, InvalidB, SampleTooSmall
 from grouphom.variance import (
     VarianceEstimate,
     trace_product,
     trace_sigma_sq_unbiased,
-    unbiased_sigma,
     var0_bootstrap,
-    var0_group_plugin,
-    var0_group_test1,
-    var0_group_test2,
-    var0_group_test3,
     var0_true,
     var_true_full,
 )
@@ -40,6 +37,69 @@ def sigma_of(p):
     return np.diag(p) - np.outer(p, p)
 
 
+def var_group(which, c1, c2):
+    """One group's estimate from the package's vectorized kernel."""
+    c1, c2 = np.asarray(c1), np.asarray(c2)
+    return float(
+        _batch.var_group(which, c1[None, :], c2[None, :],
+                         np.array([c1.sum()]), np.array([c2.sum()]))[0]
+    )
+
+
+# ---------------------------------------------------------------------------
+# matrix-form reference definitions of the six closed-form estimators
+# ---------------------------------------------------------------------------
+
+
+def unbiased_sigma(c):
+    """Bias-corrected covariance estimate n/(n-1) * (diag(p) - p p')."""
+    c = np.asarray(c, dtype=np.float64)
+    n = c.sum()
+    return n / (n - 1.0) * sigma_of(c / n)
+
+
+def trace_sq_pair_sum(c):
+    """Unbiased tr(Sigma^2) as the ordered-pair sum over categories
+    t != s of n_t n_s [(n_t + n_s - 2)/(n - 2) - ((n_t - n_s)/(n - 2))^2],
+    scaled by (n - 2) / (2 n (n-1) (n-3))."""
+    c = np.asarray(c, dtype=np.float64)
+    n = c.sum()
+    nt, ns = c[:, None], c[None, :]
+    terms = nt * ns * (
+        (nt + ns - 2.0) / (n - 2.0) - ((nt - ns) / (n - 2.0)) ** 2
+    )
+    np.fill_diagonal(terms, 0.0)
+    return 0.5 * (n - 2.0) / (n * (n - 1.0) * (n - 3.0)) * terms.sum()
+
+
+def bracket(n1, n2):
+    return 2.0 / (n1 * (n1 - 1)) + 2.0 / (n2 * (n2 - 1)) + 4.0 / (n1 * n2)
+
+
+def reference_var(which, c1, c2):
+    """Estimator ``which`` from d x d covariance matrices, as defined."""
+    c1 = np.asarray(c1, dtype=np.float64)
+    c2 = np.asarray(c2, dtype=np.float64)
+    n1, n2 = c1.sum(), c2.sum()
+    w1, w2, w12 = 2.0 / (n1 * (n1 - 1)), 2.0 / (n2 * (n2 - 1)), 4.0 / (n1 * n2)
+    s1, s2 = sigma_of(c1 / n1), sigma_of(c2 / n2)
+    cross_u = trace_product(unbiased_sigma(c1), unbiased_sigma(c2))
+    if which == "test1":
+        return (w1 * trace_sq_pair_sum(c1) + w2 * trace_sq_pair_sum(c2)
+                + w12 * cross_u)
+    if which == "test2":
+        return bracket(n1, n2) * cross_u
+    if which == "test3":
+        return bracket(n1, n2) * trace_sq_pair_sum(c1 + c2)
+    if which == "test4":
+        return (w1 * trace_product(s1, s1) + w2 * trace_product(s2, s2)
+                + w12 * trace_product(s1, s2))
+    if which == "test5":
+        return bracket(n1, n2) * trace_product(s1, s2)
+    sp = sigma_of((c1 + c2) / (n1 + n2))
+    return bracket(n1, n2) * trace_product(sp, sp)
+
+
 # ---------------------------------------------------------------------------
 # trace estimators
 # ---------------------------------------------------------------------------
@@ -47,7 +107,7 @@ def sigma_of(p):
 
 class TestTraceEstimators:
     def test_unbiased_sigma_hand_value(self):
-        s = unbiased_sigma(CountVector([1, 1]))
+        s = unbiased_sigma([1, 1])
         assert np.allclose(s, [[0.5, -0.5], [-0.5, 0.5]])
 
     def test_trace_sq_hand_values(self):
@@ -77,15 +137,18 @@ class TestTraceEstimators:
         assert acc == pytest.approx(target, abs=1e-12)
 
     def test_matches_batch_power_sum_form(self):
-        # the explicit pair-sum here and the power-sum reduction in _batch
-        # are algebraically the same estimator
+        # the explicit ordered-pair sum over categories (the estimator's
+        # definition) and the power-sum reduction in _batch are
+        # algebraically the same estimator
         rng = np.random.default_rng(7)
         for _ in range(100):
             d = rng.integers(2, 7)
             c = rng.multinomial(rng.integers(4, 40), np.full(d, 1.0 / d))
+            pair_sum = trace_sq_pair_sum(c)
             a = trace_sigma_sq_unbiased(CountVector(c))
             b = float(_batch.trace_sq_unbiased(c))
-            assert a == pytest.approx(b, abs=1e-12)
+            assert a == pytest.approx(pair_sum, abs=1e-12)
+            assert b == pytest.approx(pair_sum, abs=1e-12)
 
     def test_trace_product_hand_value(self):
         a = sigma_of([0.5, 0.5])
@@ -114,21 +177,17 @@ class TestTraceEstimators:
 
 class TestGroupEstimators:
     def test_test1_hand_value(self):
-        est = var0_group_test1(pair([2, 2], [2, 2]))
-        assert est.estimator == "test1"
-        assert est.value == pytest.approx(1.0 / 3.0)
+        assert var_group("test1", [2, 2], [2, 2]) == pytest.approx(1.0 / 3.0)
+        assert reference_var("test1", [2, 2], [2, 2]) == pytest.approx(
+            1.0 / 3.0
+        )
 
     def test_test2_hand_values(self):
-        assert var0_group_test2(pair([2, 2], [2, 2])).value == pytest.approx(
-            7.0 / 27.0
-        )
-        assert var0_group_test2(pair([1, 1], [1, 1])).value == pytest.approx(
-            3.0
-        )
+        assert var_group("test2", [2, 2], [2, 2]) == pytest.approx(7.0 / 27.0)
+        assert var_group("test2", [1, 1], [1, 1]) == pytest.approx(3.0)
 
     def test_test5_hand_value(self):
-        est = var0_group_plugin(pair([2, 2], [2, 2]), "test5")
-        assert est.value == pytest.approx(7.0 / 48.0)
+        assert var_group("test5", [2, 2], [2, 2]) == pytest.approx(7.0 / 48.0)
 
     def test_true_null_variance_hand_value(self):
         assert var0_true(ProbVector([0.5, 0.5]), 4, 4) == pytest.approx(
@@ -142,11 +201,12 @@ class TestGroupEstimators:
         )
 
     def test_test1_needs_four_per_sample(self):
+        ds = GroupedDataset((pair([2, 1], [2, 2]),))
         with pytest.raises(SampleTooSmall):
-            var0_group_test1(pair([2, 1], [2, 2]))
+            run_global_test(ds, "test1")
 
     def test_degenerate_point_mass_gives_zero(self):
-        assert var0_group_test2(pair([5, 0], [5, 0])).value == pytest.approx(
+        assert var_group("test2", [5, 0], [5, 0]) == pytest.approx(
             0.0, abs=1e-15
         )
 
@@ -163,40 +223,31 @@ class TestGroupEstimators:
                 comb(n1, a) * q**a * (1 - q) ** (n1 - a)
                 * comb(n2, b) * q**b * (1 - q) ** (n2 - b)
             )
-            acc += w * var0_group_test2(pair([a, n1 - a], [b, n2 - b])).value
+            acc += w * var_group("test2", [a, n1 - a], [b, n2 - b])
         assert acc == pytest.approx(target, abs=1e-12)
 
     @pytest.mark.parametrize("which", ["test4", "test5", "test6"])
     def test_plugin_labels(self, which):
-        est = var0_group_plugin(pair([3, 2], [2, 3]), which)
+        ds = GroupedDataset((pair([3, 2], [2, 3]),))
+        est = run_global_test(ds, which).variance
         assert est.estimator == which
+        assert est.value == var_group(which, [3, 2], [2, 3])
         assert est.value >= 0.0
 
     def test_scalar_and_batch_routes_agree(self):
+        # the vectorized kernels against the matrix-form definitions
         rng = np.random.default_rng(11)
-        scalar = {
-            "test1": var0_group_test1,
-            "test2": var0_group_test2,
-            "test3": var0_group_test3,
-            "test4": lambda p: var0_group_plugin(p, "test4"),
-            "test5": lambda p: var0_group_plugin(p, "test5"),
-            "test6": lambda p: var0_group_plugin(p, "test6"),
-        }
         for _ in range(50):
             d = rng.integers(2, 6)
             n1 = int(rng.integers(4, 25))
             n2 = int(rng.integers(4, 25))
             c1 = rng.multinomial(n1, np.full(d, 1.0 / d))
             c2 = rng.multinomial(n2, np.full(d, 1.0 / d))
-            p = pair(c1.tolist(), c2.tolist())
-            for which, fn in scalar.items():
-                batched = float(
-                    _batch.var_group(
-                        which, c1[None, :], c2[None, :],
-                        np.array([float(n1)]), np.array([float(n2)]),
-                    )[0]
-                )
-                assert fn(p).value == pytest.approx(batched, abs=1e-12), which
+            for which in ("test1", "test2", "test3", "test4", "test5",
+                          "test6"):
+                assert var_group(which, c1, c2) == pytest.approx(
+                    reference_var(which, c1, c2), abs=1e-12
+                ), which
 
     def test_estimators_agree_for_large_samples(self):
         # all six closed-form estimators are ratio-consistent for the same
@@ -204,17 +255,13 @@ class TestGroupEstimators:
         rng = np.random.default_rng(3)
         piv = np.array([0.1, 0.15, 0.2, 0.25, 0.3])
         n = 10_000
-        p = pair(rng.multinomial(n, piv).tolist(),
-                 rng.multinomial(n, piv).tolist())
+        c1, c2 = rng.multinomial(n, piv), rng.multinomial(n, piv)
         values = [
-            var0_group_test1(p).value,
-            var0_group_test2(p).value,
-            var0_group_test3(p).value,
-            var0_group_plugin(p, "test4").value,
-            var0_group_plugin(p, "test5").value,
-            var0_group_plugin(p, "test6").value,
-            var0_true(ProbVector(piv), n, n),
+            var_group(which, c1, c2)
+            for which in ("test1", "test2", "test3", "test4", "test5",
+                          "test6")
         ]
+        values.append(var0_true(ProbVector(piv), n, n))
         lo, hi = min(values), max(values)
         assert hi <= 1.05 * lo
 
@@ -232,10 +279,6 @@ def var0_population(p1, p2, n1, n2):
         + 2.0 / (n2 * (n2 - 1)) * trace_product(s2, s2)
         + 4.0 / (n1 * n2) * trace_product(s1, s2)
     )
-
-
-def bracket(n1, n2):
-    return 2.0 / (n1 * (n1 - 1)) + 2.0 / (n2 * (n2 - 1)) + 4.0 / (n1 * n2)
 
 
 class TestPopulationRatioBounds:
@@ -322,9 +365,9 @@ class TestBootstrap:
         # closed-form estimate on a null dataset
         ds = self.dataset(seed=5, k=60, n1=20, n2=20)
         boot = var0_bootstrap(ds, B=2000, seed=99).value
-        closed = float(
-            np.mean([var0_group_test3(g).value for g in ds])
-        )
+        closed = float(np.mean(_batch.var_group(
+            "test3", ds.c1, ds.c2, ds.sizes(1), ds.sizes(2)
+        )))
         assert boot == pytest.approx(closed, rel=0.15)
 
     def test_value_is_frozen_dataclass(self):

@@ -21,10 +21,17 @@ sample-1 categories ``0..d-2``, then sample-2 categories), each phase one
 group-vectorized call.  Within-replicate bootstrap procedures use the
 side keys ``(r, 1)`` and ``(r, 2)``.  Results are therefore independent
 of block sizes and of the worker count.
+
+Cost: the conditional-binomial probabilities of the (at most six) vectors
+a setting draws are computed once, so a replicate costs little more than
+its ``2 (d - 1)`` binomial calls.  :func:`reproduce_table` forks one
+worker pool per table, at the first cell with more than one block of
+replicates, with no more workers than blocks.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import multiprocessing
@@ -171,26 +178,36 @@ class SettingSpec:
             )
 
 
-def _conditional_binomial(rng, n, pvals: np.ndarray) -> np.ndarray:
-    """Draw one multinomial vector per row of ``pvals`` by the sequential
-    conditional-binomial method: category ``j`` is binomial on the trials
-    left with the renormalized tail probability, so each vector costs
-    ``d - 1`` binomial draws."""
-    k, d = pvals.shape
-    out = np.empty((k, d), dtype=np.int64)
-    remaining = np.broadcast_to(np.asarray(n, dtype=np.int64), (k,)).copy()
-    rest = np.ones(k, dtype=np.float64)
+def _conditional_probs(vectors: np.ndarray) -> np.ndarray:
+    """Conditional-binomial probabilities of each row of ``vectors``.
+
+    Row ``j`` of the ``(d - 1, m)`` result holds category ``j``'s share of
+    the probability left after categories ``0..j-1`` (zero where none is
+    left), clipped to ``[0, 1]``.  Rows are contiguous, so each binomial
+    call reads one."""
+    m, d = vectors.shape
+    cond = np.empty((d - 1, m), dtype=np.float64)
+    rest = np.ones(m, dtype=np.float64)
     for j in range(d - 1):
-        pj = np.divide(
-            pvals[:, j], rest, out=np.zeros(k, dtype=np.float64),
-            where=rest > 0,
-        )
-        np.clip(pj, 0.0, 1.0, out=pj)
-        cj = rng.binomial(remaining, pj)
+        pj = np.divide(vectors[:, j], rest, out=np.zeros(m), where=rest > 0)
+        cond[j] = np.clip(pj, 0.0, 1.0)
+        rest = rest - vectors[:, j]
+    return cond
+
+
+def _conditional_binomial(rng, n, cond: np.ndarray) -> np.ndarray:
+    """Draw one multinomial vector of total ``n`` per column of ``cond``
+    (from :func:`_conditional_probs`) by the sequential
+    conditional-binomial method: category ``j`` is binomial on the trials
+    left, so each vector costs ``d - 1`` binomial draws."""
+    d1, k = cond.shape
+    out = np.empty((k, d1 + 1), dtype=np.int64)
+    remaining = np.full(k, n, dtype=np.int64)
+    for j in range(d1):
+        cj = rng.binomial(remaining, cond[j])
         out[:, j] = cj
         remaining -= cj
-        rest = rest - pvals[:, j]
-    out[:, d - 1] = remaining
+    out[:, d1] = remaining
     return out
 
 
@@ -203,7 +220,8 @@ def sample_multinomial(n: int, pi, rng) -> CountVector:
     if n < 0:
         raise OutOfRange(f"need n >= 0, got {n}")
     p = pi.probs if isinstance(pi, ProbVector) else np.asarray(pi, np.float64)
-    return CountVector(_conditional_binomial(rng, n, p[None, :])[0])
+    cond = _conditional_probs(p[None, :])
+    return CountVector(_conditional_binomial(rng, n, cond)[0])
 
 
 def _replicate_rng(spec: SettingSpec, r: int, salt: int | None = None):
@@ -213,52 +231,57 @@ def _replicate_rng(spec: SettingSpec, r: int, salt: int | None = None):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _setting_probs(setting: int, d: int, pi0: int | None) -> np.ndarray:
+    """Conditional probabilities of every vector a setting draws, by
+    column: the uniform vector for setting 1; library vectors 1-5 for the
+    others, plus the reversed ``pi0`` vector as column 5 for setting 4."""
+    if setting == 1:
+        vectors = np.full((1, d), 1.0 / d)
+    else:
+        vectors = pi_library(d).vectors
+        if setting == 4:
+            vectors = np.vstack([vectors, vectors[pi0 - 1][::-1]])
+    cond = _conditional_probs(vectors)
+    cond.flags.writeable = False
+    return cond
+
+
 def _draw_replicate(spec: SettingSpec, rng):
     """Draw one replicate's counts.
 
     Returns ``(counts1, counts2, picks, null_flags)`` where ``picks`` is
     the per-group library index of the shared (null) vector, or -1 on
-    alternative groups; for setting 1 all picks are 0.
+    alternative groups; for setting 1 all picks are 0.  Each sample's
+    groups index the columns of :func:`_setting_probs`.
     """
-    k, d = spec.k, spec.d
+    k = spec.k
     if spec.setting == 1:
-        pi1 = pi2 = np.full((k, d), 1.0 / d)
-        picks = np.zeros(k, dtype=np.int64)
+        picks = rows1 = rows2 = np.zeros(k, dtype=np.int64)
         null_flags = np.ones(k, dtype=bool)
+    elif spec.setting == 2:
+        picks = rows1 = rows2 = rng.integers(0, 5, size=k)
+        null_flags = np.ones(k, dtype=bool)
+    elif spec.setting == 3:
+        raw = rng.integers(0, 5, size=k)
+        null_flags = raw < 4
+        picks = np.where(null_flags, raw, -1)
+        rows1 = raw % 4
+        rows2 = np.where(null_flags, raw, spec.pi0 - 1)
+    elif spec.setting == 4:
+        raw = rng.integers(0, 10, size=k)
+        null_flags = raw < 8
+        picks = np.where(null_flags, raw // 2, -1)
+        rows1 = (raw // 2) % 4
+        rows2 = np.where(null_flags, raw // 2, np.where(raw == 8, spec.pi0 - 1, 5))
     else:
-        lib = pi_library(d).vectors
-        if spec.setting == 2:
-            picks = rng.integers(0, 5, size=k)
-            pi1 = pi2 = lib[picks]
-            null_flags = np.ones(k, dtype=bool)
-        elif spec.setting == 3:
-            raw = rng.integers(0, 5, size=k)
-            null_flags = raw < 4
-            picks = np.where(null_flags, raw, -1)
-            pi1 = np.where(null_flags[:, None], lib[raw % 4], lib[0])
-            pi2 = np.where(
-                null_flags[:, None], lib[raw % 4], lib[spec.pi0 - 1]
-            )
-        elif spec.setting == 4:
-            raw = rng.integers(0, 10, size=k)
-            null_flags = raw < 8
-            picks = np.where(null_flags, raw // 2, -1)
-            alt2 = np.where(
-                (raw == 8)[:, None],
-                lib[spec.pi0 - 1],
-                lib[spec.pi0 - 1][::-1],
-            )
-            pi1 = np.where(null_flags[:, None], lib[(raw // 2) % 4], lib[0])
-            pi2 = np.where(null_flags[:, None], lib[(raw // 2) % 4], alt2)
-        else:
-            raw1 = rng.integers(0, 5, size=k)
-            raw2 = rng.integers(0, 5, size=k)
-            null_flags = raw1 == raw2
-            picks = np.where(null_flags, raw1, -1)
-            pi1 = lib[raw1]
-            pi2 = lib[raw2]
-    counts1 = _conditional_binomial(rng, spec.n1, pi1)
-    counts2 = _conditional_binomial(rng, spec.n2, pi2)
+        rows1 = rng.integers(0, 5, size=k)
+        rows2 = rng.integers(0, 5, size=k)
+        null_flags = rows1 == rows2
+        picks = np.where(null_flags, rows1, -1)
+    cond = _setting_probs(spec.setting, spec.d, spec.pi0)
+    counts1 = _conditional_binomial(rng, spec.n1, np.take(cond, rows1, axis=1))
+    counts2 = _conditional_binomial(rng, spec.n2, np.take(cond, rows2, axis=1))
     return counts1, counts2, picks, null_flags
 
 
@@ -393,13 +416,18 @@ def _run_block(task: _CellTask):
         elif test == "minp":
             rej = np.empty(blen, dtype=bool)
             threshold = task.alpha / k
+            # T* > T on the integer numerator, exact while n1 n2 < 2**30
+            exact = spec.n1 * spec.n2 < 2**30
+            counts = c1.astype(np.int64), c2.astype(np.int64), spec.n1, spec.n2
+            obs = _batch.tu_numerator(*counts) if exact else tu_r
             for i in range(blen):
                 rngb = _replicate_rng(spec, task.start + i, salt=2)
                 phat = (c1[i] + c2[i]) / (n1 + n2)
                 b1 = rngb.multinomial(spec.n1, phat, size=(task.minp_B, k))
                 b2 = rngb.multinomial(spec.n2, phat, size=(task.minp_B, k))
-                tub = _batch.tu_group(b1 / n1, b2 / n2, n1, n2)
-                pvals = (tub > tu_r[i][None, :]).mean(axis=0)
+                star = (_batch.tu_numerator(b1, b2, spec.n1, spec.n2) if exact
+                        else _batch.tu_group(b1 / n1, b2 / n2, n1, n2))
+                pvals = (star > obs[i]).mean(axis=0)
                 rej[i] = pvals.min() <= threshold
         else:
             raise OutOfRange(f"unknown test id {test!r}")
@@ -455,12 +483,16 @@ def _oracle_moments(
 
 
 def _resolve_workers(workers) -> int:
+    source = "workers"
     if workers is None:
-        workers = os.environ.get("MH_WORKERS", "1")
-    workers = int(workers)
-    if workers < 1:
-        raise OutOfRange(f"workers must be >= 1, got {workers}")
-    return workers
+        source, workers = "MH_WORKERS", os.environ.get("MH_WORKERS", "1")
+    try:
+        count = int(workers)
+    except (TypeError, ValueError):
+        count = 0
+    if count < 1:
+        raise OutOfRange(f"{source} must be an integer >= 1, got {workers!r}")
+    return count
 
 
 def _run_cell(
@@ -474,7 +506,10 @@ def _run_cell(
     moment_method: str,
     moment_reps: int,
     collect_z: str | None = None,
+    pool=None,
 ):
+    """Run one cell in blocks of replicates: in this process at one worker
+    or one block, else on ``pool`` or on a pool of its own."""
     if reps < 1:
         raise InvalidReps(f"need reps >= 1, got {reps}")
     if not 0.0 < alpha < 1.0:
@@ -524,10 +559,12 @@ def _run_cell(
     t0 = time.perf_counter()
     if workers == 1 or len(tasks) == 1:
         outs = [_run_block(t) for t in tasks]
+    elif pool is not None:
+        outs = pool.map(_run_block, tasks)
     else:
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers) as pool:
-            outs = pool.map(_run_block, tasks)
+        with ctx.Pool(min(workers, len(tasks))) as own:
+            outs = own.map(_run_block, tasks)
     elapsed = time.perf_counter() - t0
     rejections = {t: 0 for t in tests}
     degenerate = {t: 0 for t in tests}
@@ -745,29 +782,8 @@ def reproduce_table(
             f"sizes={sorted(bad_s)}, d={sorted(bad_d)}"
         )
 
-    cell_index = 0
-    moment_notes: dict[str, list[str]] = {}
-
-    def run(spec, tests, collect_map):
-        nonlocal cell_index
-        spec = replace(spec, master_seed=_cell_seed(seed, cell_index))
-        cell_index += 1
-        if progress is not None:
-            progress(f"{table_id}: cell {cell_index} "
-                     f"(setting {spec.setting}, d={spec.d}, k={spec.k}, "
-                     f"sizes=({spec.n1},{spec.n2}))")
-        results, _, moments = _run_cell(
-            spec, tests, reps, alpha, workers, 200, 1000, "auto", moment_reps,
-        )
-        for t in tests:
-            if f"{t}_method" in moments:
-                key = f"d={spec.d},n1={spec.n1},n2={spec.n2}"
-                moment_notes[key] = moments[f"{t}_method"]
-        for name, test in collect_map.items():
-            row[name] = results[test].rate
-            row[f"se_{name}"] = results[test].se
-        return results
-
+    workers = _resolve_workers(workers)
+    cells: list[tuple] = []  # (row, spec, tests, {column: test})
     rows: list[dict] = []
     if table.layout == "tests":
         columns = ["k", "n1", "n2"]
@@ -777,11 +793,8 @@ def reproduce_table(
         for k in k_values:
             for n1, n2 in size_pairs:
                 row = {"k": k, "n1": n1, "n2": n2}
-                run(
-                    SettingSpec(table.setting, d, k, n1, n2),
-                    table.tests,
-                    {t: t for t in table.tests},
-                )
+                cells.append((row, SettingSpec(table.setting, d, k, n1, n2),
+                              table.tests, {t: t for t in table.tests}))
                 rows.append(row)
     elif table.layout == "by_d":
         test = table.tests[0]
@@ -792,11 +805,8 @@ def reproduce_table(
             for n1, n2 in size_pairs:
                 row = {"k": k, "n1": n1, "n2": n2}
                 for d in d_values:
-                    run(
-                        SettingSpec(table.setting, d, k, n1, n2),
-                        (test,),
-                        {f"d{d}": test},
-                    )
+                    cells.append((row, SettingSpec(table.setting, d, k, n1, n2),
+                                  (test,), {f"d{d}": test}))
                 rows.append(row)
     elif table.layout == "power":
         value_cols = [
@@ -809,11 +819,9 @@ def reproduce_table(
                 for n1, n2 in size_pairs:
                     row = {"d": d, "k": k, "n1": n1, "n2": n2}
                     for p in (2, 4):
-                        run(
-                            SettingSpec(table.setting, d, k, n1, n2, pi0=p),
-                            table.tests,
-                            {f"pi{p}_{t}": t for t in table.tests},
-                        )
+                        spec = SettingSpec(table.setting, d, k, n1, n2, pi0=p)
+                        cells.append((row, spec, table.tests,
+                                      {f"pi{p}_{t}": t for t in table.tests}))
                     rows.append(row)
     elif table.layout == "power_by_d":
         value_cols = [f"d{d}_{t}" for d in d_values for t in table.tests]
@@ -823,11 +831,8 @@ def reproduce_table(
             for n1, n2 in size_pairs:
                 row = {"k": k, "n1": n1, "n2": n2}
                 for d in d_values:
-                    run(
-                        SettingSpec(table.setting, d, k, n1, n2),
-                        table.tests,
-                        {f"d{d}_{t}": t for t in table.tests},
-                    )
+                    cells.append((row, SettingSpec(table.setting, d, k, n1, n2),
+                                  table.tests, {f"d{d}_{t}": t for t in table.tests}))
                 rows.append(row)
     else:  # minp
         variants = (
@@ -842,12 +847,38 @@ def reproduce_table(
                 row = {"k": k, "n1": n1, "n2": n2}
                 for d in d_values:
                     for name, setting, pi0 in variants:
-                        run(
-                            SettingSpec(setting, d, k, n1, n2, pi0=pi0),
-                            ("minp",),
-                            {f"d{d}_{name}": "minp"},
-                        )
+                        cells.append((row, SettingSpec(setting, d, k, n1, n2, pi0=pi0),
+                                      ("minp",), {f"d{d}_{name}": "minp"}))
                 rows.append(row)
+
+    # One pool serves every cell, started at the first with two blocks.
+    blocks = [-(-reps // _block_size(spec)) for _, spec, _, _ in cells]
+    moment_notes: dict[str, list[str]] = {}
+    pool = None
+    try:
+        for index, (row, spec, tests, collect_map) in enumerate(cells):
+            spec = replace(spec, master_seed=_cell_seed(seed, index))
+            if progress is not None:
+                progress(f"{table_id}: cell {index + 1} "
+                         f"(setting {spec.setting}, d={spec.d}, k={spec.k}, "
+                         f"sizes=({spec.n1},{spec.n2}))")
+            if pool is None and workers > 1 and blocks[index] > 1:
+                ctx = multiprocessing.get_context("fork")
+                pool = ctx.Pool(min(workers, max(blocks)))
+            results, _, moments = _run_cell(
+                spec, tests, reps, alpha, workers, 200, 1000, "auto",
+                moment_reps, pool=pool,
+            )
+            for t in tests:
+                if f"{t}_method" in moments:
+                    key = f"d={spec.d},n1={spec.n1},n2={spec.n2}"
+                    moment_notes[key] = moments[f"{t}_method"]
+            for name, test in collect_map.items():
+                row[name] = results[test].rate
+                row[f"se_{name}"] = results[test].se
+    finally:
+        if pool is not None:
+            pool.terminate()
 
     csv_path = sidecar_path = None
     if outdir is not None:

@@ -237,6 +237,13 @@ class TestSimulateCommand:
         ])
         assert rc == 3
 
+    def test_bad_worker_variable_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("MH_WORKERS", "two")
+        assert main([
+            "simulate", "--setting", "1", "--tests", "test2", "--reps", "5",
+        ]) == 2
+        assert "MH_WORKERS" in capsys.readouterr().err
+
     def test_bad_grid_restriction_exits_2(self):
         assert main([
             "simulate", "--table", "tab2", "--reps", "2",

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 from scipy.stats import chi2 as chi2_dist
 
-from grouphom import classical
+from grouphom import _batch, classical, simulate
 from grouphom.data import ProbVector
 from grouphom.decision import run_global_test
 from grouphom.errors import (
@@ -131,6 +132,19 @@ class TestSampling:
         v = sample_multinomial(50, ProbVector([0.0, 1.0, 0.0]), rng)
         assert v.counts.tolist() == [0, 50, 0]
 
+    def test_draws_bit_identical(self):
+        # exact seeded counts from one generator, zero categories included
+        rng = np.random.default_rng(2024)
+        draws = [
+            (37, pi_library(5).vector(5), [2, 3, 4, 7, 21]),
+            (1000, pi_library(10).vector(3),
+             [19, 7, 22, 31, 95, 90, 140, 194, 195, 207]),
+            (25, ProbVector([0.3, 0.7, 0.0, 0.0]), [7, 18, 0, 0]),
+            (12, ProbVector([0.5, 0.0, 0.5, 0.0]), [8, 0, 4, 0]),
+        ]
+        for n, pi, expected in draws:
+            assert sample_multinomial(n, pi, rng).counts.tolist() == expected
+
 
 class TestGenerateReplicate:
     def test_reproducible(self):
@@ -196,6 +210,102 @@ class TestGenerateReplicate:
         assert flags.tolist() == [False, False, True, True, False, True]
         assert ds.group_ids() == [f"g00{i}" for i in range(1, 7)]
 
+    # Replicate 2 of SettingSpec(setting, d, 6, 5, 10, pi0, master_seed=7):
+    # sample-1 and sample-2 counts (groups separated by ';') and null flags.
+    GOLDEN = [
+        (1, 5, None,
+         "2,2,1,0,0;0,1,1,1,2;2,2,0,0,1;0,1,0,2,2;1,0,0,3,1;0,1,1,1,2",
+         "4,1,0,2,3;1,1,2,4,2;3,2,2,2,1;0,3,3,2,2;3,2,3,2,0;2,1,1,3,3",
+         "111111"),
+        (2, 5, None,
+         "0,0,0,2,3;0,0,0,0,5;0,0,1,3,1;2,1,1,0,1;0,0,0,2,3;1,0,1,0,3",
+         "1,1,2,2,4;1,0,0,1,8;0,0,1,4,5;1,2,3,4,0;0,2,1,1,6;0,1,2,1,6",
+         "111111"),
+        (4, 5, 2,
+         "0,1,0,3,1;1,0,0,1,3;0,0,1,3,1;2,1,1,0,1;1,1,1,2,0;1,0,1,0,3",
+         "4,2,3,0,1;1,0,1,3,5;0,0,1,4,5;1,2,3,4,0;3,3,2,1,1;0,1,2,1,6",
+         "001101"),
+        (4, 5, 4,
+         "0,1,0,3,1;1,0,0,1,3;0,0,1,3,1;2,1,1,0,1;1,1,1,2,0;1,0,1,0,3",
+         "5,2,1,2,0;1,0,1,4,4;0,0,1,4,5;1,2,3,4,0;4,2,3,0,1;0,1,2,1,6",
+         "001101"),
+        (5, 5, None,
+         "1,1,0,0,3;0,0,0,2,3;1,0,1,0,3;1,0,2,2,0;0,0,0,1,4;0,0,2,1,2",
+         "0,1,3,5,1;2,3,2,1,2;0,2,1,0,7;1,3,2,2,2;0,1,2,3,4;0,1,2,6,1",
+         "000000"),
+        (1, 10, None,
+         "1,1,1,0,0,0,0,1,1,0;0,0,0,0,2,1,1,0,0,1;1,1,0,0,0,1,1,0,0,1;"
+         "0,0,0,1,1,1,1,1,0,0;0,0,0,0,1,0,0,1,2,1;0,0,0,2,0,0,0,1,1,1",
+         "3,1,0,3,0,1,1,0,0,1;1,0,2,1,0,1,3,2,0,0;0,1,1,1,0,1,1,2,1,2;"
+         "1,1,0,0,0,3,0,2,1,2;0,2,0,1,1,2,1,1,0,2;1,2,2,0,0,2,1,0,0,2",
+         "111111"),
+        (2, 10, None,
+         "0,0,0,0,0,0,1,2,1,1;0,0,0,0,0,0,0,1,1,3;0,0,0,1,0,0,0,1,0,3;"
+         "1,1,0,0,0,0,1,2,0,0;0,0,0,0,0,0,0,1,2,2;0,0,0,0,0,0,1,0,3,1",
+         "0,0,0,0,0,0,0,3,1,6;0,0,0,0,0,0,1,2,1,6;0,0,1,0,0,1,2,1,2,3;"
+         "1,0,3,0,2,1,0,0,1,2;0,0,0,0,0,1,4,0,1,4;0,0,0,0,0,0,2,3,2,3",
+         "111111"),
+        (3, 10, 2,
+         "0,0,0,1,1,1,1,1,0,0;0,0,0,0,1,0,0,1,2,1;0,0,0,1,0,0,0,1,2,1;"
+         "1,1,0,0,0,0,1,2,0,0;0,0,0,1,1,1,0,0,2,0;0,0,0,0,0,0,1,0,1,3",
+         "0,0,1,1,0,1,1,2,2,2;0,0,0,0,0,2,0,2,2,4;0,0,0,0,0,1,2,2,4,1;"
+         "1,2,2,0,0,2,1,0,1,1;0,0,2,0,2,1,0,0,1,4;0,0,0,0,0,1,6,0,2,1",
+         "001101"),
+        (4, 10, 4,
+         "0,0,0,1,1,1,1,1,0,0;0,0,0,0,1,0,0,1,2,1;0,0,0,1,0,0,0,1,2,1;"
+         "1,1,0,0,0,0,1,2,0,0;0,0,0,1,1,1,0,0,2,0;0,0,0,0,0,0,1,0,1,3",
+         "1,2,3,2,0,0,1,1,0,0;0,0,0,0,0,0,5,0,3,2;0,0,0,0,0,1,1,6,1,1;"
+         "1,2,2,0,0,2,0,1,0,2;3,1,5,1,0,0,0,0,0,0;0,0,0,0,1,1,2,2,3,1",
+         "001101"),
+        (5, 10, None,
+         "0,0,0,0,0,0,1,3,1,0;0,0,0,0,0,0,0,1,0,4;0,0,0,0,0,0,1,0,2,2;"
+         "0,0,1,1,0,1,1,0,0,1;0,0,0,0,0,0,0,1,2,2;0,0,0,0,0,0,1,3,0,1",
+         "0,1,0,0,1,3,4,0,0,1;0,1,1,0,1,1,1,2,2,1;0,0,0,0,2,0,1,1,2,4;"
+         "0,0,1,1,2,0,1,0,2,3;1,1,0,0,2,1,0,2,1,2;0,2,0,1,1,0,0,1,1,4",
+         "000000"),
+    ]
+
+    @pytest.mark.parametrize("setting,d,pi0,counts1,counts2,flags", GOLDEN)
+    def test_counts_bit_identical_every_setting(
+        self, setting, d, pi0, counts1, counts2, flags
+    ):
+        def parse(text):
+            return [[int(c) for c in g.split(",")] for g in text.split(";")]
+
+        spec = SettingSpec(setting, d, 6, 5, 10, pi0=pi0, master_seed=7)
+        ds, null_flags = generate_replicate(spec, 2)
+        assert ds.counts_matrix(1).tolist() == parse(counts1)
+        assert ds.counts_matrix(2).tolist() == parse(counts2)
+        assert null_flags.tolist() == [f == "1" for f in flags]
+
+
+def _numerator(a, b, n1, n2):
+    # T * n1 (n1 - 1) n2 (n2 - 1) in integers, from the U-statistic's terms
+    return (
+        a * (a - 1) * n2 * (n2 - 1) + b * (b - 1) * n1 * (n1 - 1)
+        - 2 * a * b * (n1 - 1) * (n2 - 1)
+    ).sum(axis=-1)
+
+
+def _statistic(a, b, n1, n2):
+    return _batch.tu_group(a / n1, b / n2, float(n1), float(n2))
+
+
+def _minp_rejections(spec, reps, B, alpha, statistic):
+    """Min-p decisions rebuilt from each replicate's dataset and its salt-2
+    bootstrap stream, counting T* > T through ``statistic``."""
+    n1, n2 = spec.n1, spec.n2
+    rejections = 0
+    for r in range(reps):
+        ds, _ = generate_replicate(spec, r)
+        rng = simulate._replicate_rng(spec, r, salt=2)
+        phat = (ds.c1 + ds.c2) / (n1 + n2)
+        b1 = rng.multinomial(n1, phat, size=(B, spec.k))
+        b2 = rng.multinomial(n2, phat, size=(B, spec.k))
+        above = statistic(b1, b2, n1, n2) > statistic(ds.c1, ds.c2, n1, n2)
+        rejections += above.mean(axis=0).min() <= alpha / spec.k
+    return rejections
+
 
 class TestRejectionRateEngine:
     SPEC = SettingSpec(1, 5, 20, 10, 10, master_seed=31)
@@ -239,6 +349,27 @@ class TestRejectionRateEngine:
         )
         for test in one:
             assert one[test].rejections == three[test].rejections, test
+
+    def test_minp_decides_ties_exactly(self):
+        # samples of 3 and 4 make ties common, and alpha / k = 0.05 falls
+        # between p-values that a floating-point comparison moves
+        spec = SettingSpec(1, 5, 10, 3, 4, master_seed=2024)
+        res = estimate_rejection_rate(
+            spec, ("minp",), reps=60, alpha=0.5, minp_B=50
+        )
+        exact = _minp_rejections(spec, 60, 50, 0.5, _numerator)
+        assert res["minp"].rejections == exact
+        rounded = _minp_rejections(spec, 60, 50, 0.5, _statistic)
+        assert rounded != exact  # the cell does tell the two apart
+
+    def test_minp_large_totals_compare_floats(self):
+        # from n1 n2 = 2**30 the integer numerator could wrap in int64
+        spec = SettingSpec(1, 5, 4, 2**15, 2**15, master_seed=6)
+        res = estimate_rejection_rate(
+            spec, ("minp",), reps=20, alpha=0.6, minp_B=20
+        )
+        expected = _minp_rejections(spec, 20, 20, 0.6, _statistic)
+        assert res["minp"].rejections == expected
 
     def test_oracle_standardized_tests_demand_null_setting(self):
         spec = SettingSpec(3, 5, 10, 5, 10, pi0=2)
@@ -403,6 +534,103 @@ class TestReproduceTable:
         seeds_b = {_cell_seed(10, i) for i in range(10)}
         assert len(seeds_a) == 10
         assert not (seeds_a & seeds_b)
+
+
+class _PoolCounter:
+    """Stands in for ``multiprocessing`` inside ``grouphom.simulate`` and
+    records the size of each worker pool started.  Inline pools run their
+    blocks in this process and start none."""
+
+    def __init__(self, inline):
+        self.sizes = []
+        self.inline = inline
+
+    def get_context(self, method):
+        assert method == "fork"
+        return self
+
+    def Pool(self, processes):
+        self.sizes.append(processes)
+        if self.inline:
+            return _InlinePool()
+        return multiprocessing.get_context("fork").Pool(processes)
+
+
+class _InlinePool:
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+    def terminate(self):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.terminate()
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    def install(inline=False):
+        counter = _PoolCounter(inline)
+        monkeypatch.setattr(simulate, "multiprocessing", counter)
+        return counter
+
+    return install
+
+
+class TestWorkerPools:
+    # tab2 at seed 11, k = 20, 1100 replicates (two blocks per cell):
+    # rejections of tests 1-3 per size pair
+    GOLDEN_TAB2 = {(5, 10): (70, 74, 68), (10, 10): (61, 63, 59)}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_table_rows_golden_one_pool(self, pools, workers):
+        counter = pools()
+        res = reproduce_table(
+            "tab2", reps=1100, seed=11, workers=workers, k_values=[20],
+            size_pairs=[(5, 10), (10, 10)],
+        )
+        assert counter.sizes == ([] if workers == 1 else [2])
+        for row in res.rows:
+            expected = self.GOLDEN_TAB2[(row["n1"], row["n2"])]
+            for test, count in zip(("test1", "test2", "test3"), expected):
+                rate = count / 1100
+                assert row[test] == rate
+                assert row[f"se_{test}"] == math.sqrt(rate * (1 - rate) / 1100)
+
+    def test_single_block_table_starts_no_pool(self, pools):
+        counter = pools()
+        kwargs = dict(reps=40, seed=5, k_values=[20, 50],
+                      size_pairs=[(5, 10), (10, 10)])
+        res = reproduce_table("tab2", workers=2, **kwargs)
+        assert counter.sizes == []
+        assert res.rows == reproduce_table("tab2", workers=1, **kwargs).rows
+
+    def test_pool_sized_to_blocks(self, pools):
+        counter = pools(inline=True)
+        kwargs = dict(reps=1025, seed=5, k_values=[20], size_pairs=[(5, 10)])
+        res = reproduce_table("tab2", workers=8, **kwargs)
+        spec = SettingSpec(1, 5, 20, 5, 10, master_seed=3)
+        cell = estimate_rejection_rate(spec, ("test2",), reps=1025, workers=8)
+        assert counter.sizes == [2, 2]
+        assert res.rows == reproduce_table("tab2", workers=1, **kwargs).rows
+        one = estimate_rejection_rate(spec, ("test2",), reps=1025, workers=1)
+        assert cell["test2"].rejections == one["test2"].rejections
+
+    @pytest.mark.parametrize("value", ["two", "0", "1.5", ""])
+    def test_worker_variable_checked(self, monkeypatch, pools, value):
+        counter = pools(inline=True)
+        monkeypatch.setenv("MH_WORKERS", value)
+        spec = SettingSpec(1, 5, 10, 5, 10)
+        with pytest.raises(OutOfRange, match="MH_WORKERS"):
+            estimate_rejection_rate(spec, ("test2",), reps=5)
+        with pytest.raises(OutOfRange, match="MH_WORKERS"):
+            reproduce_table("tab2", reps=5, k_values=[20])
+        with pytest.raises(OutOfRange, match="workers"):
+            estimate_rejection_rate(spec, ("test2",), reps=5, workers=value)
+        assert counter.sizes == []
 
 
 class TestBenchmark:

@@ -86,11 +86,11 @@ def uit_statistic(ds: GroupedDataset) -> float:
     return float(_group_values(ds, _batch.chi2_group).sum())
 
 
-def _naive_standardized(values: np.ndarray, d: int) -> float:
-    k = values.size
-    return float(
-        (values - (d - 1)).sum() / math.sqrt(2.0 * (d - 1)) / math.sqrt(k)
-    )
+def _naive_standardized(values: np.ndarray, d: int):
+    """``(sum_r T_r - k (d-1)) / sqrt(2 k (d-1))`` over the last (group)
+    axis of ``values``."""
+    k = values.shape[-1]
+    return (values.sum(axis=-1) - k * (d - 1)) / math.sqrt(k * 2.0 * (d - 1))
 
 
 def wk_statistic(ds: GroupedDataset, d: int | None = None) -> float:
@@ -98,16 +98,16 @@ def wk_statistic(ds: GroupedDataset, d: int | None = None) -> float:
 
     ``sum_r (T_r - (d-1)) / sqrt(2(d-1)) / sqrt(k)``.
     """
-    return _naive_standardized(
+    return float(_naive_standardized(
         _group_values(ds, _batch.chi2_group), ds.d if d is None else d
-    )
+    ))
 
 
 def vk_statistic(ds: GroupedDataset, d: int | None = None) -> float:
     """Likelihood-ratio aggregate standardized by the limiting moments."""
-    return _naive_standardized(
+    return float(_naive_standardized(
         _group_values(ds, _batch.lrt_group), ds.d if d is None else d
-    )
+    ))
 
 
 def _moments_arrays(moments, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -120,14 +120,17 @@ def _moments_arrays(moments, k: int) -> tuple[np.ndarray, np.ndarray]:
         )
     means = np.array([m.mean for m in moments], dtype=np.float64)
     variances = np.array([m.variance for m in moments], dtype=np.float64)
+    if variances.sum() <= 0:
+        raise ZeroVariance("sum of null variances is not positive")
     return means, variances
 
 
-def _oracle_standardized(values, means, variances) -> float:
-    den = variances.sum()
-    if den <= 0:
-        raise ZeroVariance("sum of null variances is not positive")
-    return float((values - means).sum() / math.sqrt(den))
+def _oracle_standardized(values, means, variances):
+    """``(sum_r T_r - sum_r E_r) / sqrt(sum_r V_r)`` over the last (group)
+    axis."""
+    return (values.sum(axis=-1) - means.sum(axis=-1)) / np.sqrt(
+        variances.sum(axis=-1)
+    )
 
 
 def wk_prime(ds: GroupedDataset, moments) -> float:
@@ -137,17 +140,17 @@ def wk_prime(ds: GroupedDataset, moments) -> float:
     a sequence of one per group: ``sum_r (T_r - E_r) / sqrt(sum_r V_r)``.
     """
     means, variances = _moments_arrays(moments, ds.k)
-    return _oracle_standardized(
+    return float(_oracle_standardized(
         _group_values(ds, _batch.chi2_group), means, variances
-    )
+    ))
 
 
 def vk_prime(ds: GroupedDataset, moments) -> float:
     """Likelihood-ratio aggregate standardized by exact null moments."""
     means, variances = _moments_arrays(moments, ds.k)
-    return _oracle_standardized(
+    return float(_oracle_standardized(
         _group_values(ds, _batch.lrt_group), means, variances
-    )
+    ))
 
 
 def chi_square_pooled(ds: GroupedDataset) -> tuple[float, float]:
@@ -156,10 +159,16 @@ def chi_square_pooled(ds: GroupedDataset) -> tuple[float, float]:
     Returns the statistic and its upper-tail p-value against the
     chi-square distribution with ``d - 1`` degrees of freedom.
     """
-    c1 = ds.c1.sum(axis=0)
-    c2 = ds.c2.sum(axis=0)
-    stat = float(_batch.chi2_group(c1, c2, float(c1.sum()), float(c2.sum())))
-    return stat, float(_chi2_dist.sf(stat, ds.d - 1))
+    stat, p = _pooled_chi2(ds.c1, ds.c2)
+    return float(stat), float(p)
+
+
+def _pooled_chi2(c1, c2):
+    """Statistic and p-value of :func:`chi_square_pooled` for counts of
+    shape ``(..., k, d)``."""
+    p1, p2 = c1.sum(axis=-2), c2.sum(axis=-2)
+    stat = _batch.chi2_group(p1, p2, p1.sum(axis=-1), p2.sum(axis=-1))
+    return stat, _chi2_dist.sf(stat, c1.shape[-1] - 1)
 
 
 # ---------------------------------------------------------------------------

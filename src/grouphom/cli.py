@@ -155,6 +155,7 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_pergroup(args) -> int:
+    decision._check_alpha(args.alpha)  # before the bootstrap, not after
     ds = load_dataset(args.data)
     seed = _resolve_seed(args.seed)
     results = decision.pergroup_bootstrap_pvalues(

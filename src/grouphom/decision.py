@@ -6,24 +6,36 @@ upper normal quantile.  A non-positive variance estimate (possible for
 the unbiased estimators in tiny samples, or for constant data) is treated
 as degenerate: the report is flagged and the p-value collapses to 1 when
 the statistic is non-positive and 0 otherwise.
+
+Every test id is defined once, in ``_TESTS``: the seven estimators, the
+classical baselines (``chi2``, ``wk``, ``vk``, ``wkprime``, ``vkprime``)
+and the bootstrap min-p rule (``minp``).  :func:`run_global_test` runs an
+entry on one dataset; the Monte Carlo engine runs it on a block of
+replicates, with its own bootstrap streams.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _batch
+from . import _batch, classical
 from .data import GroupedDataset
-from .errors import InvalidB, OutOfRange
+from .errors import OutOfRange
 from .normal import normal_cdf, normal_quantile
 
-# Unused here, but the benchmark's tracer wraps it under this module's name.
-from .ustat import group_ustat  # noqa: F401
-from .ustat import aggregate_statistic, group_statistics
-from .variance import VarianceEstimate, null_draws, var0_bootstrap
+# Unused here, but the benchmark's tracer wraps them under this module's name.
+from .ustat import aggregate_statistic, group_ustat  # noqa: F401
+from .ustat import group_statistics
+from .variance import (
+    VarianceEstimate,
+    _check_bootstrap_size,
+    null_draws,
+    var0_bootstrap,
+)
 
 __all__ = [
     "ESTIMATORS",
@@ -35,18 +47,6 @@ __all__ = [
     "adjust_pvalues",
     "global_minp_rule",
 ]
-
-#: Estimator ids accepted by :func:`run_global_test`, with the minimum
-#: per-population sample total each requires.
-ESTIMATORS = {
-    "test1": 4,
-    "test2": 2,
-    "test3": 2,
-    "test4": 2,
-    "test5": 2,
-    "test6": 2,
-    "test7": 2,
-}
 
 
 @dataclass(frozen=True)
@@ -74,13 +74,112 @@ class PerGroupResult:
     degenerate: bool
 
 
-def _aggregate_variance(
-    ds: GroupedDataset, estimator: str, B: int, seed
-) -> VarianceEstimate:
-    if estimator == "test7":
-        return var0_bootstrap(ds, B=B, seed=seed)
-    values = _batch.var_group(estimator, ds.c1, ds.c2, ds.sizes(1), ds.sizes(2))
-    return VarianceEstimate(float(np.mean(values)), estimator)
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise OutOfRange(f"alpha must be in (0, 1), got {alpha}")
+
+
+class _Stack:
+    """Counts ``(..., k, d)`` of one dataset or a stack of them, with
+    integer totals ``n1``/``n2`` (scalars or per group), and what the
+    tests share.  ``null_variance(stack)`` and ``null_pvalues(stack)``
+    give each dataset's ``test7`` variance and per-group bootstrap
+    p-values in the caller's stream layout; ``moments`` maps
+    ``wkprime``/``vkprime`` to per-group null means and variances."""
+
+    def __init__(self, c1, c2, n1, n2, alpha, null_variance=None,
+                 null_pvalues=None, moments=None):
+        self.c1, self.c2, self.n1, self.n2, self.alpha = c1, c2, n1, n2, alpha
+        self.null_variance, self.null_pvalues = null_variance, null_pvalues
+        self.moments = moments
+        self.z_crit = normal_quantile(1.0 - alpha)
+        p1 = c1 / (n1[..., None] if np.ndim(n1) else n1)
+        p2 = c2 / (n2[..., None] if np.ndim(n2) else n2)
+        self.tu_r = _batch.tu_group(p1, p2, n1, n2)
+        self.tu = self.tu_r.sum(axis=-1) / math.sqrt(self.tu_r.shape[-1])
+        self._variances = {}
+
+    @functools.cached_property
+    def chi_r(self):
+        return _batch.chi2_group(self.c1, self.c2, self.n1, self.n2)
+
+    @functools.cached_property
+    def lrt_r(self):
+        return _batch.lrt_group(self.c1, self.c2, self.n1, self.n2)
+
+    def variance(self, estimator: str):
+        """Each dataset's null-variance estimate, computed once."""
+        if estimator not in self._variances:
+            self._variances[estimator] = (
+                self.null_variance(self) if estimator == "test7"
+                else _batch.var_group(estimator, self.c1, self.c2, self.n1,
+                                      self.n2).mean(axis=-1))
+        return self._variances[estimator]
+
+
+def _z_decision(stat, var, z_crit):
+    """z-score, reject and degenerate flags: a non-positive variance is
+    degenerate, with z NaN, and rejects exactly when ``stat > 0``."""
+    ok = np.asarray(var) > 0.0
+    z = np.where(ok, stat / np.sqrt(np.where(ok, var, 1.0)), np.nan)
+    return z, np.where(ok, z >= z_crit, stat > 0.0), ~ok
+
+
+def _z_test(estimator: str):
+    return lambda s: _z_decision(s.tu, s.variance(estimator), s.z_crit)
+
+
+def _chi2_test(s: _Stack):
+    stat, p = classical._pooled_chi2(s.c1, s.c2)
+    return stat, p <= s.alpha, False
+
+
+def _upper_z(stat, s: _Stack):
+    return stat, stat >= s.z_crit, False
+
+
+def _minp_test(s: _Stack):
+    p = s.null_pvalues(s)
+    return p.min(axis=-1), global_minp_rule(p, s.alpha), False
+
+
+#: Every test id: its minimum per-population total and ``run(stack)``,
+#: which returns the statistic each dataset is judged by (the z-score for
+#: ``test1`` .. ``test7``, the smallest p-value for ``minp``), the reject
+#: flags and the degenerate flags.  The library runs an entry on one
+#: dataset, the Monte Carlo engine on blocks of replicates.
+_TESTS = {
+    "test1": (4, _z_test("test1")),
+    **{f"test{i}": (2, _z_test(f"test{i}")) for i in range(2, 8)},
+    "chi2": (1, _chi2_test),
+    "wk": (1, lambda s: _upper_z(
+        classical._naive_standardized(s.chi_r, s.c1.shape[-1]), s)),
+    "vk": (1, lambda s: _upper_z(
+        classical._naive_standardized(s.lrt_r, s.c1.shape[-1]), s)),
+    "wkprime": (1, lambda s: _upper_z(
+        classical._oracle_standardized(s.chi_r, *s.moments["wkprime"]), s)),
+    "vkprime": (1, lambda s: _upper_z(
+        classical._oracle_standardized(s.lrt_r, *s.moments["vkprime"]), s)),
+    "minp": (2, _minp_test),
+}
+
+#: Estimator ids accepted by :func:`run_global_test`, with the minimum
+#: per-population sample total each requires.
+ESTIMATORS = {f"test{i}": _TESTS[f"test{i}"][0] for i in range(1, 8)}
+
+
+def _lookup(ids, known=_TESTS) -> dict[str, tuple]:
+    """Entries of ``ids``; an unknown or repeated id raises OutOfRange."""
+    entries = {}
+    for test in ids:
+        if test not in known:
+            raise OutOfRange(
+                f"unknown test id {test!r}; expected one of {sorted(known)}"
+            )
+        if test in entries:
+            raise OutOfRange(f"test id {test!r} is listed more than once")
+        entries[test] = _TESTS[test]
+    return entries
 
 
 def run_global_test(
@@ -106,37 +205,24 @@ def run_global_test(
     SampleTooSmall
         If any group's totals are below the estimator's minimum.
     """
-    if estimator not in ESTIMATORS:
-        raise OutOfRange(
-            f"unknown estimator {estimator!r}; expected one of "
-            f"{sorted(ESTIMATORS)}"
-        )
-    if not 0.0 < alpha < 1.0:
-        raise OutOfRange(f"alpha must be in (0, 1), got {alpha}")
-    ds.require_totals(ESTIMATORS[estimator], f"estimator {estimator}")
-    stat = aggregate_statistic(ds)
-    var = _aggregate_variance(ds, estimator, B, seed)
-    if var.value <= 0.0:
-        p = 1.0 if stat <= 0.0 else 0.0
-        return TestReport(
-            statistic=stat,
-            variance=var,
-            z=math.nan,
-            p_value=p,
-            alpha=alpha,
-            reject=p <= alpha,
-            degenerate_variance=True,
-        )
-    z = stat / math.sqrt(var.value)
-    p = normal_cdf(-z)
+    minimum, run = _lookup((estimator,), ESTIMATORS)[estimator]
+    _check_alpha(alpha)
+    ds.require_totals(minimum, f"estimator {estimator}")
+    stack = _Stack(
+        ds.c1, ds.c2, ds.sizes(1), ds.sizes(2), alpha,
+        null_variance=lambda s: var0_bootstrap(ds, B=B, seed=seed).value,
+    )
+    z, reject, degenerate = run(stack)
+    z = float(z)
     return TestReport(
-        statistic=stat,
-        variance=var,
+        statistic=float(stack.tu),
+        variance=VarianceEstimate(float(stack.variance(estimator)), estimator),
         z=z,
-        p_value=p,
+        # a degenerate test is decided by the sign: p is 0 or 1
+        p_value=float(not reject) if degenerate else normal_cdf(-z),
         alpha=alpha,
-        reject=z >= normal_quantile(1.0 - alpha),
-        degenerate_variance=False,
+        reject=bool(reject),
+        degenerate_variance=bool(degenerate),
     )
 
 
@@ -174,12 +260,39 @@ def adjust_pvalues(pvalues, method: str) -> np.ndarray:
     raise OutOfRange(f"method must be 'bonferroni' or 'bh', got {method!r}")
 
 
-def global_minp_rule(pvalues, alpha: float = 0.05) -> bool:
-    """Reject the global null when the smallest p-value is <= alpha / k."""
+def global_minp_rule(pvalues, alpha: float = 0.05):
+    """Reject the global null when the smallest p-value is <= alpha / k.
+
+    ``pvalues`` holds the ``k`` p-values of one dataset, or of a stack of
+    datasets along leading axes; the result is a bool, or a bool array of
+    the leading shape.
+    """
+    _check_alpha(alpha)
     p = np.asarray(pvalues, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise OutOfRange("pvalues must be a non-empty 1-d sequence")
-    return bool(p.min() <= alpha / p.size)
+    if p.ndim == 0 or p.shape[-1] == 0:
+        raise OutOfRange("pvalues must be a non-empty sequence")
+    reject = p.min(axis=-1) <= alpha / p.shape[-1]
+    return bool(reject) if p.ndim == 1 else reject
+
+
+def _exceedances(b1, b2, n1, n2, obs_num, obs_stat):
+    """``T* > T`` and ``T* == T`` for pooled-null draws ``b1``, ``b2``.
+
+    Compared on the integer numerator ``T n1 (n1-1) n2 (n2-1)``
+    (:func:`grouphom._batch.tu_numerator`, exact while
+    ``n1 * n2 < 2**30``), else on the float statistic.  Totals and the
+    observed numerators and statistics broadcast against the draws'
+    leading shape.
+    """
+    star = _batch.tu_numerator(b1, b2, n1, n2)
+    exceeds, tied = star > obs_num, star == obs_num
+    inexact = np.multiply(n1, n2, dtype=np.float64) >= 2.0**30
+    if inexact.any():
+        f1, f2 = np.asarray(n1, np.float64), np.asarray(n2, np.float64)
+        t_star = _batch.tu_group(b1 / f1[..., None], b2 / f2[..., None], f1, f2)
+        exceeds = np.where(inexact, t_star > obs_stat, exceeds)
+        tied = np.where(inexact, t_star == obs_stat, tied)
+    return exceeds, tied
 
 
 def pergroup_bootstrap_pvalues(
@@ -198,12 +311,10 @@ def pergroup_bootstrap_pvalues(
     flagged degenerate.  Group ``r`` draws from a stream keyed by
     ``(seed, r)``, independent of evaluation order.
 
-    Ties are decided exactly: ``T*`` and ``T`` are compared through the
-    integer numerator ``T * n1 (n1 - 1) n2 (n2 - 1)``
-    (:func:`grouphom._batch.tu_numerator`), exact in int64 while
-    ``n1 * n2 < 2**30``.  A group with larger totals is compared in
-    floating point, on the statistic both sides get from the same kernel,
-    where two distinct count pairs of equal statistic may round apart.
+    Ties are decided exactly while ``n1 * n2 < 2**30`` (see
+    :func:`_exceedances`).  A group with larger totals is compared in
+    floating point, where two distinct count pairs of equal statistic may
+    round apart.
 
     Raises
     ------
@@ -212,28 +323,19 @@ def pergroup_bootstrap_pvalues(
     SampleTooSmall
         If any sample total is below 2.
     """
-    if B < 2:
-        raise InvalidB(f"bootstrap needs B >= 2, got {B}")
+    _check_bootstrap_size(B)
     ds.require_totals(2, "the per-group bootstrap")
     if seed is None:
         seed = np.random.SeedSequence().entropy
     stats = group_statistics(ds)
     n1, n2 = ds.sizes(1), ds.sizes(2)
     num = _batch.tu_numerator(ds.c1, ds.c2, n1, n2)[:, None]
-    inexact = n1.astype(np.float64) * n2 >= 2.0**30
     above, ties = np.empty((2, ds.k), dtype=np.int64)
     for lo, hi, b1, b2 in null_draws(ds, B, seed):
-        m1, m2 = n1[lo:hi, None], n2[lo:hi, None]
-        star = _batch.tu_numerator(b1, b2, m1, m2)
-        exceeds, tied = star > num[lo:hi], star == num[lo:hi]
-        rows = inexact[lo:hi]
-        if rows.any():
-            f1, f2 = m1[rows].astype(np.float64), m2[rows].astype(np.float64)
-            t_star = _batch.tu_group(
-                b1[rows] / f1[..., None], b2[rows] / f2[..., None], f1, f2
-            )
-            t_obs = stats[lo:hi][rows, None]
-            exceeds[rows], tied[rows] = t_star > t_obs, t_star == t_obs
+        exceeds, tied = _exceedances(
+            b1, b2, n1[lo:hi, None], n2[lo:hi, None], num[lo:hi],
+            stats[lo:hi, None],
+        )
         above[lo:hi] = exceeds.sum(axis=1)
         ties[lo:hi] = tied.sum(axis=1)
     raw = (above + ties + 1.0) / (B + 1.0) if smoothed else above / B

@@ -42,11 +42,18 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
 import numpy as np
-from scipy.stats import chi2 as _chi2_dist
 
 from . import _batch, classical
 from .data import CountVector, GroupedDataset, ProbVector
-from .decision import ESTIMATORS, run_global_test
+from .decision import (
+    ESTIMATORS,
+    _check_alpha,
+    _exceedances,
+    _lookup,
+    _Stack,
+    _TESTS,
+    run_global_test,
+)
 from .errors import (
     InvalidReps,
     OutOfRange,
@@ -54,7 +61,7 @@ from .errors import (
     UnknownTable,
     UnsupportedDimension,
 )
-from .normal import normal_quantile
+from .variance import _check_bootstrap_size, _pooled_null_draw
 
 __all__ = [
     "PiLibrary",
@@ -307,15 +314,6 @@ def generate_replicate(
 # Rejection-rate engine.
 # ---------------------------------------------------------------------------
 
-#: Minimum per-population sample total required by each test id.
-TEST_MINIMUM = {
-    **ESTIMATORS, "chi2": 1, "wk": 1, "wkprime": 1, "vk": 1, "vkprime": 1,
-    "minp": 2,
-}
-
-_VARIANCE_TESTS = ("test1", "test2", "test3", "test4", "test5", "test6")
-
-
 @dataclass(frozen=True)
 class MCResult:
     """Monte Carlo summary for one test in one cell."""
@@ -336,104 +334,70 @@ class _CellTask:
     start: int
     stop: int
     alpha: float
-    z_crit: float
     bootstrap_B: int
     minp_B: int
-    moments: dict | None
-    collect_z: str | None
+    moments: dict
 
 
 def _block_size(spec: SettingSpec) -> int:
     return max(16, min(1024, 2_000_000 // (spec.k * spec.d)))
 
 
+def _replicate_null_draws(task: _CellTask, s: _Stack, salt: int, B: int):
+    """Each replicate's pooled-null resamples, from its ``salt`` stream:
+    yields ``(i, b1, b2)`` for replicate ``task.start + i``, with ``b1``,
+    ``b2`` of shape ``(B, k, d)``."""
+    spec = task.spec
+    for i in range(len(s.c1)):
+        rng = _replicate_rng(spec, task.start + i, salt=salt)
+        phat = (s.c1[i] + s.c2[i]) / (spec.n1 + spec.n2)
+        yield (i, *_pooled_null_draw(rng, spec.n1, spec.n2, phat, B))
+
+
+def _null_variances(task: _CellTask, s: _Stack):
+    """``test7``: each replicate's bootstrap variance of the aggregate."""
+    n1, n2 = task.spec.n1, task.spec.n2
+    v = np.empty(len(s.c1))
+    for i, b1, b2 in _replicate_null_draws(task, s, 1, task.bootstrap_B):
+        tub = _batch.tu_group(b1 / n1, b2 / n2, n1, n2)
+        v[i] = (tub.sum(axis=1) / math.sqrt(task.spec.k)).var(ddof=1)
+    return v
+
+
+def _null_pvalues(task: _CellTask, s: _Stack):
+    """``minp``: each replicate's per-group bootstrap p-values."""
+    n1, n2 = task.spec.n1, task.spec.n2
+    obs = _batch.tu_numerator(s.c1.astype(np.int64), s.c2.astype(np.int64), n1, n2)
+    p = np.empty(obs.shape)
+    for i, b1, b2 in _replicate_null_draws(task, s, 2, task.minp_B):
+        exceeds, _ = _exceedances(b1, b2, n1, n2, obs[i], s.tu_r[i])
+        p[i] = exceeds.mean(axis=0)
+    return p
+
+
 def _run_block(task: _CellTask):
     spec = task.spec
-    k, d = spec.k, spec.d
-    n1, n2 = float(spec.n1), float(spec.n2)
     blen = task.stop - task.start
-    c1 = np.empty((blen, k, d), dtype=np.float64)
-    c2 = np.empty((blen, k, d), dtype=np.float64)
-    picks = np.empty((blen, k), dtype=np.int64)
+    c1 = np.empty((blen, spec.k, spec.d), dtype=np.float64)
+    c2 = np.empty((blen, spec.k, spec.d), dtype=np.float64)
+    picks = np.empty((blen, spec.k), dtype=np.int64)
     for i in range(blen):
         rng = _replicate_rng(spec, task.start + i)
         a, b, p, _ = _draw_replicate(spec, rng)
         c1[i] = a
         c2[i] = b
         picks[i] = p
-
-    tu_r = _batch.tu_group(c1 / n1, c2 / n2, n1, n2)
-    tu = tu_r.sum(axis=1) / math.sqrt(k)
-
-    chi_r = lrt_r = None
-    if any(t in ("wk", "wkprime") for t in task.tests):
-        chi_r = _batch.chi2_group(c1, c2, n1, n2)
-    if any(t in ("vk", "vkprime") for t in task.tests):
-        lrt_r = _batch.lrt_group(c1, c2, n1, n2)
-
-    rejections: dict[str, int] = {}
-    degenerate: dict[str, int] = {}
-    z_out = None
-
+    stack = _Stack(
+        c1, c2, spec.n1, spec.n2, task.alpha,
+        null_variance=functools.partial(_null_variances, task),
+        null_pvalues=functools.partial(_null_pvalues, task),
+        moments={t: (m[picks], v[picks]) for t, (m, v, _) in task.moments.items()},
+    )
+    out = {}
     for test in task.tests:
-        degen = 0
-        if test in _VARIANCE_TESTS or test == "test7":
-            if test == "test7":
-                v = np.empty(blen)
-                for i in range(blen):
-                    rngb = _replicate_rng(spec, task.start + i, salt=1)
-                    phat = (c1[i] + c2[i]) / (n1 + n2)
-                    b1 = rngb.multinomial(spec.n1, phat, size=(task.bootstrap_B, k))
-                    b2 = rngb.multinomial(spec.n2, phat, size=(task.bootstrap_B, k))
-                    tub = _batch.tu_group(b1 / n1, b2 / n2, n1, n2)
-                    v[i] = (tub.sum(axis=1) / math.sqrt(k)).var(ddof=1)
-            else:
-                v = _batch.var_group(test, c1, c2, n1, n2).mean(axis=1)
-            ok = v > 0.0
-            z = np.full(blen, np.nan)
-            z[ok] = tu[ok] / np.sqrt(v[ok])
-            rej = np.where(ok, z >= task.z_crit, tu > 0.0)
-            degen = int(np.sum(~ok))
-            if task.collect_z == test:
-                z_out = z
-        elif test == "chi2":
-            stat = _batch.chi2_group(
-                c1.sum(axis=1), c2.sum(axis=1), k * n1, k * n2
-            )
-            rej = _chi2_dist.sf(stat, d - 1) <= task.alpha
-        elif test == "wk":
-            wk = (chi_r.sum(axis=1) - k * (d - 1)) / math.sqrt(k * 2.0 * (d - 1))
-            rej = wk >= task.z_crit
-        elif test == "vk":
-            vk = (lrt_r.sum(axis=1) - k * (d - 1)) / math.sqrt(k * 2.0 * (d - 1))
-            rej = vk >= task.z_crit
-        elif test in ("wkprime", "vkprime"):
-            means, variances = task.moments[test]
-            values = chi_r if test == "wkprime" else lrt_r
-            num = values.sum(axis=1) - means[picks].sum(axis=1)
-            den = np.sqrt(variances[picks].sum(axis=1))
-            rej = num / den >= task.z_crit
-        elif test == "minp":
-            rej = np.empty(blen, dtype=bool)
-            threshold = task.alpha / k
-            # T* > T on the integer numerator, exact while n1 n2 < 2**30
-            exact = spec.n1 * spec.n2 < 2**30
-            counts = c1.astype(np.int64), c2.astype(np.int64), spec.n1, spec.n2
-            obs = _batch.tu_numerator(*counts) if exact else tu_r
-            for i in range(blen):
-                rngb = _replicate_rng(spec, task.start + i, salt=2)
-                phat = (c1[i] + c2[i]) / (n1 + n2)
-                b1 = rngb.multinomial(spec.n1, phat, size=(task.minp_B, k))
-                b2 = rngb.multinomial(spec.n2, phat, size=(task.minp_B, k))
-                star = (_batch.tu_numerator(b1, b2, spec.n1, spec.n2) if exact
-                        else _batch.tu_group(b1 / n1, b2 / n2, n1, n2))
-                pvals = (star > obs[i]).mean(axis=0)
-                rej[i] = pvals.min() <= threshold
-        else:
-            raise OutOfRange(f"unknown test id {test!r}")
-        rejections[test] = int(np.sum(rej))
-        degenerate[test] = degen
-    return rejections, degenerate, z_out
+        statistic, reject, degen = _TESTS[test][1](stack)
+        out[test] = int(np.sum(reject)), int(np.sum(degen)), statistic
+    return out
 
 
 def _oracle_moments(
@@ -459,27 +423,22 @@ def _oracle_moments(
     else:
         lib = pi_library(spec.d)
         pis = [lib.vector(i) for i in range(1, 6)]
-    means, variances, used = [], [], []
+    if method == "auto":
+        feasible = classical.exact_enumeration_feasible(spec.d, spec.n1, spec.n2)
+        method = "exact" if feasible else "montecarlo"
+    means, variances = [], []
     for i, pv in enumerate(pis):
-        resolved = method
-        if method == "auto":
-            resolved = (
-                "exact"
-                if classical.exact_enumeration_feasible(spec.d, spec.n1, spec.n2)
-                else "montecarlo"
-            )
         mom = oracle(
             pv,
             spec.n1,
             spec.n2,
-            method=resolved,
+            method=method,
             reps=reps,
             seed=np.random.SeedSequence(spec.master_seed, spawn_key=(i, 3)),
         )
         means.append(mom.mean)
         variances.append(mom.variance)
-        used.append(resolved)
-    return np.array(means), np.array(variances), used
+    return np.array(means), np.array(variances), [method] * len(pis)
 
 
 def _resolve_workers(workers) -> int:
@@ -505,40 +464,32 @@ def _run_cell(
     minp_B: int,
     moment_method: str,
     moment_reps: int,
-    collect_z: str | None = None,
     pool=None,
 ):
     """Run one cell in blocks of replicates: in this process at one worker
-    or one block, else on ``pool`` or on a pool of its own."""
+    or one block, else on ``pool`` or on a pool of its own.  Returns the
+    results, each test's per-replicate statistics and the oracle moments
+    ``(means, variances, methods)`` of ``wkprime``/``vkprime``."""
     if reps < 1:
         raise InvalidReps(f"need reps >= 1, got {reps}")
-    if not 0.0 < alpha < 1.0:
-        raise OutOfRange(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     tests = tuple(tests)
     if not tests:
         raise OutOfRange("no tests requested")
-    for test in tests:
-        if test not in TEST_MINIMUM:
-            raise OutOfRange(
-                f"unknown test id {test!r}; expected one of "
-                f"{sorted(TEST_MINIMUM)}"
-            )
-        minimum = TEST_MINIMUM[test]
+    for test, (minimum, _) in _lookup(tests).items():
         if spec.n1 < minimum or spec.n2 < minimum:
             raise SampleTooSmall(
                 f"test {test!r} needs per-population totals >= {minimum}; "
                 f"cell has ({spec.n1}, {spec.n2})"
             )
-    workers = _resolve_workers(workers)
-    moments = {}
-    for test in ("wkprime", "vkprime"):
+    for test, B in (("test7", bootstrap_B), ("minp", minp_B)):
         if test in tests:
-            means, variances, used = _oracle_moments(
-                spec, test, moment_method, moment_reps
-            )
-            moments[test] = (means, variances)
-            moments[f"{test}_method"] = used
-    z_crit = normal_quantile(1.0 - alpha)
+            _check_bootstrap_size(B)
+    workers = _resolve_workers(workers)
+    moments = {
+        test: _oracle_moments(spec, test, moment_method, moment_reps)
+        for test in ("wkprime", "vkprime") if test in tests
+    }
     size = _block_size(spec)
     tasks = [
         _CellTask(
@@ -547,12 +498,9 @@ def _run_cell(
             start=start,
             stop=min(start + size, reps),
             alpha=alpha,
-            z_crit=z_crit,
             bootstrap_B=bootstrap_B,
             minp_B=minp_B,
-            moments={t: moments[t] for t in ("wkprime", "vkprime") if t in moments}
-            or None,
-            collect_z=collect_z,
+            moments=moments,
         )
         for start in range(0, reps, size)
     ]
@@ -566,28 +514,21 @@ def _run_cell(
         with ctx.Pool(min(workers, len(tasks))) as own:
             outs = own.map(_run_block, tasks)
     elapsed = time.perf_counter() - t0
-    rejections = {t: 0 for t in tests}
-    degenerate = {t: 0 for t in tests}
-    for rej, deg, _ in outs:
-        for t in tests:
-            rejections[t] += rej[t]
-            degenerate[t] += deg[t]
     results = {}
     for t in tests:
-        rate = rejections[t] / reps
+        rejections = sum(out[t][0] for out in outs)
+        rate = rejections / reps
         results[t] = MCResult(
             test=t,
             rate=rate,
             reps=reps,
             se=math.sqrt(rate * (1.0 - rate) / reps),
-            rejections=rejections[t],
-            degenerate=degenerate[t],
+            rejections=rejections,
+            degenerate=sum(out[t][1] for out in outs),
             seconds=elapsed,
         )
-    z_values = None
-    if collect_z is not None:
-        z_values = np.concatenate([z for _, _, z in outs])
-    return results, z_values, moments
+    statistics = {t: np.concatenate([out[t][2] for out in outs]) for t in tests}
+    return results, statistics, moments
 
 
 def estimate_rejection_rate(
@@ -603,14 +544,19 @@ def estimate_rejection_rate(
 ) -> dict[str, MCResult]:
     """Fraction of replicates each test rejects at level ``alpha``.
 
-    ``tests`` is any subset of :data:`TEST_MINIMUM`: the seven variance
-    estimators (``test1`` .. ``test7``), the no-grouping chi-square
-    baseline (``chi2``), the naive and oracle-standardized chi-square and
+    ``tests`` lists distinct test ids: the seven variance estimators
+    (``test1`` .. ``test7``), the no-grouping chi-square baseline
+    (``chi2``), the naive and oracle-standardized chi-square and
     likelihood-ratio aggregates (``wk``/``wkprime``/``vk``/``vkprime``),
-    and the per-group bootstrap min-p rule (``minp``).
+    and the per-group bootstrap min-p rule (``minp``); ``test1`` needs
+    per-population totals of at least 4, ``test2`` .. ``test7`` and
+    ``minp`` at least 2.  ``bootstrap_B`` and ``minp_B`` are the bootstrap
+    sizes of ``test7`` and ``minp``, at least 2.
 
     A cell whose sample sizes violate a requested test's precondition
-    aborts with :class:`SampleTooSmall` before any sampling; degenerate
+    aborts with :class:`SampleTooSmall` before any sampling, as does an
+    unknown or repeated id or a bootstrap size below 2, with
+    :class:`OutOfRange`; degenerate
     variance replicates are decided by the sign convention and counted in
     ``MCResult.degenerate``.  Results are bit-identical for any
     ``workers`` value (default from ``MH_WORKERS``, else 1).
@@ -633,16 +579,11 @@ def null_z_scores(
 
     Degenerate-variance replicates yield NaN.
     """
-    if estimator not in ESTIMATORS:
-        raise OutOfRange(
-            f"z-scores are defined for the variance-estimator tests, "
-            f"got {estimator!r}"
-        )
-    _, z_values, _ = _run_cell(
+    _lookup((estimator,), ESTIMATORS)
+    _, statistics, _ = _run_cell(
         spec, (estimator,), reps, alpha, workers, 200, 1000, "auto", 100_000,
-        collect_z=estimator,
     )
-    return z_values
+    return statistics[estimator]
 
 
 # ---------------------------------------------------------------------------
@@ -869,10 +810,8 @@ def reproduce_table(
                 spec, tests, reps, alpha, workers, 200, 1000, "auto",
                 moment_reps, pool=pool,
             )
-            for t in tests:
-                if f"{t}_method" in moments:
-                    key = f"d={spec.d},n1={spec.n1},n2={spec.n2}"
-                    moment_notes[key] = moments[f"{t}_method"]
+            for _, _, used in moments.values():
+                moment_notes[f"d={spec.d},n1={spec.n1},n2={spec.n2}"] = used
             for name, test in collect_map.items():
                 row[name] = results[test].rate
                 row[f"se_{name}"] = results[test].se

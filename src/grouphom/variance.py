@@ -101,12 +101,29 @@ def trace_product(a: np.ndarray, b: np.ndarray) -> float:
 CHUNK_DRAWS = 1 << 14
 
 
+def _check_bootstrap_size(B: int) -> None:
+    """Every bootstrap here needs ``B >= 2``: one draw has no variance."""
+    if B < 2:
+        raise InvalidB(f"bootstrap needs B >= 2, got {B}")
+
+
+def _pooled_null_draw(rng, n1, n2, phat, B: int):
+    """``B`` pooled-null resamples of both samples, sample 1 first.
+
+    ``phat`` holds pooled proportions, ``(..., d)``; the draws have shape
+    ``(B, ..., d)``, multinomial on ``phat`` with totals ``n1`` and
+    ``n2``.  The library calls this per group, with the group's stream;
+    the Monte Carlo engine per replicate, with the replicate's.
+    """
+    size = (B,) + phat.shape[:-1]
+    return rng.multinomial(n1, phat, size=size), rng.multinomial(n2, phat, size=size)
+
+
 def null_draws(ds: GroupedDataset, B: int, seed):
     """Pooled-null bootstrap counts of every group, a chunk at a time.
 
     Group ``g`` draws from the Philox stream of ``SeedSequence(seed,
-    spawn_key=(g,))``: ``B`` sample-1 vectors, then ``B`` sample-2
-    vectors, each multinomial on the group's pooled proportions.  Yields
+    spawn_key=(g,))`` (see :func:`_pooled_null_draw`).  Yields
     ``(lo, hi, b1, b2)`` in group order, with ``b1``/``b2`` of shape
     ``(hi - lo, B, d)`` for groups ``lo..hi-1``; the buffers are reused,
     so each chunk is valid until the next is drawn.
@@ -122,8 +139,7 @@ def null_draws(ds: GroupedDataset, B: int, seed):
             rng = np.random.Generator(
                 np.random.Philox(np.random.SeedSequence(seed, spawn_key=(g,)))
             )
-            b1[i] = rng.multinomial(n1[g], phat[i], size=B)
-            b2[i] = rng.multinomial(n2[g], phat[i], size=B)
+            b1[i], b2[i] = _pooled_null_draw(rng, n1[g], n2[g], phat[i], B)
         yield lo, hi, b1[: hi - lo], b2[: hi - lo]
 
 
@@ -149,8 +165,7 @@ def var0_bootstrap(
     SampleTooSmall
         If any sample total is below 2.
     """
-    if B < 2:
-        raise InvalidB(f"bootstrap needs B >= 2, got {B}")
+    _check_bootstrap_size(B)
     ds.require_totals(2, "estimator test7")
     if seed is None:
         seed = np.random.SeedSequence().entropy

@@ -157,6 +157,14 @@ class TestPergroupCommand:
     def test_bad_b_exits_2(self, data_csv):
         assert main(["pergroup", data_csv, "--bootstrap-b", "1"]) == 2
 
+    def test_bad_alpha_exits_2(self, data_csv, capsys):
+        for alpha in ("1.5", "0", "-0.2"):
+            assert main(["pergroup", data_csv, "--seed", "2", "--bootstrap-b",
+                         "20", "--alpha", alpha]) == 2
+            captured = capsys.readouterr()
+            assert "alpha" in captured.err
+            assert "reject" not in captured.out
+
 
 class TestSimulateCommand:
     def test_setting_form_csv(self, capsys):
@@ -170,6 +178,12 @@ class TestSimulateCommand:
         assert rows[0] == ["test", "rate", "se", "rejections", "reps",
                            "degenerate"]
         assert {row[0] for row in rows[1:]} == {"test2", "chi2"}
+
+    def test_repeated_test_exits_2(self, capsys):
+        rc = main(["simulate", "--setting", "1", "--tests", "test1,test1",
+                   "--reps", "5"])
+        assert rc == 2
+        assert "'test1'" in capsys.readouterr().err
 
     def test_setting_form_deterministic(self, capsys):
         argv = ["simulate", "--setting", "1", "--d", "5", "--k", "10",

@@ -50,18 +50,22 @@ def null_dataset(seed=0, k=40, n1=15, n2=15, d=4):
 class TestRunGlobalTest:
     def test_pieces_fit_together(self):
         ds = null_dataset(seed=1)
-        report = run_global_test(ds, "test2", alpha=0.10)
         stat = aggregate_statistic(ds)
-        var = float(np.mean(_batch.var_group(
-            "test2", ds.c1, ds.c2, ds.sizes(1), ds.sizes(2)
-        )))
-        assert report.statistic == pytest.approx(stat)
-        assert report.variance.value == pytest.approx(var, abs=1e-12)
-        assert report.z == pytest.approx(stat / math.sqrt(var))
-        assert report.p_value == pytest.approx(normal_cdf(-report.z))
-        assert report.reject == (report.z >= normal_quantile(0.90))
-        assert report.variance.estimator == "test2"
-        assert not report.degenerate_variance
+        for estimator in ESTIMATORS:
+            report = run_global_test(ds, estimator, alpha=0.10, seed=3, B=100)
+            if estimator == "test7":
+                var = var0_bootstrap(ds, B=100, seed=3).value
+            else:
+                var = float(np.mean(_batch.var_group(
+                    estimator, ds.c1, ds.c2, ds.sizes(1), ds.sizes(2)
+                )))
+            assert report.statistic == pytest.approx(stat)
+            assert report.variance.value == pytest.approx(var, abs=1e-12)
+            assert report.z == pytest.approx(stat / math.sqrt(var))
+            assert report.p_value == pytest.approx(normal_cdf(-report.z))
+            assert report.reject == (report.z >= normal_quantile(0.90))
+            assert report.variance.estimator == estimator
+            assert not report.degenerate_variance
 
     def test_statistic_identical_across_estimators(self):
         ds = null_dataset(seed=2, k=10)
@@ -217,6 +221,14 @@ class TestGlobalMinp:
     def test_validation(self):
         with pytest.raises(OutOfRange):
             global_minp_rule([])
+        for alpha in (0.0, 1.0, 1.5, -0.2):
+            with pytest.raises(OutOfRange, match="alpha"):
+                global_minp_rule([0.01, 0.8], alpha=alpha)
+
+    def test_stacked_pvalues(self):
+        # one decision per leading index, as the Monte Carlo engine asks
+        p = [[0.01, 0.8], [0.03, 0.8], [0.025, 0.9]]
+        assert global_minp_rule(p, alpha=0.05).tolist() == [True, False, True]
 
 
 class TestPergroupBootstrap:

@@ -18,6 +18,7 @@ from grouphom import _batch, classical, simulate
 from grouphom.data import ProbVector
 from grouphom.decision import run_global_test
 from grouphom.errors import (
+    InvalidB,
     InvalidReps,
     OutOfRange,
     SampleTooSmall,
@@ -307,26 +308,55 @@ def _minp_rejections(spec, reps, B, alpha, statistic):
     return rejections
 
 
+def _test7_z(spec, reps, B):
+    """test7 z-scores rebuilt from each replicate's dataset and its salt-1
+    bootstrap stream, with the statistic written from the U-statistic's
+    terms."""
+    n1, n2, k = spec.n1, spec.n2, spec.k
+    scale = n1 * (n1 - 1) * n2 * (n2 - 1) * math.sqrt(k)
+    z = []
+    for r in range(reps):
+        ds, _ = generate_replicate(spec, r)
+        rng = simulate._replicate_rng(spec, r, salt=1)
+        phat = (ds.c1 + ds.c2) / (n1 + n2)
+        b1 = rng.multinomial(n1, phat, size=(B, k))
+        b2 = rng.multinomial(n2, phat, size=(B, k))
+        null = _numerator(b1, b2, n1, n2).sum(axis=-1) / scale
+        observed = _numerator(ds.c1, ds.c2, n1, n2).sum() / scale
+        z.append(observed / math.sqrt(np.var(null, ddof=1)))
+    return np.array(z)
+
+
 class TestRejectionRateEngine:
     SPEC = SettingSpec(1, 5, 20, 10, 10, master_seed=31)
 
     def test_matches_library_decision_path(self):
         # the vectorized engine must agree replicate-by-replicate with
-        # the plain library route: generate, test, count
+        # the plain library route: generate, test, count; every test that
+        # reads only the replicate stream is covered
         reps = 40
+        estimators = tuple(f"test{i}" for i in range(1, 7))
         res = estimate_rejection_rate(
-            self.SPEC, ("test1", "test3", "chi2", "wk", "vk"), reps=reps
+            self.SPEC,
+            estimators + ("chi2", "wk", "vk", "wkprime", "vkprime"),
+            reps=reps,
         )
+        uniform = ProbVector(np.full(5, 0.2))
+        mom_w = classical.chi_square_moments_oracle(uniform, 10, 10, method="exact")
+        mom_v = classical.lrt_moments_oracle(uniform, 10, 10, method="exact")
         z95 = normal_quantile(0.95)
         counts = dict.fromkeys(res, 0)
         for r in range(reps):
             ds, _ = generate_replicate(self.SPEC, r)
-            counts["test1"] += run_global_test(ds, "test1").reject
-            counts["test3"] += run_global_test(ds, "test3").reject
+            for test in estimators:
+                counts[test] += run_global_test(ds, test).reject
             _, p = classical.chi_square_pooled(ds)
             counts["chi2"] += p <= 0.05
             counts["wk"] += classical.wk_statistic(ds) >= z95
             counts["vk"] += classical.vk_statistic(ds) >= z95
+            counts["wkprime"] += classical.wk_prime(ds, mom_w) >= z95
+            counts["vkprime"] += classical.vk_prime(ds, mom_v) >= z95
+        assert 0 < sum(counts.values()) < len(counts) * reps
         for test, result in res.items():
             assert result.rejections == counts[test], test
             assert result.reps == reps
@@ -362,6 +392,15 @@ class TestRejectionRateEngine:
         rounded = _minp_rejections(spec, 60, 50, 0.5, _statistic)
         assert rounded != exact  # the cell does tell the two apart
 
+    def test_test7_matches_reference(self):
+        spec = SettingSpec(3, 5, 20, 5, 10, pi0=4, master_seed=12)
+        expected = _test7_z(spec, 30, 200)
+        z = null_z_scores(spec, "test7", reps=30)
+        np.testing.assert_allclose(z, expected, rtol=1e-9)
+        res = estimate_rejection_rate(spec, ("test7",), reps=30)
+        assert res["test7"].rejections == np.sum(expected >= normal_quantile(0.95))
+        assert res["test7"].degenerate == 0
+
     def test_minp_large_totals_compare_floats(self):
         # from n1 n2 = 2**30 the integer numerator could wrap in int64
         spec = SettingSpec(1, 5, 4, 2**15, 2**15, master_seed=6)
@@ -387,6 +426,24 @@ class TestRejectionRateEngine:
     def test_unknown_test_id(self):
         with pytest.raises(OutOfRange):
             estimate_rejection_rate(self.SPEC, ("test9",), reps=5)
+
+    def test_repeated_test_id(self):
+        # a repeated id would count its rejections twice
+        with pytest.raises(OutOfRange, match="'test1'"):
+            estimate_rejection_rate(self.SPEC, ("test1", "test2", "test1"), reps=5)
+
+    @pytest.mark.parametrize(
+        "test,kwargs",
+        [("test7", dict(bootstrap_B=0)), ("test7", dict(bootstrap_B=1)),
+         ("minp", dict(minp_B=0)), ("minp", dict(minp_B=1))],
+    )
+    def test_bootstrap_size_checked_before_sampling(self, test, kwargs, monkeypatch):
+        def no_sampling(*args, **kw):
+            raise AssertionError("sampled before the bootstrap size was checked")
+
+        monkeypatch.setattr(simulate, "_replicate_rng", no_sampling)
+        with pytest.raises(InvalidB):
+            estimate_rejection_rate(self.SPEC, ("test1", test), reps=5, **kwargs)
 
     def test_zero_reps(self):
         with pytest.raises(InvalidReps):

@@ -17,6 +17,7 @@ from grouphom import _batch
 from grouphom.data import CountVector, GroupedDataset, GroupPair, ProbVector
 from grouphom.decision import run_global_test
 from grouphom.errors import DimensionMismatch, InvalidB, SampleTooSmall
+from grouphom.simulate import SettingSpec, generate_replicate
 from grouphom.variance import (
     VarianceEstimate,
     trace_product,
@@ -369,6 +370,18 @@ class TestBootstrap:
             "test3", ds.c1, ds.c2, ds.sizes(1), ds.sizes(2)
         )))
         assert boot == pytest.approx(closed, rel=0.15)
+
+    def test_mean_is_pooled_plugin(self):
+        # Given the data, the pooled-null bootstrap variance of the
+        # aggregate has expectation test6: each group's resampled T has
+        # the exact null variance var0_true at its pooled proportions.
+        # So the mean over seeds must sit within a few of its own
+        # standard errors of test6.
+        ds, _ = generate_replicate(SettingSpec(3, 5, 40, 5, 10, pi0=2), 0)
+        values = [var0_bootstrap(ds, B=200, seed=s).value for s in range(200)]
+        test6 = run_global_test(ds, "test6").variance.value
+        se = np.std(values, ddof=1) / np.sqrt(len(values))
+        assert abs(np.mean(values) - test6) < 4 * se
 
     def test_value_is_frozen_dataclass(self):
         est = VarianceEstimate(1.0, "test1")

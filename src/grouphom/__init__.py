@@ -16,11 +16,9 @@ __version__ = "0.1.0"
 
 from .classical import (
     MomentPair,
-    chi_square_group,
     chi_square_moments_oracle,
     chi_square_pooled,
     exact_enumeration_feasible,
-    lrt_group,
     lrt_moments_oracle,
     uit_statistic,
     vk_prime,
@@ -33,9 +31,7 @@ from .data import (
     GroupedDataset,
     GroupPair,
     ProbVector,
-    empirical_proportions,
     load_dataset,
-    pooled_counts,
     read_counts_csv,
     validate_dataset,
     write_dataset_csv,
@@ -60,12 +56,10 @@ from .errors import (
     UnknownTable,
     UnsupportedDimension,
 )
-from .normal import normal_cdf, normal_quantile
 from .simulate import (
     MCResult,
     SettingSpec,
     TableResult,
-    benchmark_statistics,
     estimate_rejection_rate,
     generate_replicate,
     null_z_scores,
@@ -81,7 +75,6 @@ from .ustat import (
 )
 from .variance import (
     VarianceEstimate,
-    trace_sigma_sq_unbiased,
     var0_bootstrap,
     var0_true,
     var_true_full,
@@ -95,8 +88,6 @@ __all__ = [
     "GroupPair",
     "GroupedDataset",
     "validate_dataset",
-    "empirical_proportions",
-    "pooled_counts",
     "read_counts_csv",
     "load_dataset",
     "write_dataset_csv",
@@ -107,14 +98,11 @@ __all__ = [
     "aggregate_statistic",
     # variance estimators
     "VarianceEstimate",
-    "trace_sigma_sq_unbiased",
     "var0_bootstrap",
     "var0_true",
     "var_true_full",
     # classical aggregates
     "MomentPair",
-    "chi_square_group",
-    "lrt_group",
     "uit_statistic",
     "wk_statistic",
     "vk_statistic",
@@ -133,9 +121,6 @@ __all__ = [
     "adjust_pvalues",
     "global_minp_rule",
     "pergroup_bootstrap_pvalues",
-    # normal helpers
-    "normal_cdf",
-    "normal_quantile",
     # simulation
     "SettingSpec",
     "MCResult",
@@ -146,7 +131,6 @@ __all__ = [
     "estimate_rejection_rate",
     "null_z_scores",
     "reproduce_table",
-    "benchmark_statistics",
     # errors
     "GrouphomError",
     "DatasetError",

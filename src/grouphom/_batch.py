@@ -3,9 +3,9 @@
 Every function here takes count (or proportion) arrays whose last axis is
 the category dimension ``d`` and reduces over it, broadcasting freely over
 any leading axes.  These are the one definition of each per-group
-formula: the dataset-level statistics, the per-group functions of
-:mod:`grouphom.ustat`, :mod:`grouphom.variance` and
-:mod:`grouphom.classical`, and the Monte Carlo engine all call them.
+formula: the statistics of :mod:`grouphom.ustat`,
+:mod:`grouphom.variance`, :mod:`grouphom.classical` and
+:mod:`grouphom.decision`, and the Monte Carlo engine, all call them.
 
 Sample sizes ``n1``/``n2`` may be scalars or arrays broadcastable against
 the leading shape.

@@ -23,13 +23,11 @@ from scipy.special import gammaln, xlogy
 from scipy.stats import chi2 as _chi2_dist
 
 from . import _batch
-from .data import GroupedDataset, GroupPair, ProbVector
+from .data import GroupedDataset, ProbVector
 from .errors import OutOfRange, TooManyOutcomes, ZeroVariance
 
 __all__ = [
     "MomentPair",
-    "chi_square_group",
-    "lrt_group",
     "uit_statistic",
     "wk_statistic",
     "vk_statistic",
@@ -55,25 +53,6 @@ class MomentPair:
     def __post_init__(self):
         if self.variance < 0:
             raise ZeroVariance(f"negative variance {self.variance!r}")
-
-
-def _pair_args(pair: GroupPair) -> tuple:
-    s1, s2 = pair.sample1, pair.sample2
-    return s1.counts, s2.counts, float(s1.total), float(s2.total)
-
-
-def chi_square_group(pair: GroupPair) -> float:
-    """Two-sample chi-square statistic for one group.
-
-    ``(n1 n2 / n) * sum_j (p1j - p2j)^2 / pj`` with ``pj`` the pooled
-    proportions; categories with pooled count zero contribute 0.
-    """
-    return float(_batch.chi2_group(*_pair_args(pair)))
-
-
-def lrt_group(pair: GroupPair) -> float:
-    """-2 log likelihood-ratio statistic for one group (0*log 0 = 0)."""
-    return float(_batch.lrt_group(*_pair_args(pair)))
 
 
 def _group_values(ds: GroupedDataset, kernel) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Four subcommands::
+Three subcommands::
 
     grouphom test DATA.csv       global homogeneity test
     grouphom pergroup DATA.csv   per-group bootstrap p-values
     grouphom simulate ...        rejection-rate study / table reproduction
-    grouphom benchmark           estimator timing comparison
+
+Each takes ``--format human|csv|json``.
 
 Exit codes: 0 success, 2 bad input (data, arguments, unknown tables),
 3 estimator precondition violated by otherwise-valid data.
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -39,22 +39,6 @@ def _resolve_seed(seed):
     return int(np.random.SeedSequence().entropy)
 
 
-def _fmt(x, digits=6) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return str(x).lower()
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        return f"{x:.{digits}g}"
-    return str(x)
-
-
-def _csv_row(*values) -> None:
-    print(",".join(_fmt(v) for v in values))
-
-
 def _report_payload(report: decision.TestReport) -> dict:
     return {
         "statistic": float(report.statistic),
@@ -66,6 +50,28 @@ def _report_payload(report: decision.TestReport) -> dict:
         "reject": bool(report.reject),
         "degenerate_variance": bool(report.degenerate_variance),
     }
+
+
+def _emit(fmt: str, human, payload=None, table=None, note=None) -> int:
+    """Write one subcommand's result to stdout in ``fmt``; returns 0.
+
+    ``payload`` is the JSON document, ``table`` the CSV ``(header, rows)``
+    and ``note`` a line for stderr after the CSV table.  ``human()``
+    returns the human-readable lines; it runs only for the human format
+    and for a format the result has no part for.
+    """
+    if fmt == "json" and payload is not None:
+        json.dump(payload, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+    elif fmt == "csv" and table is not None:
+        for line in simulate._csv_lines(*table):
+            print(line)
+        if note is not None:
+            print(note, file=sys.stderr)
+    else:
+        for line in human():
+            print(line)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -88,65 +94,51 @@ def _cmd_test(args) -> int:
                 B=args.bootstrap_b,
             )
         }
+    payload = {
+        "groups": ds.k,
+        "categories": ds.d,
+        "alpha": args.alpha,
+        "seed": seed,
+        "reports": {est: _report_payload(r) for est, r in reports.items()},
+    }
+    rows = [
+        (est, r["statistic"], r["variance"], r["z"], r["p_value"], r["reject"],
+         r["degenerate_variance"])
+        for est, r in payload["reports"].items()
+    ]
     chi2_stat = chi2_p = None
     if args.estimator == "all":
         chi2_stat, chi2_p = classical.chi_square_pooled(ds)
+        payload["chi2_pooled"] = {"statistic": chi2_stat, "p_value": chi2_p}
+        rows.append(("chi2_pooled", chi2_stat, None, None, chi2_p,
+                     chi2_p <= args.alpha, False))
 
-    if args.format == "json":
-        payload = {
-            "groups": ds.k,
-            "categories": ds.d,
-            "alpha": args.alpha,
-            "seed": seed,
-            "reports": {est: _report_payload(r) for est, r in reports.items()},
-        }
-        if chi2_stat is not None:
-            payload["chi2_pooled"] = {
-                "statistic": float(chi2_stat),
-                "p_value": float(chi2_p),
-            }
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    elif args.format == "csv":
-        print("estimator,statistic,variance,z,p_value,reject,degenerate")
-        for est, r in reports.items():
-            _csv_row(
-                est, float(r.statistic), float(r.variance.value), float(r.z),
-                float(r.p_value), bool(r.reject), bool(r.degenerate_variance),
-            )
-        if chi2_stat is not None:
-            print(
-                f"chi2_pooled,{_fmt(float(chi2_stat))},,,"
-                f"{_fmt(float(chi2_p))},{_fmt(chi2_p <= args.alpha)},false"
-            )
-    else:
-        print(f"dataset: {ds.k} groups, {ds.d} categories")
+    def human():
+        yield f"dataset: {ds.k} groups, {ds.d} categories"
         if needs_seed:
-            print(f"bootstrap seed: {seed}")
+            yield f"bootstrap seed: {seed}"
         for est, r in reports.items():
             verdict = "reject homogeneity" if r.reject else "retain homogeneity"
             flag = "  [degenerate variance]" if r.degenerate_variance else ""
-            print(
-                f"{est}: T_U = {_fmt(float(r.statistic), 4)}, "
-                f"var = {_fmt(float(r.variance.value), 4)}, "
-                f"z = {_fmt(float(r.z), 4)}, "
-                f"p = {_fmt(float(r.p_value), 4)}  "
+            yield (
+                f"{est}: T_U = {r.statistic:.4g}, var = {r.variance.value:.4g}, "
+                f"z = {r.z:.4g}, p = {r.p_value:.4g}  "
                 f"-> {verdict} at alpha = {args.alpha:g}{flag}"
             )
         if chi2_stat is not None:
-            verdict = (
-                "reject" if chi2_p <= args.alpha else "retain"
-            )
-            print(
-                f"chi2 (no grouping): stat = {_fmt(float(chi2_stat), 4)}, "
-                f"p = {_fmt(float(chi2_p), 4)}  -> {verdict}"
+            verdict = "reject" if chi2_p <= args.alpha else "retain"
+            yield (
+                f"chi2 (no grouping): stat = {chi2_stat:.4g}, "
+                f"p = {chi2_p:.4g}  -> {verdict}"
             )
         stats = ustat.group_statistics(ds)
-        order = np.argsort(stats)[::-1][: min(5, ds.k)]
-        print("largest per-group statistics:")
-        for i in order:
-            print(f"  {ds.ids[i]}: T_U_r = {_fmt(float(stats[i]), 4)}")
-    return 0
+        yield "largest per-group statistics:"
+        for i in np.argsort(stats)[::-1][: min(5, ds.k)]:
+            yield f"  {ds.ids[i]}: T_U_r = {stats[i]:.4g}"
+
+    header = ("estimator", "statistic", "variance", "z", "p_value", "reject",
+              "degenerate")
+    return _emit(args.format, human, payload, (header, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -161,75 +153,60 @@ def _cmd_pergroup(args) -> int:
     results = decision.pergroup_bootstrap_pvalues(
         ds, B=args.bootstrap_b, seed=seed, smoothed=args.smoothed
     )
-    raw = [r.p_raw for r in results]
-    minp_reject = decision.global_minp_rule(raw, alpha=args.alpha)
+    minp_reject = decision.global_minp_rule(
+        [r.p_raw for r in results], alpha=args.alpha
+    )
     n_bh = sum(r.p_bh <= args.alpha for r in results)
     n_bonf = sum(r.p_bonferroni <= args.alpha for r in results)
+    per_group = [
+        {
+            "group": r.group_id,
+            "statistic": float(r.statistic),
+            "p_raw": float(r.p_raw),
+            "p_bh": float(r.p_bh),
+            "p_bonferroni": float(r.p_bonferroni),
+            "degenerate": bool(r.degenerate),
+        }
+        for r in results
+    ]
+    payload = {
+        "groups": ds.k,
+        "categories": ds.d,
+        "alpha": args.alpha,
+        "seed": seed,
+        "bootstrap_b": args.bootstrap_b,
+        "smoothed": bool(args.smoothed),
+        "minp_reject": bool(minp_reject),
+        "significant_bh": int(n_bh),
+        "significant_bonferroni": int(n_bonf),
+        "per_group": per_group,
+    }
+    # the CSV columns are the per-group JSON record's keys
+    table = (tuple(per_group[0]), [tuple(g.values()) for g in per_group])
+    verdict = "reject" if minp_reject else "retain"
 
-    if args.format == "json":
-        json.dump(
-            {
-                "groups": ds.k,
-                "categories": ds.d,
-                "alpha": args.alpha,
-                "seed": seed,
-                "bootstrap_b": args.bootstrap_b,
-                "smoothed": bool(args.smoothed),
-                "minp_reject": bool(minp_reject),
-                "significant_bh": int(n_bh),
-                "significant_bonferroni": int(n_bonf),
-                "per_group": [
-                    {
-                        "group": r.group_id,
-                        "statistic": float(r.statistic),
-                        "p_raw": float(r.p_raw),
-                        "p_bh": float(r.p_bh),
-                        "p_bonferroni": float(r.p_bonferroni),
-                        "degenerate": bool(r.degenerate),
-                    }
-                    for r in results
-                ],
-            },
-            sys.stdout,
-            indent=2,
-        )
-        sys.stdout.write("\n")
-    elif args.format == "csv":
-        print("group,statistic,p_raw,p_bh,p_bonferroni,degenerate")
-        for r in results:
-            _csv_row(
-                r.group_id, float(r.statistic), float(r.p_raw),
-                float(r.p_bh), float(r.p_bonferroni), bool(r.degenerate),
-            )
-        print(
-            f"min-p global rule: "
-            f"{'reject' if minp_reject else 'retain'}",
-            file=sys.stderr,
-        )
-    else:
-        print(
+    def human():
+        yield (
             f"dataset: {ds.k} groups, {ds.d} categories; "
             f"B = {args.bootstrap_b}, seed = {seed}"
         )
-        print(f"{'group':<12}{'T_U_r':>10}{'p_raw':>9}{'p_BH':>9}"
-              f"{'p_Bonf':>9}")
+        yield (f"{'group':<12}{'T_U_r':>10}{'p_raw':>9}{'p_BH':>9}"
+               f"{'p_Bonf':>9}")
         for r in results:
             mark = "  *" if r.p_bh <= args.alpha else ""
             flag = "  [degenerate]" if r.degenerate else ""
-            print(
-                f"{r.group_id:<12}{float(r.statistic):>10.4f}"
-                f"{float(r.p_raw):>9.4f}{float(r.p_bh):>9.4f}"
-                f"{float(r.p_bonferroni):>9.4f}{mark}{flag}"
+            yield (
+                f"{r.group_id:<12}{r.statistic:>10.4f}{r.p_raw:>9.4f}"
+                f"{r.p_bh:>9.4f}{r.p_bonferroni:>9.4f}{mark}{flag}"
             )
-        print(
+        yield (
             f"BH-significant groups at alpha = {args.alpha:g}: {n_bh} "
             f"(Bonferroni: {n_bonf})"
         )
-        print(
-            "min-p global rule: "
-            + ("reject homogeneity" if minp_reject else "retain homogeneity")
-        )
-    return 0
+        yield f"min-p global rule: {verdict} homogeneity"
+
+    return _emit(args.format, human, payload, table,
+                 note=f"min-p global rule: {verdict}")
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +217,14 @@ def _cmd_pergroup(args) -> int:
 def _parse_sizes(text: str) -> list[tuple[int, int]]:
     pairs = []
     for part in text.split(";"):
-        bits = part.split(",")
-        if len(bits) != 2:
+        try:
+            n1, n2 = (int(bit) for bit in part.split(","))
+        except ValueError:
             raise OutOfRange(
-                f"size pairs look like 'n1,n2' separated by ';', got {text!r}"
-            )
-        pairs.append((int(bits[0]), int(bits[1])))
+                f"bad size pair {part!r} in {text!r}: size pairs look like "
+                f"'n1,n2' separated by ';'"
+            ) from None
+        pairs.append((n1, n2))
     return pairs
 
 
@@ -274,14 +253,26 @@ def _cmd_simulate(args) -> int:
                 else None
             ),
         )
+        payload = {
+            "table": result.table,
+            "columns": list(result.columns),
+            "rows": result.rows,
+            "csv_path": result.csv_path,
+            "sidecar_path": result.sidecar_path,
+        }
         if result.csv_path is not None:
-            print(f"wrote {result.csv_path}")
-            print(f"wrote {result.sidecar_path}")
-        else:
-            print(",".join(result.columns))
-            for row in result.rows:
-                _csv_row(*(row.get(c) for c in result.columns))
-        return 0
+            return _emit(
+                args.format,
+                lambda: (f"wrote {result.csv_path}",
+                         f"wrote {result.sidecar_path}"),
+                payload,
+            )
+        table = (
+            result.columns,
+            [[row.get(c) for c in result.columns] for row in result.rows],
+        )
+        return _emit(args.format, lambda: simulate._csv_lines(*table),
+                     payload, table)
 
     spec = simulate.SettingSpec(
         setting=args.setting,
@@ -314,90 +305,45 @@ def _cmd_simulate(args) -> int:
         workers=args.workers,
         moment_reps=args.moment_reps,
     )
-    if args.format == "json":
-        json.dump(
-            {
-                "spec": {
-                    "setting": spec.setting,
-                    "d": spec.d,
-                    "k": spec.k,
-                    "n1": spec.n1,
-                    "n2": spec.n2,
-                    "pi0": spec.pi0,
-                    "seed": spec.master_seed,
-                },
-                "reps": reps,
-                "alpha": args.alpha,
-                "results": {
-                    t: {
-                        "rate": float(r.rate),
-                        "se": float(r.se),
-                        "rejections": int(r.rejections),
-                        "degenerate": int(r.degenerate),
-                    }
-                    for t, r in results.items()
-                },
-            },
-            sys.stdout,
-            indent=2,
-        )
-        sys.stdout.write("\n")
-    elif args.format == "csv":
-        print("test,rate,se,rejections,reps,degenerate")
-        for t, r in results.items():
-            print(
-                f"{t},{_fmt(float(r.rate))},{_fmt(float(r.se))},"
-                f"{r.rejections},{r.reps},{r.degenerate}"
-            )
-    else:
-        print(
+    payload = {
+        "spec": {
+            "setting": spec.setting,
+            "d": spec.d,
+            "k": spec.k,
+            "n1": spec.n1,
+            "n2": spec.n2,
+            "pi0": spec.pi0,
+            "seed": spec.master_seed,
+        },
+        "reps": reps,
+        "alpha": args.alpha,
+        "results": {
+            t: {
+                "rate": float(r.rate),
+                "se": float(r.se),
+                "rejections": int(r.rejections),
+                "degenerate": int(r.degenerate),
+            }
+            for t, r in results.items()
+        },
+    }
+    table = (
+        ("test", "rate", "se", "rejections", "reps", "degenerate"),
+        [(t, r.rate, r.se, r.rejections, r.reps, r.degenerate)
+         for t, r in results.items()],
+    )
+
+    def human():
+        yield (
             f"setting {spec.setting}, d = {spec.d}, k = {spec.k}, "
             f"sizes = ({spec.n1}, {spec.n2}), reps = {reps}, "
             f"seed = {spec.master_seed}"
         )
         for t, r in results.items():
             extra = f", degenerate = {r.degenerate}" if r.degenerate else ""
-            print(
-                f"{t}: rejection rate = {r.rate:.4f} "
-                f"(se = {r.se:.4f}){extra}"
-            )
-    return 0
+            yield f"{t}: rejection rate = {r.rate:.4f} (se = {r.se:.4f}){extra}"
 
-
-# ---------------------------------------------------------------------------
-# benchmark
-# ---------------------------------------------------------------------------
-
-
-def _cmd_benchmark(args) -> int:
-    rows = simulate.benchmark_statistics(
-        k_values=tuple(args.k_values),
-        d=args.d,
-        sizes=tuple(args.sizes_pair),
-        reps=args.reps,
-        seed=args.seed,
-    )
-    if args.format == "json":
-        json.dump(rows, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    elif args.format == "csv":
-        print("d,k,n1,n2,estimator,seconds")
-        for row in rows:
-            print(
-                f"{row['d']},{row['k']},{row['n1']},{row['n2']},"
-                f"{row['estimator']},{row['seconds']:.6g}"
-            )
-    else:
-        print(f"median seconds per global test (d = {args.d}, "
-              f"sizes = {tuple(args.sizes_pair)})")
-        print(f"{'k':>6}  " + "".join(f"{e:>10}" for e in decision.ESTIMATORS))
-        for k in args.k_values:
-            cells = [r for r in rows if r["k"] == k]
-            line = f"{k:>6}  " + "".join(
-                f"{c['seconds']:>10.4f}" for c in cells
-            )
-            print(line)
-    return 0
+    return _emit(args.format, human, payload, table)
 
 
 # ---------------------------------------------------------------------------
@@ -489,16 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--format", choices=_FORMATS, default="human")
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_bm = sub.add_parser("benchmark", help="time the seven estimators")
-    p_bm.add_argument("--d", type=int, default=5)
-    p_bm.add_argument("--k-values", type=int, nargs="+",
-                      default=[50, 200, 750])
-    p_bm.add_argument("--sizes-pair", type=int, nargs=2, default=[30, 30],
-                      metavar=("N1", "N2"))
-    p_bm.add_argument("--reps", type=int, default=5)
-    p_bm.add_argument("--seed", type=int, default=0)
-    p_bm.add_argument("--format", choices=_FORMATS, default="human")
-    p_bm.set_defaults(func=_cmd_benchmark)
     return parser
 
 

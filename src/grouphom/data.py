@@ -26,7 +26,6 @@ from .errors import (
     MixedDimension,
     NegativeCount,
     SampleTooSmall,
-    ZeroTotal,
 )
 
 __all__ = [
@@ -35,8 +34,6 @@ __all__ = [
     "GroupPair",
     "GroupedDataset",
     "validate_dataset",
-    "empirical_proportions",
-    "pooled_counts",
     "read_counts_csv",
     "load_dataset",
     "write_dataset_csv",
@@ -325,24 +322,6 @@ def validate_dataset(rows: Iterable[RawRow]) -> GroupedDataset:
     return GroupedDataset.from_counts(
         matrix[index[:, 0]], matrix[index[:, 1]], where.keys()
     )
-
-
-def empirical_proportions(v: CountVector) -> ProbVector:
-    """Counts divided by their total.
-
-    Raises
-    ------
-    ZeroTotal
-        If the vector sums to zero.
-    """
-    if v.total == 0:
-        raise ZeroTotal("cannot form proportions of an all-zero count vector")
-    return ProbVector(v.counts / v.total)
-
-
-def pooled_counts(pair: GroupPair) -> CountVector:
-    """Elementwise sum of a group's two samples."""
-    return CountVector(pair.sample1.counts + pair.sample2.counts)
 
 
 def read_counts_csv(path) -> list[RawRow]:

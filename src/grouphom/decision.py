@@ -21,11 +21,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erfc, ndtri
 
 from . import _batch, classical
 from .data import GroupedDataset
 from .errors import OutOfRange
-from .normal import normal_cdf, normal_quantile
 
 # Unused here, but the benchmark's tracer wraps them under this module's name.
 from .ustat import aggregate_statistic, group_ustat  # noqa: F401
@@ -92,7 +92,7 @@ class _Stack:
         self.c1, self.c2, self.n1, self.n2, self.alpha = c1, c2, n1, n2, alpha
         self.null_variance, self.null_pvalues = null_variance, null_pvalues
         self.moments = moments
-        self.z_crit = normal_quantile(1.0 - alpha)
+        self.z_crit = ndtri(1.0 - alpha)
         p1 = c1 / (n1[..., None] if np.ndim(n1) else n1)
         p2 = c2 / (n2[..., None] if np.ndim(n2) else n2)
         self.tu_r = _batch.tu_group(p1, p2, n1, n2)
@@ -218,8 +218,10 @@ def run_global_test(
         statistic=float(stack.tu),
         variance=VarianceEstimate(float(stack.variance(estimator)), estimator),
         z=z,
-        # a degenerate test is decided by the sign: p is 0 or 1
-        p_value=float(not reject) if degenerate else normal_cdf(-z),
+        # a degenerate test is decided by the sign: p is 0 or 1; else the
+        # upper normal tail, Phi(-z)
+        p_value=(float(not reject) if degenerate
+                 else float(0.5 * erfc(z / math.sqrt(2.0)))),
         alpha=alpha,
         reject=bool(reject),
         degenerate_variance=bool(degenerate),

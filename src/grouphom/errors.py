@@ -36,10 +36,6 @@ class MissingMate(DatasetError):
     """A group has only one of its two population samples."""
 
 
-class ZeroTotal(GrouphomError, ValueError):
-    """A count vector sums to zero where a positive total is required."""
-
-
 class EstimatorPrecondition(GrouphomError, ValueError):
     """Input violates a precondition of the requested estimator."""
 

@@ -52,7 +52,6 @@ from .decision import (
     _lookup,
     _Stack,
     _TESTS,
-    run_global_test,
 )
 from .errors import (
     InvalidReps,
@@ -74,7 +73,6 @@ __all__ = [
     "estimate_rejection_rate",
     "null_z_scores",
     "reproduce_table",
-    "benchmark_statistics",
     "TABLE_IDS",
 ]
 
@@ -691,15 +689,20 @@ def reproduce_table(
 
     The row/column layout mirrors the printed table, with one extra
     standard-error column per value column.  ``k_values``, ``size_pairs``
-    and ``d_values`` restrict the grid (for spot reproductions); ``reps``
-    defaults to the table's published replicate count.  When ``outdir``
-    is given, writes ``<table>.csv`` plus a JSON sidecar recording the
-    grid, seed, replicate count, package version and git description.
+    and ``d_values`` restrict the grid (for spot reproductions), each
+    value at most once; every cell is seeded from ``seed`` and its index
+    in the full grid, so it gives the same value in a restricted grid as
+    in the full table.  ``reps`` defaults to the table's published
+    replicate count.  When ``outdir`` is given, writes ``<table>.csv``
+    plus a JSON sidecar recording the grid, seed, replicate count,
+    package version and git description.
 
     Raises
     ------
     UnknownTable
         For an unrecognized ``table_id``.
+    OutOfRange
+        For a restriction value outside the table's grid, or repeated.
     """
     if table_id not in _TABLES:
         raise UnknownTable(
@@ -722,9 +725,91 @@ def reproduce_table(
             f"restriction outside the table grid: k={sorted(bad_k)}, "
             f"sizes={sorted(bad_s)}, d={sorted(bad_d)}"
         )
+    for name, values in (("k", k_values), ("sizes", size_pairs),
+                         ("d", d_values)):
+        if len(set(values)) != len(values):
+            raise OutOfRange(
+                f"restriction repeats a value: {name}={list(values)}"
+            )
 
     workers = _resolve_workers(workers)
-    cells: list[tuple] = []  # (row, spec, tests, {column: test})
+    columns, rows, cells = _table_cells(table, k_values, size_pairs, d_values)
+    # Each cell is seeded from its index in the full grid, so a restricted
+    # grid reproduces its cells of the full table.
+    grid_index = {
+        spec: i for i, (_, spec, _, _) in enumerate(_table_cells(
+            table, table.k_values, table.sizes, table.d_values)[2])
+    }
+    # One pool serves every cell, started at the first with two blocks.
+    blocks = [-(-reps // _block_size(spec)) for _, spec, _, _ in cells]
+    moment_notes: dict[str, list[str]] = {}
+    pool = None
+    try:
+        for index, (row, spec, tests, collect_map) in enumerate(cells):
+            spec = replace(spec, master_seed=_cell_seed(seed, grid_index[spec]))
+            if progress is not None:
+                progress(f"{table_id}: cell {index + 1} "
+                         f"(setting {spec.setting}, d={spec.d}, k={spec.k}, "
+                         f"sizes=({spec.n1},{spec.n2}))")
+            if pool is None and workers > 1 and blocks[index] > 1:
+                ctx = multiprocessing.get_context("fork")
+                pool = ctx.Pool(min(workers, max(blocks)))
+            results, _, moments = _run_cell(
+                spec, tests, reps, alpha, workers, 200, 1000, "auto",
+                moment_reps, pool=pool,
+            )
+            for _, _, used in moments.values():
+                moment_notes[f"d={spec.d},n1={spec.n1},n2={spec.n2}"] = used
+            for name, test in collect_map.items():
+                row[name] = results[test].rate
+                row[f"se_{name}"] = results[test].se
+    finally:
+        if pool is not None:
+            pool.terminate()
+
+    csv_path = sidecar_path = None
+    if outdir is not None:
+        os.makedirs(outdir, exist_ok=True)
+        csv_path = os.path.join(outdir, f"{table_id}.csv")
+        with open(csv_path, "w") as fh:
+            for line in _csv_lines(
+                columns, ([row.get(c) for c in columns] for row in rows)
+            ):
+                fh.write(line + "\n")
+        from importlib.metadata import PackageNotFoundError, version
+
+        try:
+            pkg_version = version("grouphom")
+        except PackageNotFoundError:
+            pkg_version = None
+        sidecar_path = os.path.join(outdir, f"{table_id}.json")
+        with open(sidecar_path, "w") as fh:
+            json.dump(
+                {
+                    "table": table_id,
+                    "seed": seed,
+                    "reps": reps,
+                    "alpha": alpha,
+                    "k_values": list(k_values),
+                    "size_pairs": [list(s) for s in size_pairs],
+                    "d_values": list(d_values),
+                    "moment_methods": moment_notes or None,
+                    "grouphom_version": pkg_version,
+                    "git_describe": _git_describe(),
+                    "generated_utc": datetime.now(timezone.utc).isoformat(),
+                },
+                fh,
+                indent=2,
+            )
+            fh.write("\n")
+    return TableResult(table_id, tuple(columns), rows, csv_path, sidecar_path)
+
+
+def _table_cells(table: _TableDef, k_values, size_pairs, d_values):
+    """The columns, rows and cells of ``table`` on a grid: each cell is
+    ``(row, spec, tests, {column: test})``, and fills its columns of
+    ``row``."""
+    cells: list[tuple] = []
     rows: list[dict] = []
     if table.layout == "tests":
         columns = ["k", "n1", "n2"]
@@ -791,116 +876,24 @@ def reproduce_table(
                         cells.append((row, SettingSpec(setting, d, k, n1, n2, pi0=pi0),
                                       ("minp",), {f"d{d}_{name}": "minp"}))
                 rows.append(row)
-
-    # One pool serves every cell, started at the first with two blocks.
-    blocks = [-(-reps // _block_size(spec)) for _, spec, _, _ in cells]
-    moment_notes: dict[str, list[str]] = {}
-    pool = None
-    try:
-        for index, (row, spec, tests, collect_map) in enumerate(cells):
-            spec = replace(spec, master_seed=_cell_seed(seed, index))
-            if progress is not None:
-                progress(f"{table_id}: cell {index + 1} "
-                         f"(setting {spec.setting}, d={spec.d}, k={spec.k}, "
-                         f"sizes=({spec.n1},{spec.n2}))")
-            if pool is None and workers > 1 and blocks[index] > 1:
-                ctx = multiprocessing.get_context("fork")
-                pool = ctx.Pool(min(workers, max(blocks)))
-            results, _, moments = _run_cell(
-                spec, tests, reps, alpha, workers, 200, 1000, "auto",
-                moment_reps, pool=pool,
-            )
-            for _, _, used in moments.values():
-                moment_notes[f"d={spec.d},n1={spec.n1},n2={spec.n2}"] = used
-            for name, test in collect_map.items():
-                row[name] = results[test].rate
-                row[f"se_{name}"] = results[test].se
-    finally:
-        if pool is not None:
-            pool.terminate()
-
-    csv_path = sidecar_path = None
-    if outdir is not None:
-        os.makedirs(outdir, exist_ok=True)
-        csv_path = os.path.join(outdir, f"{table_id}.csv")
-        with open(csv_path, "w") as fh:
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(
-                    ",".join(_format_cell(row.get(c)) for c in columns) + "\n"
-                )
-        from importlib.metadata import PackageNotFoundError, version
-
-        try:
-            pkg_version = version("grouphom")
-        except PackageNotFoundError:
-            pkg_version = None
-        sidecar_path = os.path.join(outdir, f"{table_id}.json")
-        with open(sidecar_path, "w") as fh:
-            json.dump(
-                {
-                    "table": table_id,
-                    "seed": seed,
-                    "reps": reps,
-                    "alpha": alpha,
-                    "k_values": list(k_values),
-                    "size_pairs": [list(s) for s in size_pairs],
-                    "d_values": list(d_values),
-                    "moment_methods": moment_notes or None,
-                    "grouphom_version": pkg_version,
-                    "git_describe": _git_describe(),
-                    "generated_utc": datetime.now(timezone.utc).isoformat(),
-                },
-                fh,
-                indent=2,
-            )
-            fh.write("\n")
-    return TableResult(table_id, tuple(columns), rows, csv_path, sidecar_path)
+    return columns, rows, cells
 
 
 def _format_cell(value) -> str:
+    """One CSV cell: empty for None, lower-case booleans, floats to six
+    significant digits."""
     if value is None:
         return ""
+    if isinstance(value, bool):
+        return str(value).lower()
     if isinstance(value, float):
         return f"{value:.6g}"
     return str(value)
 
 
-# ---------------------------------------------------------------------------
-# Benchmark.
-# ---------------------------------------------------------------------------
-
-
-def benchmark_statistics(
-    k_values=(50, 200, 750),
-    d: int = 5,
-    sizes: tuple[int, int] = (30, 30),
-    reps: int = 5,
-    seed: int = 0,
-) -> list[dict]:
-    """Median wall-clock seconds to run each estimator's global test.
-
-    Informational only — one synthetic null dataset per ``k``, ``reps``
-    timed runs per estimator, median reported.
-    """
-    out = []
-    for k in k_values:
-        spec = SettingSpec(1, d, k, sizes[0], sizes[1], master_seed=seed)
-        ds, _ = generate_replicate(spec, 0)
-        for estimator in ESTIMATORS:
-            times = []
-            for _ in range(reps):
-                t0 = time.perf_counter()
-                run_global_test(ds, estimator, seed=seed)
-                times.append(time.perf_counter() - t0)
-            out.append(
-                {
-                    "d": d,
-                    "k": k,
-                    "n1": sizes[0],
-                    "n2": sizes[1],
-                    "estimator": estimator,
-                    "seconds": float(np.median(times)),
-                }
-            )
-    return out
+def _csv_lines(header, rows):
+    """The CSV lines, without line ends, of a header and rows of values;
+    the table files and the command line's CSV output share them."""
+    yield ",".join(header)
+    for row in rows:
+        yield ",".join(_format_cell(v) for v in row)

@@ -32,13 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _batch
-from .data import CountVector, GroupedDataset, ProbVector
+from .data import GroupedDataset, ProbVector
 from .errors import DimensionMismatch, InvalidB, SampleTooSmall
 
 __all__ = [
     "VarianceEstimate",
     "centered_outer",
-    "trace_sigma_sq_unbiased",
     "trace_product",
     "var0_bootstrap",
     "var0_true",
@@ -58,29 +57,6 @@ def centered_outer(pi: ProbVector) -> np.ndarray:
     """Multinomial covariance factor diag(pi) - pi pi' for one trial."""
     p = pi.probs
     return np.diag(p) - np.outer(p, p)
-
-
-def trace_sigma_sq_unbiased(v: CountVector) -> float:
-    """Unbiased estimate of tr(Sigma^2) from one count vector.
-
-    Ordered-pair double sum over category pairs (t, s), t != s, of
-
-        n_t n_s [ (n_t + n_s - 2)/(n - 2) - ((n_t - n_s)/(n - 2))^2 ]
-
-    scaled by (n - 2) / (2 n (n-1) (n-3)), evaluated through its
-    power-sum reduction :func:`grouphom._batch.trace_sq_unbiased`.
-
-    Raises
-    ------
-    SampleTooSmall
-        If the total is below 4.
-    """
-    n = v.total
-    if n < 4:
-        raise SampleTooSmall(
-            f"tr(Sigma^2) estimate needs a total >= 4, got {n}"
-        )
-    return float(_batch.trace_sq_unbiased(v.counts, n))
 
 
 def trace_product(a: np.ndarray, b: np.ndarray) -> float:

@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from grouphom import _batch
 from grouphom import (
     CountVector,
     GroupPair,
@@ -27,7 +28,6 @@ from grouphom import (
     group_ustat_kernel_oracle,
     null_z_scores,
     reproduce_table,
-    trace_sigma_sq_unbiased,
 )
 
 
@@ -299,7 +299,7 @@ def test_07_exact_unbiasedness(capsys):
         target = float(np.trace(sigma @ sigma))
         for size in (4, 5, 6):
             mean = sum(
-                weight * trace_sigma_sq_unbiased(CountVector(counts))
+                weight * _batch.trace_sq_unbiased(counts)
                 for counts, weight in _multinomial_support(size, pi)
             )
             worst_tr = max(worst_tr, abs(mean - target))

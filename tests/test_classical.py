@@ -9,13 +9,12 @@ import numpy as np
 import pytest
 from scipy.stats import chi2 as chi2_dist
 
+from grouphom._batch import chi2_group, lrt_group
 from grouphom.classical import (
     MomentPair,
-    chi_square_group,
     chi_square_moments_oracle,
     chi_square_pooled,
     exact_enumeration_feasible,
-    lrt_group,
     lrt_moments_oracle,
     uit_statistic,
     vk_prime,
@@ -45,26 +44,26 @@ class TestGroupStatistics:
     def test_chi_square_hand_values(self):
         # (3,1) vs (1,3): diff^2 = 1/16 per cell, pooled phat = 1/2,
         # T = 2 * (1/16 + 1/16) / (1/2) * ... = 2
-        assert chi_square_group(pair([3, 1], [1, 3])) == pytest.approx(2.0)
-        assert chi_square_group(pair([4, 0], [0, 4])) == pytest.approx(8.0)
+        assert chi2_group([3, 1], [1, 3], 4, 4) == pytest.approx(2.0)
+        assert chi2_group([4, 0], [0, 4], 4, 4) == pytest.approx(8.0)
 
     def test_chi_square_skips_empty_pooled_cells(self):
-        with_empty = chi_square_group(pair([3, 1, 0], [1, 3, 0]))
+        with_empty = chi2_group([3, 1, 0], [1, 3, 0], 4, 4)
         assert with_empty == pytest.approx(2.0)
 
     def test_chi_square_zero_under_equality(self):
-        assert chi_square_group(pair([2, 3], [2, 3])) == pytest.approx(0.0)
+        assert chi2_group([2, 3], [2, 3], 5, 5) == pytest.approx(0.0)
 
     def test_lrt_hand_values(self):
-        assert lrt_group(pair([4, 0], [0, 4])) == pytest.approx(
+        assert lrt_group([4, 0], [0, 4], 4, 4) == pytest.approx(
             16.0 * math.log(2.0)
         )
-        assert lrt_group(pair([3, 1], [1, 3])) == pytest.approx(
+        assert lrt_group([3, 1], [1, 3], 4, 4) == pytest.approx(
             12.0 * math.log(3.0) - 16.0 * math.log(2.0)
         )
 
     def test_lrt_zero_under_equality(self):
-        assert lrt_group(pair([1, 4], [1, 4])) == pytest.approx(0.0, abs=1e-12)
+        assert lrt_group([1, 4], [1, 4], 5, 5) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestAggregates:
@@ -117,7 +116,7 @@ class TestAggregates:
         c1 = np.array([35, 15])
         c2 = np.array([16, 34])
         assert stat == pytest.approx(
-            chi_square_group(pair(c1.tolist(), c2.tolist()))
+            chi2_group(c1, c2, c1.sum(), c2.sum())
         )
         assert p == pytest.approx(float(chi2_dist.sf(stat, 1)), abs=1e-12)
 
@@ -136,7 +135,7 @@ class TestMomentOracle:
         values = {}
         for a, b in product(range(3), range(3)):
             w = binom_weight(2, a, 0.5) * binom_weight(2, b, 0.5)
-            t = chi_square_group(pair([a, 2 - a], [b, 2 - b]))
+            t = chi2_group([a, 2 - a], [b, 2 - b], 2, 2)
             values[(a, b)] = (w, t)
             mean += w * t
         for (a, b), (w, t) in values.items():
@@ -151,7 +150,7 @@ class TestMomentOracle:
         second = 0.0
         for a, b in product(range(4), range(3)):
             w = binom_weight(3, a, 0.3) * binom_weight(2, b, 0.3)
-            t = lrt_group(pair([a, 3 - a], [b, 2 - b]))
+            t = lrt_group([a, 3 - a], [b, 2 - b], 3, 2)
             mean += w * t
             second += w * t * t
         mom = lrt_moments_oracle(piv, 3, 2, method="exact")

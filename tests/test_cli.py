@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -204,6 +205,29 @@ class TestSimulateCommand:
         assert lines[0].startswith("k,n1,n2,test1")
         assert len(lines) == 2
 
+    def test_table_formats(self, tmp_path, capsys):
+        argv = ["simulate", "--table", "tab2", "--reps", "4",
+                "--k-values", "20", "--sizes", "5,10;10,10"]
+        human = _run(argv, capsys).out
+        assert _run(argv + ["--format", "csv"], capsys).out == human
+        payload = json.loads(_run(argv + ["--format", "json"], capsys).out)
+        rows = list(csv.DictReader(human.splitlines()))
+        assert payload["table"] == "tab2"
+        assert payload["columns"] == list(rows[0])
+        assert [row["n1"] for row in payload["rows"]] == [5, 10]
+        assert payload["rows"][1]["test1"] == float(rows[1]["test1"])
+        assert payload["csv_path"] is None
+        payload = json.loads(_run(argv + ["--format", "json", "--outdir",
+                                          str(tmp_path)], capsys).out)
+        assert payload["csv_path"] == str(tmp_path / "tab2.csv")
+        assert len(payload["rows"]) == 2
+
+    @pytest.mark.parametrize("sizes", ["5,x", "5", "5,10,20", "5,10;"])
+    def test_bad_sizes_exits_2(self, sizes, capsys):
+        assert main(["simulate", "--table", "tab2", "--reps", "2",
+                     "--sizes", sizes]) == 2
+        assert repr(sizes) in capsys.readouterr().err
+
     def test_table_to_outdir(self, tmp_path, capsys):
         rc = main([
             "simulate", "--table", "tab8", "--reps", "3",
@@ -265,14 +289,76 @@ class TestSimulateCommand:
         ]) == 2
 
 
-class TestBenchmarkCommand:
-    def test_csv_schema(self, capsys):
-        rc = main(["benchmark", "--k-values", "20", "--reps", "1",
-                   "--format", "csv"])
-        assert rc == 0
-        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
-        assert rows[0] == ["d", "k", "n1", "n2", "estimator", "seconds"]
-        assert len(rows) == 8  # seven estimators
+def _run(argv, capsys):
+    assert main(argv) == 0
+    return capsys.readouterr()
+
+
+class TestGoldenOutput:
+    """Exact stdout bytes of the machine-readable formats on seeded runs.
+
+    The JSON documents are pinned by SHA-256, the CSV tables as text."""
+
+    TEST = ["test", None, "--estimator", "all", "--seed", "3",
+            "--bootstrap-b", "50"]
+    PERGROUP = ["pergroup", None, "--seed", "2", "--bootstrap-b", "100"]
+    SIMULATE = ["simulate", "--setting", "3", "--pi0", "2", "--d", "5",
+                "--k", "40", "--n1", "5", "--n2", "10", "--tests",
+                "test1,test7,chi2,wk,minp", "--reps", "20", "--seed", "4"]
+
+    def argv(self, base, data_csv, fmt):
+        return [data_csv if a is None else a for a in base] + ["--format", fmt]
+
+    @pytest.mark.parametrize("base, digest", [
+        (TEST, "73b139fd95fb60a679a52a814d288a3aacef4f15bdaa64db1540d48220ceb70d"),
+        (PERGROUP, "05ef6cc8093c3ee5167a7a3532ee2e28d0095613b7cbc1b0a32379742daa04fb"),
+        (SIMULATE, "e328c61a80dcb3ce05874fe211047c150c1b5a93e66d28a997c2b2c0ad69e924"),
+    ], ids=["test", "pergroup", "simulate"])
+    def test_json_bytes(self, base, digest, data_csv, capsys):
+        out = _run(self.argv(base, data_csv, "json"), capsys).out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+    def test_test_csv_bytes(self, data_csv, capsys):
+        assert _run(self.argv(self.TEST, data_csv, "csv"), capsys).out == (
+            "estimator,statistic,variance,z,p_value,reject,degenerate\n"
+            "test1,0.0360844,0.0164022,0.281753,0.389067,false,false\n"
+            "test2,0.0360844,0.0153142,0.29159,0.3853,false,false\n"
+            "test3,0.0360844,0.0160646,0.284698,0.387938,false,false\n"
+            "test4,0.0360844,0.0154633,0.29018,0.385839,false,false\n"
+            "test5,0.0360844,0.0120599,0.328584,0.371235,false,false\n"
+            "test6,0.0360844,0.0169849,0.276878,0.390937,false,false\n"
+            "test7,0.0360844,0.0171443,0.275587,0.391433,false,false\n"
+            "chi2_pooled,3.12419,,,0.537262,false,false\n"
+        )
+
+    def test_pergroup_csv_bytes(self, data_csv, capsys):
+        captured = _run(self.argv(self.PERGROUP, data_csv, "csv"), capsys)
+        assert captured.err == "min-p global rule: retain\n"
+        assert captured.out == (
+            "group,statistic,p_raw,p_bh,p_bonferroni,degenerate\n"
+            "g001,-0.138095,0.87,0.949091,1,false\n"
+            "g002,0.19127,0.11,0.48,1,false\n"
+            "g003,-0.043254,0.51,0.874286,1,false\n"
+            "g004,-0.0515873,0.59,0.885,1,false\n"
+            "g005,0.250794,0.03,0.36,0.36,false\n"
+            "g006,0.0928571,0.18,0.48,1,false\n"
+            "g007,0.0190476,0.24,0.48,1,false\n"
+            "g008,-0.0857143,0.67,0.893333,1,false\n"
+            "g009,0.0305556,0.23,0.48,1,false\n"
+            "g010,0.102778,0.15,0.48,1,false\n"
+            "g011,-0.1,0.79,0.948,1,false\n"
+            "g012,-0.143651,0.95,0.95,1,false\n"
+        )
+
+    def test_simulate_csv_bytes(self, capsys):
+        assert _run(self.SIMULATE + ["--format", "csv"], capsys).out == (
+            "test,rate,se,rejections,reps,degenerate\n"
+            "test1,0.05,0.048734,1,20,0\n"
+            "test7,0.05,0.048734,1,20,0\n"
+            "chi2,0.1,0.067082,2,20,0\n"
+            "wk,0,0,0,20,0\n"
+            "minp,0.15,0.0798436,3,20,0\n"
+        )
 
 
 class TestVersion:

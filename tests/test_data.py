@@ -10,9 +10,7 @@ from grouphom.data import (
     GroupedDataset,
     GroupPair,
     ProbVector,
-    empirical_proportions,
     load_dataset,
-    pooled_counts,
     read_counts_csv,
     validate_dataset,
     write_dataset_csv,
@@ -25,7 +23,6 @@ from grouphom.errors import (
     MissingMate,
     MixedDimension,
     NegativeCount,
-    ZeroTotal,
 )
 
 
@@ -89,10 +86,6 @@ class TestGroupPair:
     def test_dimension_check(self):
         with pytest.raises(DimensionMismatch):
             make_pair("g", [1, 2], [1, 2, 3])
-
-    def test_pooled(self):
-        pair = make_pair("g", [1, 2], [3, 0])
-        assert pooled_counts(pair).counts.tolist() == [4, 2]
 
 
 class TestGroupedDataset:
@@ -327,13 +320,3 @@ class TestCsvRoundTrip:
         path.write_text("group,population,c1,c2\ng1,1,3,x\n")
         with pytest.raises(DatasetError):
             read_counts_csv(path)
-
-
-class TestProportions:
-    def test_values(self):
-        p = empirical_proportions(CountVector([1, 3]))
-        assert np.allclose(p.probs, [0.25, 0.75])
-
-    def test_zero_total(self):
-        with pytest.raises(ZeroTotal):
-            empirical_proportions(CountVector([0, 0]))

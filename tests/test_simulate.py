@@ -12,6 +12,7 @@ import multiprocessing
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from scipy.stats import chi2 as chi2_dist
 
 from grouphom import _batch, classical, simulate
@@ -25,11 +26,9 @@ from grouphom.errors import (
     UnknownTable,
     UnsupportedDimension,
 )
-from grouphom.normal import normal_quantile
 from grouphom.simulate import (
     TABLE_IDS,
     SettingSpec,
-    benchmark_statistics,
     estimate_rejection_rate,
     generate_replicate,
     null_z_scores,
@@ -344,7 +343,7 @@ class TestRejectionRateEngine:
         uniform = ProbVector(np.full(5, 0.2))
         mom_w = classical.chi_square_moments_oracle(uniform, 10, 10, method="exact")
         mom_v = classical.lrt_moments_oracle(uniform, 10, 10, method="exact")
-        z95 = normal_quantile(0.95)
+        z95 = ndtri(0.95)
         counts = dict.fromkeys(res, 0)
         for r in range(reps):
             ds, _ = generate_replicate(self.SPEC, r)
@@ -398,7 +397,7 @@ class TestRejectionRateEngine:
         z = null_z_scores(spec, "test7", reps=30)
         np.testing.assert_allclose(z, expected, rtol=1e-9)
         res = estimate_rejection_rate(spec, ("test7",), reps=30)
-        assert res["test7"].rejections == np.sum(expected >= normal_quantile(0.95))
+        assert res["test7"].rejections == np.sum(expected >= ndtri(0.95))
         assert res["test7"].degenerate == 0
 
     def test_minp_large_totals_compare_floats(self):
@@ -501,7 +500,7 @@ class TestOracleStandardization:
         piv = ProbVector(np.full(5, 0.2))
         mom_w = classical.chi_square_moments_oracle(piv, 5, 10, method="exact")
         mom_v = classical.lrt_moments_oracle(piv, 5, 10, method="exact")
-        z95 = normal_quantile(0.95)
+        z95 = ndtri(0.95)
         count_w = count_v = 0
         for r in range(25):
             ds, _ = generate_replicate(spec, r)
@@ -546,6 +545,26 @@ class TestReproduceTable:
         assert sidecar["k_values"] == [20]
         assert "generated_utc" in sidecar
 
+    def test_csv_file_bytes(self, tmp_path):
+        reproduce_table("tab2", reps=40, seed=3, outdir=tmp_path,
+                        k_values=[20], size_pairs=[(5, 10), (10, 10)])
+        reproduce_table("power1", reps=40, seed=3, outdir=tmp_path,
+                        k_values=[20], size_pairs=[(5, 5)], d_values=[5])
+        assert (tmp_path / "tab2.csv").read_bytes() == (
+            b"k,n1,n2,test1,test2,test3,se_test1,se_test2,se_test3\n"
+            b"20,5,10,0.075,0.075,0.075,0.0416458,0.0416458,0.0416458\n"
+            b"20,10,10,0.025,0.025,0.025,0.0246855,0.0246855,0.0246855\n"
+        )
+        assert (tmp_path / "power1.csv").read_bytes() == (
+            b"d,k,n1,n2,pi2_test1,pi2_test2,pi2_test3,pi2_chi2,pi4_test1,"
+            b"pi4_test2,pi4_test3,pi4_chi2,se_pi2_test1,se_pi2_test2,"
+            b"se_pi2_test3,se_pi2_chi2,se_pi4_test1,se_pi4_test2,se_pi4_test3,"
+            b"se_pi4_chi2\n"
+            b"5,20,5,5,0.125,0.125,0.1,0.05,0.025,0.075,0.05,0.1,0.0522913,"
+            b"0.0522913,0.0474342,0.0344601,0.0246855,0.0416458,0.0344601,"
+            b"0.0474342\n"
+        )
+
     def test_by_dimension_layout(self):
         res = reproduce_table(
             "tab8", reps=4, k_values=[20], size_pairs=[(10, 10)],
@@ -575,6 +594,28 @@ class TestReproduceTable:
     def test_grid_restriction_validated(self):
         with pytest.raises(OutOfRange):
             reproduce_table("tab2", reps=2, k_values=[33])
+        # a repeated value would run one cell twice, as two rows
+        for kwargs in (dict(k_values=[20, 20]), dict(d_values=[5, 5]),
+                       dict(size_pairs=[(5, 10), (5, 10)])):
+            with pytest.raises(OutOfRange, match="repeats"):
+                reproduce_table("tab8", reps=2, **kwargs)
+
+    def test_restricted_grid_reproduces_table_cells(self):
+        # each cell is seeded from its place in the full grid, whatever
+        # part of the grid is run and in whatever order
+        kwargs = dict(reps=400, seed=0)
+        prefix = reproduce_table("tab2", k_values=[20, 50], **kwargs).rows
+        alone = reproduce_table("tab2", k_values=[50], size_pairs=[(5, 10)],
+                                **kwargs).rows
+        swapped = reproduce_table("tab2", k_values=[50, 20], **kwargs).rows
+        assert alone == prefix[4:5]
+        assert swapped == prefix[4:] + prefix[:4]
+        by_d = reproduce_table("tab8", reps=40, k_values=[20],
+                               size_pairs=[(10, 10)], d_values=[10, 5]).rows
+        full = reproduce_table("tab8", reps=40, k_values=[20],
+                               size_pairs=[(5, 10), (10, 10)]).rows
+        assert by_d[0]["d5"] == full[1]["d5"]
+        assert by_d[0]["d10"] == full[1]["d10"]
 
     def test_deterministic_given_seed(self):
         kwargs = dict(reps=6, k_values=[20], size_pairs=[(5, 10)])
@@ -688,21 +729,3 @@ class TestWorkerPools:
         with pytest.raises(OutOfRange, match="workers"):
             estimate_rejection_rate(spec, ("test2",), reps=5, workers=value)
         assert counter.sizes == []
-
-
-class TestBenchmark:
-    def test_rows_and_bootstrap_cost(self):
-        rows = benchmark_statistics(k_values=(50, 200), reps=3, seed=0)
-        by_k = {}
-        for row in rows:
-            by_k.setdefault(row["k"], {})[row["estimator"]] = row["seconds"]
-        assert set(by_k) == {50, 200}
-        for k, timings in by_k.items():
-            assert set(timings) == {
-                "test1", "test2", "test3", "test4", "test5", "test6", "test7"
-            }
-            closed_forms = [v for e, v in timings.items() if e != "test7"]
-            # resampling dominates the closed forms
-            assert timings["test7"] > max(closed_forms)
-        # and grows with the number of groups
-        assert by_k[200]["test7"] > by_k[50]["test7"]

@@ -228,6 +228,27 @@ def _parse_sizes(text: str) -> list[tuple[int, int]]:
     return pairs
 
 
+#: ``simulate`` flags that only one form reads.  Each parses to None
+#: (``--progress`` to False) when not given; the --setting form's
+#: defaults are filled in once the form is known.
+_SETTING_DEFAULTS = {"d": 5, "k": 50, "n1": 10, "n2": 10, "pi0": None,
+                     "tests": "test1", "moment_reps": 100_000}
+_TABLE_FLAGS = ("outdir", "k_values", "d_values", "sizes", "progress")
+_RATE_FLAGS = ("tests", "moment_reps", "reps", "workers")
+
+
+def _reject_flags(args, names, form: str) -> None:
+    """Raise ``OutOfRange`` naming each of ``names`` given on the command
+    line, as they do not apply to ``form``."""
+    given = [
+        "--" + name.replace("_", "-")
+        for name in names
+        if getattr(args, name) not in (None, False)
+    ]
+    if given:
+        raise OutOfRange(f"{', '.join(given)}: not used by {form}")
+
+
 def _cmd_simulate(args) -> int:
     if args.table is not None and args.setting is not None:
         raise OutOfRange("--table and --setting are mutually exclusive")
@@ -237,6 +258,7 @@ def _cmd_simulate(args) -> int:
     if args.table is not None:
         if args.export_replicate is not None:
             raise OutOfRange("--export-replicate needs the --setting form")
+        _reject_flags(args, (*_SETTING_DEFAULTS, "out"), "the --table form")
         result = simulate.reproduce_table(
             args.table,
             reps=args.reps,
@@ -274,6 +296,14 @@ def _cmd_simulate(args) -> int:
         return _emit(args.format, lambda: simulate._csv_lines(*table),
                      payload, table)
 
+    _reject_flags(args, _TABLE_FLAGS, "the --setting form")
+    if args.export_replicate is None:
+        _reject_flags(args, ("out",), "the --setting form without --export-replicate")
+    else:
+        _reject_flags(args, _RATE_FLAGS, "--export-replicate")
+    for name, default in _SETTING_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     spec = simulate.SettingSpec(
         setting=args.setting,
         d=args.d,
@@ -288,12 +318,23 @@ def _cmd_simulate(args) -> int:
             raise OutOfRange("--export-replicate requires --out PATH")
         ds, null_flags = simulate.generate_replicate(spec, args.export_replicate)
         write_dataset_csv(ds, args.out)
-        print(
-            f"wrote replicate {args.export_replicate} to {args.out} "
-            f"({ds.k} groups, {ds.d} categories, "
-            f"{int(null_flags.sum())} null groups)"
+        record = {
+            "replicate": args.export_replicate,
+            "path": args.out,
+            "k": ds.k,
+            "d": ds.d,
+            "null_groups": int(null_flags.sum()),
+        }
+        return _emit(
+            args.format,
+            lambda: (
+                f"wrote replicate {args.export_replicate} to {args.out} "
+                f"({ds.k} groups, {ds.d} categories, "
+                f"{record['null_groups']} null groups)",
+            ),
+            record,
+            (tuple(record), [tuple(record.values())]),
         )
-        return 0
 
     tests = tuple(t.strip() for t in args.tests.split(",") if t.strip())
     reps = args.reps if args.reps is not None else 10_000
@@ -403,13 +444,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"one of {', '.join(simulate.TABLE_IDS)}")
     p_sim.add_argument("--setting", type=int, default=None,
                        help="data-generating setting 1..5")
-    p_sim.add_argument("--d", type=int, default=5)
-    p_sim.add_argument("--k", type=int, default=50)
-    p_sim.add_argument("--n1", type=int, default=10)
-    p_sim.add_argument("--n2", type=int, default=10)
+    p_sim.add_argument("--d", type=int, default=None)
+    p_sim.add_argument("--k", type=int, default=None)
+    p_sim.add_argument("--n1", type=int, default=None)
+    p_sim.add_argument("--n2", type=int, default=None)
     p_sim.add_argument("--pi0", type=int, default=None, choices=(2, 4),
                        help="alternative library vector (settings 3-4)")
-    p_sim.add_argument("--tests", default="test1",
+    p_sim.add_argument("--tests", default=None,
                        help="comma-separated test ids (default: test1)")
     p_sim.add_argument("--reps", type=int, default=None,
                        help="replicates (default: the table's published "
@@ -424,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--d-values", type=int, nargs="+", default=None)
     p_sim.add_argument("--sizes", default=None,
                        help="size pairs like '5,10;10,10'")
-    p_sim.add_argument("--moment-reps", type=int, default=100_000)
+    p_sim.add_argument("--moment-reps", type=int, default=None)
     p_sim.add_argument("--progress", action="store_true",
                        help="report cells on stderr as they finish")
     p_sim.add_argument("--export-replicate", type=int, default=None,

@@ -277,6 +277,11 @@ def global_minp_rule(pvalues, alpha: float = 0.05):
     return bool(reject) if p.ndim == 1 else reject
 
 
+def _inexact(n1, n2):
+    """Where the integer numerator of :func:`_exceedances` may overflow."""
+    return np.multiply(n1, n2, dtype=np.float64) >= 2.0**30
+
+
 def _exceedances(b1, b2, n1, n2, obs_num, obs_stat):
     """``T* > T`` and ``T* == T`` for pooled-null draws ``b1``, ``b2``.
 
@@ -288,7 +293,7 @@ def _exceedances(b1, b2, n1, n2, obs_num, obs_stat):
     """
     star = _batch.tu_numerator(b1, b2, n1, n2)
     exceeds, tied = star > obs_num, star == obs_num
-    inexact = np.multiply(n1, n2, dtype=np.float64) >= 2.0**30
+    inexact = _inexact(n1, n2)
     if inexact.any():
         f1, f2 = np.asarray(n1, np.float64), np.asarray(n2, np.float64)
         t_star = _batch.tu_group(b1 / f1[..., None], b2 / f2[..., None], f1, f2)
@@ -311,12 +316,19 @@ def pergroup_bootstrap_pvalues(
     ``(#{T* >= T} + 1) / (B + 1)`` with ``smoothed=True``.  A group whose
     bootstrap distribution is a point mass at the observed value is
     flagged degenerate.  Group ``r`` draws from a stream keyed by
-    ``(seed, r)``, independent of evaluation order.
+    ``(seed, r)``, independent of evaluation order, so the p-values are
+    bit-identical at any thread count.  ``seed`` is a non-negative
+    integer, or ``None`` for fresh OS entropy.
 
     Ties are decided exactly while ``n1 * n2 < 2**30`` (see
     :func:`_exceedances`).  A group with larger totals is compared in
     floating point, where two distinct count pairs of equal statistic may
     round apart.
+
+    The draws run on :func:`grouphom.variance.null_draws`' worker
+    threads, and so does the exact count of a chunk's exceedances; a
+    chunk that holds a group compared in floating point is counted on
+    the calling thread.
 
     Raises
     ------
@@ -332,14 +344,25 @@ def pergroup_bootstrap_pvalues(
     stats = group_statistics(ds)
     n1, n2 = ds.sizes(1), ds.sizes(2)
     num = _batch.tu_numerator(ds.c1, ds.c2, n1, n2)[:, None]
-    above, ties = np.empty((2, ds.k), dtype=np.int64)
-    for lo, hi, b1, b2 in null_draws(ds, B, seed):
+    inexact = _inexact(n1, n2)
+
+    def count(lo, hi, b1, b2):
         exceeds, tied = _exceedances(
             b1, b2, n1[lo:hi, None], n2[lo:hi, None], num[lo:hi],
             stats[lo:hi, None],
         )
-        above[lo:hi] = exceeds.sum(axis=1)
-        ties[lo:hi] = tied.sum(axis=1)
+        return exceeds.sum(axis=1), tied.sum(axis=1)
+
+    def exact_count(lo, hi, b1, b2):
+        return None if inexact[lo:hi].any() else count(lo, hi, b1, b2)
+
+    above, ties = np.empty((2, ds.k), dtype=np.int64)
+    for lo, hi, b1, b2, counts in null_draws(ds, B, seed, exact_count):
+        if counts is None:
+            # a float comparison calls _batch.tu_group, which the
+            # benchmark's tracer wraps: it runs on this thread
+            counts = count(lo, hi, b1, b2)
+        above[lo:hi], ties[lo:hi] = counts
     raw = (above + ties + 1.0) / (B + 1.0) if smoothed else above / B
     degenerate = ties == B
     bh = adjust_pvalues(raw, "bh")

@@ -27,6 +27,10 @@ non-positive aggregated variance as degenerate rather than clipping.
 
 from __future__ import annotations
 
+import operator
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,9 +75,10 @@ def trace_product(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b.T))
 
 
-#: Bootstrap count vectors held at once per population: groups are
-#: resampled in chunks of ``max(1, CHUNK_DRAWS // B)``, so memory does not
-#: grow with k.
+#: Bootstrap count vectors held at once per population, summed over the
+#: chunks in flight: with ``c`` CPUs, groups are resampled in chunks of
+#: ``max(1, CHUNK_DRAWS // ((c + 1) * B))``, at most ``c + 1`` at a time,
+#: so memory grows neither with k nor with c.
 CHUNK_DRAWS = 1 << 14
 
 
@@ -81,6 +86,14 @@ def _check_bootstrap_size(B: int) -> None:
     """Every bootstrap here needs ``B >= 2``: one draw has no variance."""
     if B < 2:
         raise InvalidB(f"bootstrap needs B >= 2, got {B}")
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _pooled_null_draw(rng, n1, n2, phat, B: int):
@@ -95,28 +108,113 @@ def _pooled_null_draw(rng, n1, n2, phat, B: int):
     return rng.multinomial(n1, phat, size=size), rng.multinomial(n2, phat, size=size)
 
 
-def null_draws(ds: GroupedDataset, B: int, seed):
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _stream_keys(seed: int, k: int) -> np.ndarray:
+    """Philox keys of ``SeedSequence(seed, spawn_key=(g,))``, ``g < k``.
+
+    Equal to ``Philox(SeedSequence(seed, spawn_key=(g,))).state["state"]
+    ["key"]`` for each ``g``, as a ``(k, 2)`` uint64 array, but made for
+    all groups at once: constructing both objects per group holds the
+    GIL, which no other thread's draw can overlap, so at small ``B`` it
+    would serialise the threaded draw.  SeedSequence mixes the spawn-key
+    word into the pool of ``SeedSequence(seed)`` after the seed's own
+    32-bit words, four hash-mixes each (16 for the first four words), and
+    Philox keys itself from ``generate_state(2, np.uint64)``; both steps
+    are repeated here.
+    """
+    seed = operator.index(seed)
+    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)
+    words = max(1, -(-seed.bit_length() // 32))
+    h = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - 4), 1 << 32) & _M32
+    g = np.arange(k, dtype=np.uint64)
+    state = np.empty((k, 4), dtype=np.uint64)
+    for i in range(4):
+        v = g ^ h
+        h = h * _MULT_A & _M32
+        v = v * h & _M32
+        v ^= v >> 16
+        mixed = (_MIX_L * pool[i] - _MIX_R * v) & _M32
+        state[:, i] = mixed ^ (mixed >> 16)
+    h = _INIT_B
+    for i in range(4):
+        v = state[:, i] ^ h
+        h = h * _MULT_B & _M32
+        v = v * h & _M32
+        state[:, i] = v ^ (v >> 16)
+    return state[:, 0::2] | state[:, 1::2] << 32
+
+
+def null_draws(ds: GroupedDataset, B: int, seed: int, work=None):
     """Pooled-null bootstrap counts of every group, a chunk at a time.
 
     Group ``g`` draws from the Philox stream of ``SeedSequence(seed,
-    spawn_key=(g,))`` (see :func:`_pooled_null_draw`).  Yields
-    ``(lo, hi, b1, b2)`` in group order, with ``b1``/``b2`` of shape
-    ``(hi - lo, B, d)`` for groups ``lo..hi-1``; the buffers are reused,
-    so each chunk is valid until the next is drawn.
+    spawn_key=(g,))`` (see :func:`_stream_keys` and
+    :func:`_pooled_null_draw`), so the draws do not depend on which
+    thread makes them.  Yields ``(lo, hi, b1, b2, out)``
+    in group order, with ``b1``/``b2`` of shape ``(hi - lo, B, d)`` for
+    groups ``lo..hi-1`` and ``out = work(lo, hi, b1, b2)``, or ``None``
+    without ``work``.
+
+    Chunks are drawn ahead on a thread pool of one thread per available
+    CPU (at most one per chunk), with at most one chunk more in flight
+    than there are threads; numpy's multinomial draw releases the GIL.
+    The draws and ``work`` run on the workers, so ``work`` must be
+    thread-safe and must call no function that the benchmark's tracer
+    wraps (``perfbench/tracing.py`` keeps one span stack).  The buffers are
+    reused: a chunk is valid until the generator is resumed.  A worker's
+    exception is raised here, and the pool is shut down before the
+    generator finishes.
     """
     n1, n2 = ds.sizes(1), ds.sizes(2)
-    chunk = min(ds.k, max(1, CHUNK_DRAWS // B))
-    b1 = np.empty((chunk, B, ds.d), dtype=np.int64)
-    b2 = np.empty_like(b1)
-    for lo in range(0, ds.k, chunk):
+    keys = _stream_keys(seed, ds.k)
+    cpus = _available_cpus()
+    chunk = min(ds.k, max(1, CHUNK_DRAWS // ((cpus + 1) * B)))
+    chunks = range(0, ds.k, chunk)
+    threads = min(cpus, len(chunks))
+    # A chunk in flight owns a buffer and a generator, whose Philox state
+    # is set to each of its groups' streams in turn.
+    slots = []
+    for _ in range(min(threads + 1, len(chunks))):
+        bitgen = np.random.Philox(0)
+        slots.append((np.empty((2, chunk, B, ds.d), dtype=np.int64),
+                      bitgen, np.random.Generator(bitgen)))
+    zeros = np.zeros(4, dtype=np.uint64)
+
+    def draw(slot, lo):
+        buffer, bitgen, rng = slot
         hi = min(lo + chunk, ds.k)
+        b1, b2 = buffer[0, : hi - lo], buffer[1, : hi - lo]
         phat = (ds.c1[lo:hi] + ds.c2[lo:hi]) / (n1[lo:hi] + n2[lo:hi])[:, None]
         for i, g in enumerate(range(lo, hi)):
-            rng = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence(seed, spawn_key=(g,)))
-            )
+            # the state Philox(SeedSequence(seed, spawn_key=(g,))) starts in
+            bitgen.state = {
+                "bit_generator": "Philox",
+                "state": {"counter": zeros, "key": keys[g]},
+                "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+            }
             b1[i], b2[i] = _pooled_null_draw(rng, n1[g], n2[g], phat[i], B)
-        yield lo, hi, b1[: hi - lo], b2[: hi - lo]
+        return lo, hi, b1, b2, None if work is None else work(lo, hi, b1, b2)
+
+    with ThreadPoolExecutor(threads) as pool:
+        pending = deque()
+        try:
+            for j, lo in enumerate(chunks):
+                if len(pending) == len(slots):
+                    yield pending.popleft().result()
+                # chunk j reuses the slot of chunk j - len(slots), which
+                # the caller has just finished with
+                pending.append(pool.submit(draw, slots[j % len(slots)], lo))
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 def var0_bootstrap(
@@ -131,8 +229,12 @@ def var0_bootstrap(
 
     Each group consumes its own stream derived from ``(seed, group
     index)`` (see :func:`null_draws`), so the result is bit-reproducible
-    for a fixed seed regardless of evaluation order.  Resampling uses
-    numpy's multinomial generator.
+    for a fixed seed regardless of evaluation order and thread count.
+    ``seed`` is a non-negative integer, or ``None`` for fresh OS entropy.
+    Resampling uses numpy's multinomial generator; only the draws run on
+    :func:`null_draws`' worker threads, and the statistics of each chunk
+    are reduced on the calling thread, in group order, before the next
+    chunk is taken.
 
     Raises
     ------
@@ -148,7 +250,7 @@ def var0_bootstrap(
     n1 = ds.sizes(1).astype(np.float64)[:, None]
     n2 = ds.sizes(2).astype(np.float64)[:, None]
     total = np.zeros(B, dtype=np.float64)
-    for lo, hi, b1, b2 in null_draws(ds, B, seed):
+    for lo, hi, b1, b2, _ in null_draws(ds, B, seed):
         m1, m2 = n1[lo:hi], n2[lo:hi]
         t = _batch.tu_group(b1 / m1[..., None], b2 / m2[..., None], m1, m2)
         # accumulate adds the groups one at a time, in order, so the sum

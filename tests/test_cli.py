@@ -253,6 +253,62 @@ class TestSimulateCommand:
         )
         assert ds == expected
 
+    def test_export_replicate_formats(self, tmp_path, capsys):
+        out = tmp_path / "rep.csv"
+        argv = ["simulate", "--setting", "3", "--pi0", "2", "--k", "9",
+                "--seed", "8", "--export-replicate", "2", "--out", str(out)]
+        _, null_flags = generate_replicate(
+            SettingSpec(3, 5, 9, 10, 10, pi0=2, master_seed=8), 2
+        )
+        nulls = int(null_flags.sum())
+        assert _run(argv, capsys).out == (
+            f"wrote replicate 2 to {out} (9 groups, 5 categories, "
+            f"{nulls} null groups)\n"
+        )
+        record = {"replicate": 2, "path": str(out), "k": 9, "d": 5,
+                  "null_groups": nulls}
+        assert json.loads(_run(argv + ["--format", "json"], capsys).out) == (
+            record
+        )
+        rows = list(csv.DictReader(
+            _run(argv + ["--format", "csv"], capsys).out.splitlines()
+        ))
+        assert rows == [{key: str(v) for key, v in record.items()}]
+
+    @pytest.mark.parametrize("extra, named", [
+        (["--outdir", "DIR", "--k-values", "20"], "--outdir, --k-values"),
+        (["--d-values", "5"], "--d-values"),
+        (["--sizes", "5,10"], "--sizes"),
+        (["--progress"], "--progress"),
+        (["--out", "x.csv"], "--out"),
+    ])
+    def test_setting_form_rejects_table_flags(self, extra, named, tmp_path,
+                                              capsys):
+        argv = ["simulate", "--setting", "1", "--k", "5", "--tests", "test2",
+                "--reps", "5"]
+        extra = [str(tmp_path / "DIR") if a == "DIR" else a for a in extra]
+        assert main(argv + extra) == 2
+        assert f"error: {named}: not used by" in capsys.readouterr().err
+        assert not (tmp_path / "DIR").exists()
+
+    def test_export_rejects_rate_flags(self, tmp_path, capsys):
+        out = tmp_path / "rep.csv"
+        assert main(["simulate", "--setting", "1", "--export-replicate", "0",
+                     "--out", str(out), "--tests", "test2", "--reps", "5"]) == 2
+        assert "--tests, --reps: not used by" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--d", "5"), ("--k", "20"), ("--n1", "5"), ("--n2", "10"),
+        ("--pi0", "2"), ("--tests", "test2"), ("--moment-reps", "10"),
+        ("--out", "x.csv"),
+    ])
+    def test_table_form_rejects_setting_flags(self, flag, value, capsys):
+        assert main(["simulate", "--table", "tab2", "--reps", "2",
+                     "--k-values", "20", "--sizes", "5,10", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {flag}: not used by the --table form\n"
+
     def test_export_needs_out(self):
         assert main([
             "simulate", "--setting", "1", "--export-replicate", "0",

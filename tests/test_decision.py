@@ -3,7 +3,10 @@ bootstrap."""
 
 from __future__ import annotations
 
+import hashlib
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 from scipy.stats import norm
 
-from grouphom import _batch
+from grouphom import _batch, variance
 from grouphom.decision import (
     ESTIMATORS,
     adjust_pvalues,
@@ -356,3 +359,125 @@ class TestPergroupBootstrap:
         results = pergroup_bootstrap_pvalues(ds, B=400, seed=13)
         mean_p = np.mean([r.p_raw for r in results])
         assert 0.35 < mean_p < 0.6
+
+
+class TestThreadedDraws:
+    """The library bootstraps draw their chunks on a thread pool sized by
+    ``variance._available_cpus``; every output must be bit-identical at
+    any thread count."""
+
+    @staticmethod
+    def dataset(k):
+        ds, _ = generate_replicate(
+            SettingSpec(3, 5, 400, 5, 10, pi0=4, master_seed=3), 0
+        )
+        return GroupedDataset.from_counts(ds.c1[:k], ds.c2[:k], ds.ids[:k])
+
+    @staticmethod
+    def outputs(ds, B):
+        return (
+            var0_bootstrap(ds, B=B, seed=8).value,
+            pergroup_bootstrap_pvalues(ds, B=B, seed=9),
+            pergroup_bootstrap_pvalues(ds, B=B, seed=9, smoothed=True),
+        )
+
+    @pytest.mark.parametrize("k", [1, 37, 400])
+    @pytest.mark.parametrize("B", [2, 7, 200, 1000])
+    def test_bit_identical_at_any_thread_count(self, k, B, monkeypatch):
+        ds = self.dataset(k)
+        monkeypatch.setattr(variance, "_available_cpus", lambda: 1)
+        serial = self.outputs(ds, B)
+        for threads in (2, 3):
+            monkeypatch.setattr(variance, "_available_cpus", lambda: threads)
+            assert self.outputs(ds, B) == serial
+
+    def test_buffers_not_reused_early_under_contention(self, monkeypatch):
+        # more threads than cores and a switch every microsecond: a chunk
+        # whose buffer were refilled before the caller finished with it
+        # would change the result
+        ds = self.dataset(120)
+        monkeypatch.setattr(variance, "_available_cpus", lambda: 1)
+        serial = self.outputs(ds, 150)
+        monkeypatch.setattr(variance, "_available_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert self.outputs(ds, 150) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("cpus, k, B, threads", [
+        (3, 1, 1000, 1),  # one chunk
+        (3, 400, 1000, 3),  # 100 chunks of 4 groups
+        (2, 400, 200, 2),
+        (4, 2, 20_000, 2),  # one group per chunk
+    ])
+    def test_one_thread_per_cpu_and_chunk(self, cpus, k, B, threads,
+                                          monkeypatch):
+        sizes = []
+
+        class Recording(variance.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(variance, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(variance, "ThreadPoolExecutor", Recording)
+        var0_bootstrap(self.dataset(k), B=B, seed=1)
+        assert sizes == [threads]
+
+    def test_many_chunk_golden(self):
+        # recorded when these 400 groups were resampled serially, in 25
+        # chunks of 16; on two CPUs they are now 80 chunks of 5
+        ds = self.dataset(400)
+
+        def digest(results):
+            return hashlib.sha256(repr([
+                (r.p_raw, r.p_bh, r.p_bonferroni, r.degenerate)
+                for r in results
+            ]).encode()).hexdigest()
+
+        plain = pergroup_bootstrap_pvalues(ds, B=1000, seed=17)
+        assert [r.p_raw for r in plain[:4]] == [0.15, 0.021, 0.929, 0.082]
+        assert digest(plain) == (
+            "4a944b2b80f84e029c9eee9d6bce0d483b603711404f952997951668a3855c3b"
+        )
+        smoothed = pergroup_bootstrap_pvalues(ds, B=1000, seed=17,
+                                              smoothed=True)
+        assert digest(smoothed) == (
+            "647d6ebea5790463a93fd4d72fe3cf4c86a736526da1e91fd30903c91438aede"
+        )
+
+    @pytest.mark.parametrize("run", [
+        lambda ds: var0_bootstrap(ds, B=50, seed=1),
+        lambda ds: pergroup_bootstrap_pvalues(ds, B=50, seed=1),
+    ], ids=["test7", "pergroup"])
+    def test_worker_exception_reaches_caller(self, run, monkeypatch):
+        draw = variance._pooled_null_draw
+
+        def failing(rng, n1, n2, phat, B):
+            if threading.current_thread() is threading.main_thread():
+                raise AssertionError("drawn on the calling thread")
+            if n1 == 5 and phat[3] > 0.3:  # a group in a middle chunk
+                raise FloatingPointError("worker failed")
+            return draw(rng, n1, n2, phat, B)
+
+        ds = self.dataset(400)
+        flagged = np.flatnonzero((ds.c1 + ds.c2)[:, 3] / 15 > 0.3)
+        assert 0 < flagged[0] < 300
+        monkeypatch.setattr(variance, "_available_cpus", lambda: 3)
+        monkeypatch.setattr(variance, "_pooled_null_draw", failing)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="worker failed"):
+            run(ds)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("k, B", [(1, 2), (400, 200)])
+    def test_no_thread_outlives_a_call(self, k, B, monkeypatch):
+        monkeypatch.setattr(variance, "_available_cpus", lambda: 3)
+        ds = self.dataset(k)
+        before = threading.active_count()
+        var0_bootstrap(ds, B=B, seed=2)
+        assert threading.active_count() == before
+        pergroup_bootstrap_pvalues(ds, B=B, seed=2)
+        assert threading.active_count() == before

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grouphom import _batch
+from grouphom import _batch, variance
 from grouphom.data import CountVector, GroupedDataset, GroupPair, ProbVector
 from grouphom.decision import run_global_test
 from grouphom.errors import DimensionMismatch, InvalidB, SampleTooSmall
@@ -372,6 +372,32 @@ class TestBootstrap:
         test6 = run_global_test(ds, "test6").variance.value
         se = np.std(values, ddof=1) / np.sqrt(len(values))
         assert abs(np.mean(values) - test6) < 4 * se
+
+    @pytest.mark.parametrize("seed", [
+        0, 1, 11, 2**32 - 1, 2**32, 2**64 + 5, 2**128 - 1, 2**128,
+        2**200 + 3, np.int64(7), int(np.random.SeedSequence(2024).entropy),
+    ])
+    def test_stream_keys_match_seed_sequence(self, seed):
+        # the groups' Philox keys are derived for all groups at once; each
+        # must be the key numpy derives from the group's own SeedSequence,
+        # and the state the draw sets must be the state Philox starts in
+        keys = variance._stream_keys(seed, 70_000)
+        zeros = np.zeros(4, dtype=np.uint64)
+        for g in (0, 1, 2, 255, 65_535, 65_536, 69_999):
+            state = np.random.Philox(
+                np.random.SeedSequence(seed, spawn_key=(g,))
+            ).state
+            assert keys[g].tolist() == state["state"]["key"].tolist()
+            assert state["state"]["counter"].tolist() == zeros.tolist()
+            assert state["buffer"].tolist() == zeros.tolist()
+            assert (state["buffer_pos"], state["has_uint32"],
+                    state["uinteger"]) == (4, 0, 0)
+
+    def test_seed_must_be_an_integer(self):
+        with pytest.raises(TypeError):
+            var0_bootstrap(self.dataset(), B=10, seed=[1, 2])
+        with pytest.raises(ValueError):
+            var0_bootstrap(self.dataset(), B=10, seed=-1)
 
     def test_value_is_frozen_dataclass(self):
         est = VarianceEstimate(1.0, "test1")

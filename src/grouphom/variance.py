@@ -76,9 +76,9 @@ def trace_product(a: np.ndarray, b: np.ndarray) -> float:
 
 
 #: Bootstrap count vectors held at once per population, summed over the
-#: chunks in flight: with ``c`` CPUs, groups are resampled in chunks of
-#: ``max(1, CHUNK_DRAWS // ((c + 1) * B))``, at most ``c + 1`` at a time,
-#: so memory grows neither with k nor with c.
+#: chunks in flight (or ``B``, if more): fewer and smaller chunks are in
+#: flight as ``B`` grows, so memory grows neither with k nor with the
+#: number of CPUs.
 CHUNK_DRAWS = 1 << 14
 
 
@@ -163,33 +163,39 @@ def null_draws(ds: GroupedDataset, B: int, seed: int, work=None):
 
     Chunks are drawn ahead on a thread pool of one thread per available
     CPU (at most one per chunk), with at most one chunk more in flight
-    than there are threads; numpy's multinomial draw releases the GIL.
-    The draws and ``work`` run on the workers, so ``work`` must be
-    thread-safe and must call no function that the benchmark's tracer
-    wraps (``perfbench/tracing.py`` keeps one span stack).  The buffers are
-    reused: a chunk is valid until the generator is resumed.  A worker's
-    exception is raised here, and the pool is shut down before the
-    generator finishes.
+    than there are threads and no more resamples in flight than
+    :data:`CHUNK_DRAWS` allows, so a large ``B`` gets fewer threads;
+    numpy's multinomial draw releases the GIL.  Where that leaves one
+    thread, the calling thread draws.  ``work`` runs on the thread that
+    drew the chunk, so it must be thread-safe and must call no function
+    that the benchmark's tracer wraps (``perfbench/tracing.py`` keeps one
+    span stack).  The buffers are reused: a chunk is valid until the
+    generator is resumed.  A worker's exception is raised here, and the
+    pool is shut down before the generator finishes.
     """
     n1, n2 = ds.sizes(1), ds.sizes(2)
     keys = _stream_keys(seed, ds.k)
     cpus = _available_cpus()
-    chunk = min(ds.k, max(1, CHUNK_DRAWS // ((cpus + 1) * B)))
+    # Chunks in flight: one more than the threads, but with at most
+    # max(CHUNK_DRAWS, B) resamples per population held at once.
+    in_flight = min(cpus + 1, max(1, CHUNK_DRAWS // B))
+    chunk = min(ds.k, max(1, CHUNK_DRAWS // (in_flight * B)))
     chunks = range(0, ds.k, chunk)
-    threads = min(cpus, len(chunks))
-    # A chunk in flight owns a buffer and a generator, whose Philox state
-    # is set to each of its groups' streams in turn.
+    threads = min(cpus, in_flight, len(chunks))
+    # A chunk in flight owns two buffers and a generator, whose Philox
+    # state is set to each of its groups' streams in turn.
     slots = []
-    for _ in range(min(threads + 1, len(chunks))):
+    for _ in range(min(in_flight, len(chunks)) if threads > 1 else 1):
         bitgen = np.random.Philox(0)
-        slots.append((np.empty((2, chunk, B, ds.d), dtype=np.int64),
+        slots.append((np.empty((chunk, B, ds.d), dtype=np.int64),
+                      np.empty((chunk, B, ds.d), dtype=np.int64),
                       bitgen, np.random.Generator(bitgen)))
     zeros = np.zeros(4, dtype=np.uint64)
 
     def draw(slot, lo):
-        buffer, bitgen, rng = slot
+        b1, b2, bitgen, rng = slot
         hi = min(lo + chunk, ds.k)
-        b1, b2 = buffer[0, : hi - lo], buffer[1, : hi - lo]
+        b1, b2 = b1[: hi - lo], b2[: hi - lo]
         phat = (ds.c1[lo:hi] + ds.c2[lo:hi]) / (n1[lo:hi] + n2[lo:hi])[:, None]
         for i, g in enumerate(range(lo, hi)):
             # the state Philox(SeedSequence(seed, spawn_key=(g,))) starts in
@@ -201,6 +207,12 @@ def null_draws(ds: GroupedDataset, B: int, seed: int, work=None):
             b1[i], b2[i] = _pooled_null_draw(rng, n1[g], n2[g], phat[i], B)
         return lo, hi, b1, b2, None if work is None else work(lo, hi, b1, b2)
 
+    if threads == 1:
+        # nothing to overlap: a worker would only add a hand-off, and a
+        # malloc arena that keeps what the draws allocated
+        for lo in chunks:
+            yield draw(slots[0], lo)
+        return
     with ThreadPoolExecutor(threads) as pool:
         pending = deque()
         try:

@@ -410,7 +410,8 @@ class TestThreadedDraws:
         (3, 1, 1000, 1),  # one chunk
         (3, 400, 1000, 3),  # 100 chunks of 4 groups
         (2, 400, 200, 2),
-        (4, 2, 20_000, 2),  # one group per chunk
+        (4, 2, 7000, 2),  # one group per chunk, two in flight
+        (4, 400, 20_000, 1),  # B alone fills the resampling budget
     ])
     def test_one_thread_per_cpu_and_chunk(self, cpus, k, B, threads,
                                           monkeypatch):
@@ -424,7 +425,8 @@ class TestThreadedDraws:
         monkeypatch.setattr(variance, "_available_cpus", lambda: cpus)
         monkeypatch.setattr(variance, "ThreadPoolExecutor", Recording)
         var0_bootstrap(self.dataset(k), B=B, seed=1)
-        assert sizes == [threads]
+        # with one thread, the calling thread draws and no pool starts
+        assert sizes == ([threads] if threads > 1 else [])
 
     def test_many_chunk_golden(self):
         # recorded when these 400 groups were resampled serially, in 25

@@ -94,15 +94,12 @@ def trace_sq_unbiased(counts, n=None):
 
 def chi2_group(c1, c2, n1, n2):
     """Two-sample chi-square statistic; zero pooled cells contribute 0."""
-    c1 = np.asarray(c1, dtype=np.float64)
-    c2 = np.asarray(c2, dtype=np.float64)
-    n1 = np.asarray(n1, dtype=np.float64)
-    n2 = np.asarray(n2, dtype=np.float64)
+    c1, c2, n1, n2 = (np.asarray(a, np.float64) for a in (c1, c2, n1, n2))
     n = n1 + n2
     pooled = c1 + c2
-    p1 = c1 / n1[..., None] if n1.ndim else c1 / n1
-    p2 = c2 / n2[..., None] if n2.ndim else c2 / n2
-    phat = pooled / (n[..., None] if n.ndim else n)
+    p1 = c1 / n1[..., None]
+    p2 = c2 / n2[..., None]
+    phat = pooled / n[..., None]
     diff2 = (p1 - p2) ** 2
     terms = np.divide(
         diff2, phat, out=np.zeros_like(diff2), where=phat > 0
@@ -112,10 +109,7 @@ def chi2_group(c1, c2, n1, n2):
 
 def lrt_group(c1, c2, n1, n2):
     """-2 log likelihood-ratio for one group, with 0*log(0) = 0."""
-    c1 = np.asarray(c1, dtype=np.float64)
-    c2 = np.asarray(c2, dtype=np.float64)
-    n1 = np.asarray(n1, dtype=np.float64)
-    n2 = np.asarray(n2, dtype=np.float64)
+    c1, c2, n1, n2 = (np.asarray(a, np.float64) for a in (c1, c2, n1, n2))
     n = n1 + n2
     pooled = c1 + c2
     ent = (
@@ -137,12 +131,9 @@ def var_group(which, c1, c2, n1, n2):
     how the three trace terms of the null variance are estimated
     (U-statistic forms for 1-3, plug-in analogues for 4-6).
     """
-    c1 = np.asarray(c1, dtype=np.float64)
-    c2 = np.asarray(c2, dtype=np.float64)
-    n1 = np.asarray(n1, dtype=np.float64)
-    n2 = np.asarray(n2, dtype=np.float64)
-    p1 = c1 / (n1[..., None] if n1.ndim else n1)
-    p2 = c2 / (n2[..., None] if n2.ndim else n2)
+    c1, c2, n1, n2 = (np.asarray(a, np.float64) for a in (c1, c2, n1, n2))
+    p1 = c1 / n1[..., None]
+    p2 = c2 / n2[..., None]
     if which == "test1":
         cross = (n1 / (n1 - 1.0)) * (n2 / (n2 - 1.0)) * trace_cross(p1, p2)
         return (
@@ -164,6 +155,6 @@ def var_group(which, c1, c2, n1, n2):
     if which == "test5":
         return _bracket(n1, n2) * trace_cross(p1, p2)
     if which == "test6":
-        pp = (c1 + c2) / ((n1 + n2)[..., None] if (n1 + n2).ndim else n1 + n2)
+        pp = (c1 + c2) / (n1 + n2)[..., None]
         return _bracket(n1, n2) * trace_cross(pp, pp)
     raise ValueError(f"unknown variance estimator {which!r}")

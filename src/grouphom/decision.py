@@ -93,8 +93,8 @@ class _Stack:
         self.null_variance, self.null_pvalues = null_variance, null_pvalues
         self.moments = moments
         self.z_crit = ndtri(1.0 - alpha)
-        p1 = c1 / (n1[..., None] if np.ndim(n1) else n1)
-        p2 = c2 / (n2[..., None] if np.ndim(n2) else n2)
+        p1 = c1 / np.asarray(n1)[..., None]
+        p2 = c2 / np.asarray(n2)[..., None]
         self.tu_r = _batch.tu_group(p1, p2, n1, n2)
         self.tu = self.tu_r.sum(axis=-1) / math.sqrt(self.tu_r.shape[-1])
         self._variances = {}
@@ -238,17 +238,27 @@ def run_all_tests(
     }
 
 
+def _check_pvalues(pvalues) -> np.ndarray:
+    """``pvalues`` as a float array: a non-empty sequence (or a stack of
+    them) of values in [0, 1], none NaN, else OutOfRange."""
+    p = np.asarray(pvalues, dtype=np.float64)
+    if p.ndim == 0 or p.shape[-1] == 0:
+        raise OutOfRange("pvalues must be a non-empty sequence")
+    # NaN fails both comparisons
+    if not np.all((p >= 0) & (p <= 1)):
+        raise OutOfRange("pvalues must lie in [0, 1], with no NaN")
+    return p
+
+
 def adjust_pvalues(pvalues, method: str) -> np.ndarray:
     """Multiplicity adjustment: ``'bonferroni'`` or ``'bh'`` (step-up).
 
     Returns adjusted p-values in the input order, clipped to [0, 1] and
     never below the raw values.
     """
-    p = np.asarray(pvalues, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
+    p = _check_pvalues(pvalues)
+    if p.ndim != 1:
         raise OutOfRange("pvalues must be a non-empty 1-d sequence")
-    if np.any(p < 0) or np.any(p > 1):
-        raise OutOfRange("pvalues must lie in [0, 1]")
     k = p.size
     if method == "bonferroni":
         return np.minimum(1.0, k * p)
@@ -270,9 +280,7 @@ def global_minp_rule(pvalues, alpha: float = 0.05):
     the leading shape.
     """
     _check_alpha(alpha)
-    p = np.asarray(pvalues, dtype=np.float64)
-    if p.ndim == 0 or p.shape[-1] == 0:
-        raise OutOfRange("pvalues must be a non-empty sequence")
+    p = _check_pvalues(pvalues)
     reject = p.min(axis=-1) <= alpha / p.shape[-1]
     return bool(reject) if p.ndim == 1 else reject
 
@@ -339,8 +347,6 @@ def pergroup_bootstrap_pvalues(
     """
     _check_bootstrap_size(B)
     ds.require_totals(2, "the per-group bootstrap")
-    if seed is None:
-        seed = np.random.SeedSequence().entropy
     stats = group_statistics(ds)
     n1, n2 = ds.sizes(1), ds.sizes(2)
     num = _batch.tu_numerator(ds.c1, ds.c2, n1, n2)[:, None]

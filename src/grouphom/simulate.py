@@ -43,7 +43,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import _batch, classical
+from . import __version__, _batch, classical
 from .data import CountVector, GroupedDataset, ProbVector
 from .decision import (
     ESTIMATORS,
@@ -596,48 +596,51 @@ _SIZES_POWER = ((5, 5), (5, 10), (10, 10), (20, 30), (30, 30))
 
 @dataclass(frozen=True)
 class _TableDef:
-    layout: str  # "tests", "by_d", "power", "power_by_d", "minp"
-    setting: int
+    """A table's grid.  Each row is a ``(k, n1, n2)`` point, led by ``d``
+    when ``d_in_row``; a row runs one cell of all ``tests`` for each ``d``
+    (its own when ``d_in_row``, else each of ``d_values``) and each
+    ``(label, setting, pi0)`` of ``variants``.  A value column's name
+    joins with ``_`` the parts that vary: ``d<d>`` when the table has
+    more than one ``d`` and ``d`` is not in the row, the variant's label,
+    and the test id when the table has more than one test."""
+
     tests: tuple[str, ...]
     d_values: tuple[int, ...]
-    k_values: tuple[int, ...]
-    sizes: tuple[tuple[int, int], ...]
-    reps: int
-    pi0: int | None = None
+    variants: tuple[tuple[str, int, int | None], ...]
+    k_values: tuple[int, ...] = _K_LEVEL
+    sizes: tuple[tuple[int, int], ...] = _SIZES_LEVEL
+    reps: int = 10_000
+    d_in_row: bool = False
 
+
+_T123 = ("test1", "test2", "test3")
+_T4567 = ("test4", "test5", "test6", "test7")
+_POWER_TESTS = _T123 + ("chi2",)
+_SETTING1 = (("", 1, None),)
+_SETTING2 = (("", 2, None),)
 
 _TABLES: dict[str, _TableDef] = {
-    "tab2": _TableDef("tests", 1, ("test1", "test2", "test3"), (5,),
-                      _K_LEVEL, _SIZES_LEVEL, 10_000),
-    "tab3": _TableDef("tests", 1, ("test1", "test2", "test3"), (10,),
-                      _K_LEVEL, _SIZES_LEVEL, 10_000),
-    "tab4": _TableDef("tests", 1, ("test1", "test2", "test3"), (20,),
-                      _K_LEVEL, _SIZES_LEVEL, 10_000),
-    "tab5": _TableDef("tests", 2, ("test1", "test2", "test3"), (5,),
-                      _K_LEVEL, _SIZES_LEVEL, 10_000),
-    "tab6": _TableDef("tests", 2, ("test1", "test2", "test3"), (10,),
-                      _K_LEVEL, _SIZES_LEVEL, 10_000),
-    "rev1": _TableDef("tests", 1, ("test4", "test5", "test6", "test7"), (5,),
-                      _K_LEVEL, _SIZES_LEVEL, 10_000),
-    "rev2": _TableDef("tests", 1, ("test4", "test5", "test6", "test7"), (10,),
-                      _K_LEVEL, _SIZES_LEVEL, 10_000),
-    "rev3": _TableDef("tests", 1, ("test4", "test5", "test6", "test7"), (20,),
-                      _K_LEVEL, _SIZES_LEVEL, 10_000),
-    "tab8": _TableDef("by_d", 1, ("wk",), (5, 10, 20),
-                      _K_LEVEL, _SIZES_LEVEL, 10_000),
-    "tab88": _TableDef("by_d", 1, ("wkprime",), (5, 10, 20),
-                       _K_LEVEL, _SIZES_LEVEL, 10_000),
-    "trv1": _TableDef("by_d", 1, ("vk",), (5, 10, 20),
-                      _K_LEVEL, _SIZES_LEVEL, 10_000),
-    "trv2": _TableDef("by_d", 1, ("vkprime",), (5, 10, 20),
-                      _K_LEVEL, _SIZES_LEVEL, 10_000),
-    "power1": _TableDef("power", 3, ("test1", "test2", "test3", "chi2"),
-                        (5, 10), _K_POWER, _SIZES_POWER, 10_000),
-    "power2": _TableDef("power", 4, ("test1", "test2", "test3", "chi2"),
-                        (5, 10), _K_POWER, _SIZES_POWER, 10_000),
-    "power3": _TableDef("power_by_d", 5, ("test1", "test2", "test3", "chi2"),
-                        (5, 10), _K_POWER, _SIZES_POWER, 10_000),
-    "powerCM": _TableDef("minp", 0, ("minp",), (5, 10),
+    "tab2": _TableDef(_T123, (5,), _SETTING1),
+    "tab3": _TableDef(_T123, (10,), _SETTING1),
+    "tab4": _TableDef(_T123, (20,), _SETTING1),
+    "tab5": _TableDef(_T123, (5,), _SETTING2),
+    "tab6": _TableDef(_T123, (10,), _SETTING2),
+    "rev1": _TableDef(_T4567, (5,), _SETTING1),
+    "rev2": _TableDef(_T4567, (10,), _SETTING1),
+    "rev3": _TableDef(_T4567, (20,), _SETTING1),
+    "tab8": _TableDef(("wk",), (5, 10, 20), _SETTING1),
+    "tab88": _TableDef(("wkprime",), (5, 10, 20), _SETTING1),
+    "trv1": _TableDef(("vk",), (5, 10, 20), _SETTING1),
+    "trv2": _TableDef(("vkprime",), (5, 10, 20), _SETTING1),
+    "power1": _TableDef(_POWER_TESTS, (5, 10), (("pi2", 3, 2), ("pi4", 3, 4)),
+                        _K_POWER, _SIZES_POWER, d_in_row=True),
+    "power2": _TableDef(_POWER_TESTS, (5, 10), (("pi2", 4, 2), ("pi4", 4, 4)),
+                        _K_POWER, _SIZES_POWER, d_in_row=True),
+    "power3": _TableDef(_POWER_TESTS, (5, 10), (("", 5, None),),
+                        _K_POWER, _SIZES_POWER),
+    "powerCM": _TableDef(("minp",), (5, 10),
+                         (("s31", 3, 2), ("s32", 3, 4), ("s41", 4, 2),
+                          ("s42", 4, 4), ("s5", 5, None)),
                          _K_POWER, _SIZES_POWER, 1_000),
 }
 
@@ -712,25 +715,24 @@ def reproduce_table(
     reps = table.reps if reps is None else reps
     if reps < 1:
         raise InvalidReps(f"need reps >= 1, got {reps}")
-    k_values = tuple(k_values) if k_values else table.k_values
-    size_pairs = (
-        tuple(tuple(s) for s in size_pairs) if size_pairs else table.sizes
-    )
-    d_values = tuple(d_values) if d_values else table.d_values
-    bad_k = set(k_values) - set(table.k_values)
-    bad_s = set(size_pairs) - set(table.sizes)
-    bad_d = set(d_values) - set(table.d_values)
-    if bad_k or bad_s or bad_d:
-        raise OutOfRange(
-            f"restriction outside the table grid: k={sorted(bad_k)}, "
-            f"sizes={sorted(bad_s)}, d={sorted(bad_d)}"
-        )
-    for name, values in (("k", k_values), ("sizes", size_pairs),
-                         ("d", d_values)):
+    grid = []
+    for axis, values, full in (
+        ("k", k_values, table.k_values),
+        ("sizes", size_pairs and [tuple(s) for s in size_pairs], table.sizes),
+        ("d", d_values, table.d_values),
+    ):
+        values = tuple(values) if values else full
+        bad = set(values) - set(full)
+        if bad:
+            raise OutOfRange(
+                f"restriction outside the table grid: {axis}={sorted(bad)}"
+            )
         if len(set(values)) != len(values):
             raise OutOfRange(
-                f"restriction repeats a value: {name}={list(values)}"
+                f"restriction repeats a value: {axis}={list(values)}"
             )
+        grid.append(values)
+    k_values, size_pairs, d_values = grid
 
     workers = _resolve_workers(workers)
     columns, rows, cells = _table_cells(table, k_values, size_pairs, d_values)
@@ -776,12 +778,6 @@ def reproduce_table(
                 columns, ([row.get(c) for c in columns] for row in rows)
             ):
                 fh.write(line + "\n")
-        from importlib.metadata import PackageNotFoundError, version
-
-        try:
-            pkg_version = version("grouphom")
-        except PackageNotFoundError:
-            pkg_version = None
         sidecar_path = os.path.join(outdir, f"{table_id}.json")
         with open(sidecar_path, "w") as fh:
             json.dump(
@@ -794,7 +790,7 @@ def reproduce_table(
                     "size_pairs": [list(s) for s in size_pairs],
                     "d_values": list(d_values),
                     "moment_methods": moment_notes or None,
-                    "grouphom_version": pkg_version,
+                    "grouphom_version": __version__,
                     "git_describe": _git_describe(),
                     "generated_utc": datetime.now(timezone.utc).isoformat(),
                 },
@@ -809,73 +805,28 @@ def _table_cells(table: _TableDef, k_values, size_pairs, d_values):
     """The columns, rows and cells of ``table`` on a grid: each cell is
     ``(row, spec, tests, {column: test})``, and fills its columns of
     ``row``."""
+    d_part = len(table.d_values) > 1 and not table.d_in_row
+    test_part = len(table.tests) > 1
+
+    def name(d, label, test):
+        parts = (f"d{d}" if d_part else "", label, test if test_part else "")
+        return "_".join(p for p in parts if p)
+
     cells: list[tuple] = []
     rows: list[dict] = []
-    if table.layout == "tests":
-        columns = ["k", "n1", "n2"]
-        columns += [t for t in table.tests]
-        columns += [f"se_{t}" for t in table.tests]
-        d = d_values[0]
+    for row_ds in [(d,) for d in d_values] if table.d_in_row else [d_values]:
         for k in k_values:
             for n1, n2 in size_pairs:
-                row = {"k": k, "n1": n1, "n2": n2}
-                cells.append((row, SettingSpec(table.setting, d, k, n1, n2),
-                              table.tests, {t: t for t in table.tests}))
+                row = {"d": row_ds[0]} if table.d_in_row else {}
+                row.update(k=k, n1=n1, n2=n2)
                 rows.append(row)
-    elif table.layout == "by_d":
-        test = table.tests[0]
-        columns = ["k", "n1", "n2"]
-        columns += [f"d{d}" for d in d_values]
-        columns += [f"se_d{d}" for d in d_values]
-        for k in k_values:
-            for n1, n2 in size_pairs:
-                row = {"k": k, "n1": n1, "n2": n2}
-                for d in d_values:
-                    cells.append((row, SettingSpec(table.setting, d, k, n1, n2),
-                                  (test,), {f"d{d}": test}))
-                rows.append(row)
-    elif table.layout == "power":
-        value_cols = [
-            f"pi{p}_{t}" for p in (2, 4) for t in table.tests
-        ]
-        columns = ["d", "k", "n1", "n2"] + value_cols
-        columns += [f"se_{c}" for c in value_cols]
-        for d in d_values:
-            for k in k_values:
-                for n1, n2 in size_pairs:
-                    row = {"d": d, "k": k, "n1": n1, "n2": n2}
-                    for p in (2, 4):
-                        spec = SettingSpec(table.setting, d, k, n1, n2, pi0=p)
-                        cells.append((row, spec, table.tests,
-                                      {f"pi{p}_{t}": t for t in table.tests}))
-                    rows.append(row)
-    elif table.layout == "power_by_d":
-        value_cols = [f"d{d}_{t}" for d in d_values for t in table.tests]
-        columns = ["k", "n1", "n2"] + value_cols
-        columns += [f"se_{c}" for c in value_cols]
-        for k in k_values:
-            for n1, n2 in size_pairs:
-                row = {"k": k, "n1": n1, "n2": n2}
-                for d in d_values:
-                    cells.append((row, SettingSpec(table.setting, d, k, n1, n2),
-                                  table.tests, {f"d{d}_{t}": t for t in table.tests}))
-                rows.append(row)
-    else:  # minp
-        variants = (
-            ("s31", 3, 2), ("s32", 3, 4), ("s41", 4, 2), ("s42", 4, 4),
-            ("s5", 5, None),
-        )
-        value_cols = [f"d{d}_{v}" for d in d_values for v, _, _ in variants]
-        columns = ["k", "n1", "n2"] + value_cols
-        columns += [f"se_{c}" for c in value_cols]
-        for k in k_values:
-            for n1, n2 in size_pairs:
-                row = {"k": k, "n1": n1, "n2": n2}
-                for d in d_values:
-                    for name, setting, pi0 in variants:
-                        cells.append((row, SettingSpec(setting, d, k, n1, n2, pi0=pi0),
-                                      ("minp",), {f"d{d}_{name}": "minp"}))
-                rows.append(row)
+                for d in row_ds:
+                    for label, setting, pi0 in table.variants:
+                        spec = SettingSpec(setting, d, k, n1, n2, pi0=pi0)
+                        names = {name(d, label, t): t for t in table.tests}
+                        cells.append((row, spec, table.tests, names))
+    value_cols = list(dict.fromkeys(c for *_, names in cells for c in names))
+    columns = [*rows[0], *value_cols, *(f"se_{c}" for c in value_cols)]
     return columns, rows, cells
 
 

@@ -150,13 +150,14 @@ def _stream_keys(seed: int, k: int) -> np.ndarray:
     return state[:, 0::2] | state[:, 1::2] << 32
 
 
-def null_draws(ds: GroupedDataset, B: int, seed: int, work=None):
+def null_draws(ds: GroupedDataset, B: int, seed: int | None, work=None):
     """Pooled-null bootstrap counts of every group, a chunk at a time.
 
     Group ``g`` draws from the Philox stream of ``SeedSequence(seed,
     spawn_key=(g,))`` (see :func:`_stream_keys` and
     :func:`_pooled_null_draw`), so the draws do not depend on which
-    thread makes them.  Yields ``(lo, hi, b1, b2, out)``
+    thread makes them.  ``seed`` is a non-negative integer, or ``None``
+    for fresh OS entropy.  Yields ``(lo, hi, b1, b2, out)``
     in group order, with ``b1``/``b2`` of shape ``(hi - lo, B, d)`` for
     groups ``lo..hi-1`` and ``out = work(lo, hi, b1, b2)``, or ``None``
     without ``work``.
@@ -173,6 +174,8 @@ def null_draws(ds: GroupedDataset, B: int, seed: int, work=None):
     generator is resumed.  A worker's exception is raised here, and the
     pool is shut down before the generator finishes.
     """
+    if seed is None:
+        seed = np.random.SeedSequence().entropy
     n1, n2 = ds.sizes(1), ds.sizes(2)
     keys = _stream_keys(seed, ds.k)
     cpus = _available_cpus()
@@ -257,8 +260,6 @@ def var0_bootstrap(
     """
     _check_bootstrap_size(B)
     ds.require_totals(2, "estimator test7")
-    if seed is None:
-        seed = np.random.SeedSequence().entropy
     n1 = ds.sizes(1).astype(np.float64)[:, None]
     n2 = ds.sizes(2).astype(np.float64)[:, None]
     total = np.zeros(B, dtype=np.float64)

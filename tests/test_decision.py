@@ -202,6 +202,13 @@ class TestAdjustPvalues:
         with pytest.raises(OutOfRange):
             adjust_pvalues([0.5, 1.5], "bh")
 
+    @pytest.mark.parametrize("method", ["bh", "bonferroni"])
+    @pytest.mark.parametrize("p", [[0.01, np.nan, 0.2], [np.nan], [-0.1, 0.5]])
+    def test_rejects_nan_and_out_of_range(self, p, method):
+        # a NaN would otherwise turn every BH-adjusted value into NaN
+        with pytest.raises(OutOfRange, match=r"\[0, 1\]"):
+            adjust_pvalues(p, method)
+
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30))
     @settings(max_examples=150, deadline=None)
     def test_bh_properties(self, pvals):
@@ -229,6 +236,13 @@ class TestGlobalMinp:
             with pytest.raises(OutOfRange, match="alpha"):
                 global_minp_rule([0.01, 0.8], alpha=alpha)
 
+    @pytest.mark.parametrize("p", [[1e-4, np.nan], [-1, 0.5], [0.01, 1.5],
+                                   [[0.01, 0.8], [np.nan, 0.9]]])
+    def test_rejects_nan_and_out_of_range(self, p):
+        # [1e-4, nan] used to be retained and [-1, 0.5] rejected
+        with pytest.raises(OutOfRange, match=r"\[0, 1\]"):
+            global_minp_rule(p)
+
     def test_stacked_pvalues(self):
         # one decision per leading index, as the Monte Carlo engine asks
         p = [[0.01, 0.8], [0.03, 0.8], [0.025, 0.9]]
@@ -245,6 +259,12 @@ class TestPergroupBootstrap:
         # streams are keyed by position, so compare a shifted dataset
         c = pergroup_bootstrap_pvalues(ds, B=300, seed=22)
         assert any(x.p_raw != y.p_raw for x, y in zip(a, c))
+
+    def test_unseeded_draws_fresh_entropy(self):
+        ds = null_dataset(seed=4, k=8)
+        a = pergroup_bootstrap_pvalues(ds, B=300)
+        b = pergroup_bootstrap_pvalues(ds, B=300)
+        assert [r.p_raw for r in a] != [r.p_raw for r in b]
 
     def test_adjustments_match_direct_call(self):
         ds = null_dataset(seed=5, k=10)

@@ -6,6 +6,7 @@ test_acceptance.py; everything here is cheap enough for every run.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import multiprocessing
@@ -600,6 +601,19 @@ class TestReproduceTable:
             with pytest.raises(OutOfRange, match="repeats"):
                 reproduce_table("tab8", reps=2, **kwargs)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(size_pairs=[(5, 10), (1, 2)]),
+         r"outside the table grid: sizes=\[\(1, 2\)\]$"),
+        (dict(k_values=[20], d_values=[5, 7]),
+         r"outside the table grid: d=\[7\]$"),
+        (dict(k_values=[50, 33, 20, 50]),
+         r"outside the table grid: k=\[33\]$"),
+        (dict(k_values=[50, 20, 50]), r"repeats a value: k=\[50, 20, 50\]$"),
+    ])
+    def test_restriction_error_names_the_axis(self, kwargs, message):
+        with pytest.raises(OutOfRange, match=message):
+            reproduce_table("tab8", reps=2, **kwargs)
+
     def test_restricted_grid_reproduces_table_cells(self):
         # each cell is seeded from its place in the full grid, whatever
         # part of the grid is run and in whatever order
@@ -632,6 +646,73 @@ class TestReproduceTable:
         seeds_b = {_cell_seed(10, i) for i in range(10)}
         assert len(seeds_a) == 10
         assert not (seeds_a & seeds_b)
+
+
+_KNN = ("k", "n1", "n2")
+_T13 = ("test1", "test2", "test3")
+_T47 = ("test4", "test5", "test6", "test7")
+_BY_D = ("d5", "d10", "d20")
+_PI = tuple(f"pi{p}_{t}" for p in (2, 4) for t in _T13 + ("chi2",))
+_POWER3 = tuple(f"d{d}_{t}" for d in (5, 10) for t in _T13 + ("chi2",))
+_MINP = tuple(f"d{d}_{v}" for d in (5, 10)
+              for v in ("s31", "s32", "s41", "s42", "s5"))
+
+
+class TestTableGrids:
+    """Every table's full reference grid: its columns, its row count and a
+    SHA-256 of its cells, each as ``(row index, spec, tests, {column:
+    test})``.  Each cell's seed comes from its spec's place in this grid,
+    so the digest pins the cell seeds too."""
+
+    # table: (row keys, value columns, rows, digest of the cells)
+    GOLDEN = {
+        "tab2": (_KNN, _T13, 24,
+                 "0245eac8a95d201e181ecf78e1cea5f743e3c06d8388117c631cf926389089ec"),
+        "tab3": (_KNN, _T13, 24,
+                 "8d751160efc9ed380ffe9e35984b622ce95e28759d7832a53881cf64a5acec52"),
+        "tab4": (_KNN, _T13, 24,
+                 "b3cab20d21b2e5eb4e2a8e0388560ea96e54b24b8ca4c64d2a5edf4e747079d6"),
+        "tab5": (_KNN, _T13, 24,
+                 "add1f659d3ebc195f9631f2e0aad3781fa5a3130f387d4f71973efdc62439345"),
+        "tab6": (_KNN, _T13, 24,
+                 "a361fe26695b652a94191708770dd9f089179e76c9bac93d530c5aba1c1ff3c0"),
+        "rev1": (_KNN, _T47, 24,
+                 "131dd8ff19e95554b6f46265e60f158f7757dcc94a84b6beb755fabf7538806e"),
+        "rev2": (_KNN, _T47, 24,
+                 "63e7e82cf112b6ce01a9f54d0db12fe98e0909c0b651695ad6efe55cc6ea35d4"),
+        "rev3": (_KNN, _T47, 24,
+                 "5866ecaad3097204930f5ff40fba6b41bf373d9b69f2cd51a711d2dc21413367"),
+        "tab8": (_KNN, _BY_D, 24,
+                 "d8beb12bccd5dfe97b7f35e0ffd4a0ccb81aea301605f621657e0046d5eb52e4"),
+        "tab88": (_KNN, _BY_D, 24,
+                 "1f8f133d81453e74bf4b04ba9a214623ceaadbb128d690a1cb7c549fe5589a16"),
+        "trv1": (_KNN, _BY_D, 24,
+                 "5705e684b26cdadd15e6cbe76a80a1dff7c4a10775743906a340a6eccd933ec6"),
+        "trv2": (_KNN, _BY_D, 24,
+                 "57167e5ac68428458e165e7f12f7987d28b08701f7d430e864e3d3aea64f7325"),
+        "power1": (("d",) + _KNN, _PI, 30,
+                 "969eda2be935a5b05952d596fee66729e581259db0ad1df0323a8f01abe48b92"),
+        "power2": (("d",) + _KNN, _PI, 30,
+                 "679de449cf87937ab50799d09741baa0799a4e277f9494482a14f9d405282fe9"),
+        "power3": (_KNN, _POWER3, 15,
+                 "91b7471da8d3c51fc50e6725da5484029bed6ff0fd8ab85bd2f0ee00d0c29313"),
+        "powerCM": (_KNN, _MINP, 15,
+                 "95e419d2ee4a7f1af9679554db239b582cbc552feedc508c49c7d823e0b44962"),
+    }
+
+    @pytest.mark.parametrize("table_id", TABLE_IDS)
+    def test_full_grid(self, table_id):
+        head, values, n_rows, digest = self.GOLDEN[table_id]
+        table = simulate._TABLES[table_id]
+        columns, rows, cells = simulate._table_cells(
+            table, table.k_values, table.sizes, table.d_values)
+        assert tuple(columns) == head + values + tuple(f"se_{c}" for c in values)
+        assert len(rows) == n_rows
+        assert all(tuple(row) == head for row in rows)
+        index = {id(row): i for i, row in enumerate(rows)}
+        cells = repr([(index[id(row)], spec, tests, columns_to_tests)
+                      for row, spec, tests, columns_to_tests in cells])
+        assert hashlib.sha256(cells.encode()).hexdigest() == digest
 
 
 class _PoolCounter:

@@ -254,7 +254,8 @@ def adjust_pvalues(pvalues, method: str) -> np.ndarray:
     """Multiplicity adjustment: ``'bonferroni'`` or ``'bh'`` (step-up).
 
     Returns adjusted p-values in the input order, clipped to [0, 1] and
-    never below the raw values.
+    never below the raw values.  An empty or multi-dimensional input, or
+    a value outside [0, 1] or NaN, raises OutOfRange.
     """
     p = _check_pvalues(pvalues)
     if p.ndim != 1:
@@ -277,7 +278,8 @@ def global_minp_rule(pvalues, alpha: float = 0.05):
 
     ``pvalues`` holds the ``k`` p-values of one dataset, or of a stack of
     datasets along leading axes; the result is a bool, or a bool array of
-    the leading shape.
+    the leading shape.  No p-values, or a value outside [0, 1] or NaN,
+    raises OutOfRange.
     """
     _check_alpha(alpha)
     p = _check_pvalues(pvalues)

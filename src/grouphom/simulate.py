@@ -606,42 +606,39 @@ class _TableDef:
 
     tests: tuple[str, ...]
     d_values: tuple[int, ...]
-    variants: tuple[tuple[str, int, int | None], ...]
     k_values: tuple[int, ...] = _K_LEVEL
     sizes: tuple[tuple[int, int], ...] = _SIZES_LEVEL
     reps: int = 10_000
+    variants: tuple[tuple[str, int, int | None], ...] = (("", 1, None),)
     d_in_row: bool = False
 
 
 _T123 = ("test1", "test2", "test3")
 _T4567 = ("test4", "test5", "test6", "test7")
 _POWER_TESTS = _T123 + ("chi2",)
-_SETTING1 = (("", 1, None),)
-_SETTING2 = (("", 2, None),)
 
 _TABLES: dict[str, _TableDef] = {
-    "tab2": _TableDef(_T123, (5,), _SETTING1),
-    "tab3": _TableDef(_T123, (10,), _SETTING1),
-    "tab4": _TableDef(_T123, (20,), _SETTING1),
-    "tab5": _TableDef(_T123, (5,), _SETTING2),
-    "tab6": _TableDef(_T123, (10,), _SETTING2),
-    "rev1": _TableDef(_T4567, (5,), _SETTING1),
-    "rev2": _TableDef(_T4567, (10,), _SETTING1),
-    "rev3": _TableDef(_T4567, (20,), _SETTING1),
-    "tab8": _TableDef(("wk",), (5, 10, 20), _SETTING1),
-    "tab88": _TableDef(("wkprime",), (5, 10, 20), _SETTING1),
-    "trv1": _TableDef(("vk",), (5, 10, 20), _SETTING1),
-    "trv2": _TableDef(("vkprime",), (5, 10, 20), _SETTING1),
-    "power1": _TableDef(_POWER_TESTS, (5, 10), (("pi2", 3, 2), ("pi4", 3, 4)),
-                        _K_POWER, _SIZES_POWER, d_in_row=True),
-    "power2": _TableDef(_POWER_TESTS, (5, 10), (("pi2", 4, 2), ("pi4", 4, 4)),
-                        _K_POWER, _SIZES_POWER, d_in_row=True),
-    "power3": _TableDef(_POWER_TESTS, (5, 10), (("", 5, None),),
-                        _K_POWER, _SIZES_POWER),
-    "powerCM": _TableDef(("minp",), (5, 10),
+    "tab2": _TableDef(_T123, (5,)),
+    "tab3": _TableDef(_T123, (10,)),
+    "tab4": _TableDef(_T123, (20,)),
+    "tab5": _TableDef(_T123, (5,), variants=(("", 2, None),)),
+    "tab6": _TableDef(_T123, (10,), variants=(("", 2, None),)),
+    "rev1": _TableDef(_T4567, (5,)),
+    "rev2": _TableDef(_T4567, (10,)),
+    "rev3": _TableDef(_T4567, (20,)),
+    "tab8": _TableDef(("wk",), (5, 10, 20)),
+    "tab88": _TableDef(("wkprime",), (5, 10, 20)),
+    "trv1": _TableDef(("vk",), (5, 10, 20)),
+    "trv2": _TableDef(("vkprime",), (5, 10, 20)),
+    "power1": _TableDef(_POWER_TESTS, (5, 10), _K_POWER, _SIZES_POWER,
+                        variants=(("pi2", 3, 2), ("pi4", 3, 4)), d_in_row=True),
+    "power2": _TableDef(_POWER_TESTS, (5, 10), _K_POWER, _SIZES_POWER,
+                        variants=(("pi2", 4, 2), ("pi4", 4, 4)), d_in_row=True),
+    "power3": _TableDef(_POWER_TESTS, (5, 10), _K_POWER, _SIZES_POWER,
+                        variants=(("", 5, None),)),
+    "powerCM": _TableDef(("minp",), (5, 10), _K_POWER, _SIZES_POWER, 1_000,
                          (("s31", 3, 2), ("s32", 3, 4), ("s41", 4, 2),
-                          ("s42", 4, 4), ("s5", 5, None)),
-                         _K_POWER, _SIZES_POWER, 1_000),
+                          ("s42", 4, 4), ("s5", 5, None))),
 }
 
 TABLE_IDS = tuple(_TABLES)

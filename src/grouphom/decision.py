@@ -343,7 +343,7 @@ def pergroup_bootstrap_pvalues(
     Raises
     ------
     InvalidB
-        If ``B < 2``.
+        If ``B`` is not an integer, or below 2.
     SampleTooSmall
         If any sample total is below 2.
     """

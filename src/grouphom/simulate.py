@@ -26,7 +26,12 @@ Cost: the conditional-binomial probabilities of the (at most six) vectors
 a setting draws are computed once, so a replicate costs little more than
 its ``2 (d - 1)`` binomial calls.  :func:`reproduce_table` forks one
 worker pool per table, at the first cell with more than one block of
-replicates, with no more workers than blocks.
+replicates, with no more workers than blocks.  Within a process, the
+``test7`` and ``minp`` bootstraps draw a block's replicates ahead on
+``max(1, CPUs // processes)`` threads, at most one per replicate (see
+:func:`_replicate_null_draws`); they hold ``2 B k d`` int64 counts per
+thread plus one more replicate's, and no thread outlives a block, so a
+pool never forks a process with bootstrap threads running.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ import functools
 import json
 import math
 import multiprocessing
+import operator
 import os
 import subprocess
 import time
@@ -43,7 +49,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, _batch, classical
+from . import __version__, _batch, classical, variance
 from .data import CountVector, GroupedDataset, ProbVector
 from .decision import (
     ESTIMATORS,
@@ -335,6 +341,7 @@ class _CellTask:
     bootstrap_B: int
     minp_B: int
     moments: dict
+    processes: int  # the processes that run the cell
 
 
 def _block_size(spec: SettingSpec) -> int:
@@ -343,22 +350,49 @@ def _block_size(spec: SettingSpec) -> int:
 
 def _replicate_null_draws(task: _CellTask, s: _Stack, salt: int, B: int):
     """Each replicate's pooled-null resamples, from its ``salt`` stream:
-    yields ``(i, b1, b2)`` for replicate ``task.start + i``, with ``b1``,
-    ``b2`` of shape ``(B, k, d)``."""
+    yields ``(i, b1, b2)`` in replicate order for replicate
+    ``task.start + i``, with ``b1``, ``b2`` of shape ``(B, k, d)``, valid
+    until the generator is resumed.
+
+    The replicates are drawn ahead by :func:`grouphom.variance._draw_ahead`
+    on ``max(1, CPUs // task.processes)`` threads, at most one per
+    replicate, so the cell's processes do not oversubscribe the host.
+    Each generator is made on this thread, and a worker only draws, into
+    buffers allocated here; the caller reduces the draws on its own
+    thread, which also keeps the reductions' temporaries out of the
+    workers' malloc arenas.
+    """
     spec = task.spec
-    for i in range(len(s.c1)):
-        rng = _replicate_rng(spec, task.start + i, salt=salt)
+    blen = len(s.c1)
+    threads = min(max(1, variance._available_cpus() // task.processes), blen)
+    shape = (B, spec.k, spec.d)
+    slots = [(np.empty(shape, dtype=np.int64), np.empty(shape, dtype=np.int64))
+             for _ in range(min(threads + 1, blen) if threads > 1 else 1)]
+
+    def draw(slot, job):
+        i, rng = job
         phat = (s.c1[i] + s.c2[i]) / (spec.n1 + spec.n2)
-        yield (i, *_pooled_null_draw(rng, spec.n1, spec.n2, phat, B))
+        return (i, *_pooled_null_draw(rng, spec.n1, spec.n2, phat, B, out=slot))
+
+    jobs = ((i, _replicate_rng(spec, task.start + i, salt=salt))
+            for i in range(blen))
+    return variance._draw_ahead(draw, jobs, slots, threads)
 
 
 def _null_variances(task: _CellTask, s: _Stack):
-    """``test7``: each replicate's bootstrap variance of the aggregate."""
-    n1, n2 = task.spec.n1, task.spec.n2
+    """``test7``: each replicate's bootstrap variance of the aggregate,
+    reduced in pieces of at most ``CHUNK_DRAWS`` count vectors, so that
+    its float temporaries stay small."""
+    n1, n2, B = task.spec.n1, task.spec.n2, task.bootstrap_B
+    rows = max(1, variance.CHUNK_DRAWS // task.spec.k)
     v = np.empty(len(s.c1))
-    for i, b1, b2 in _replicate_null_draws(task, s, 1, task.bootstrap_B):
-        tub = _batch.tu_group(b1 / n1, b2 / n2, n1, n2)
-        v[i] = (tub.sum(axis=1) / math.sqrt(task.spec.k)).var(ddof=1)
+    total = np.empty(B)
+    for i, b1, b2 in _replicate_null_draws(task, s, 1, B):
+        for lo in range(0, B, rows):
+            hi = lo + rows
+            tub = _batch.tu_group(b1[lo:hi] / n1, b2[lo:hi] / n2, n1, n2)
+            total[lo:hi] = tub.sum(axis=1)
+        v[i] = (total / math.sqrt(task.spec.k)).var(ddof=1)
     return v
 
 
@@ -440,14 +474,16 @@ def _oracle_moments(
 
 
 def _resolve_workers(workers) -> int:
+    """An integer or decimal string >= 1; ``None`` reads ``MH_WORKERS``."""
     source = "workers"
     if workers is None:
         source, workers = "MH_WORKERS", os.environ.get("MH_WORKERS", "1")
     try:
-        count = int(workers)
+        count = (int(workers, 10) if isinstance(workers, str)
+                 else operator.index(workers))
     except (TypeError, ValueError):
         count = 0
-    if count < 1:
+    if count < 1 or isinstance(workers, bool):
         raise OutOfRange(f"{source} must be an integer >= 1, got {workers!r}")
     return count
 
@@ -465,9 +501,10 @@ def _run_cell(
     pool=None,
 ):
     """Run one cell in blocks of replicates: in this process at one worker
-    or one block, else on ``pool`` or on a pool of its own.  Returns the
-    results, each test's per-replicate statistics and the oracle moments
-    ``(means, variances, methods)`` of ``wkprime``/``vkprime``."""
+    or one block, else on ``pool``, which has ``workers`` processes, or on
+    a pool of its own.  Returns the results, each test's per-replicate
+    statistics and the oracle moments ``(means, variances, methods)`` of
+    ``wkprime``/``vkprime``."""
     if reps < 1:
         raise InvalidReps(f"need reps >= 1, got {reps}")
     _check_alpha(alpha)
@@ -489,6 +526,11 @@ def _run_cell(
         for test in ("wkprime", "vkprime") if test in tests
     }
     size = _block_size(spec)
+    blocks = -(-reps // size)
+    if workers == 1 or blocks == 1:
+        processes = 1
+    else:
+        processes = workers if pool is not None else min(workers, blocks)
     tasks = [
         _CellTask(
             spec=spec,
@@ -499,17 +541,18 @@ def _run_cell(
             bootstrap_B=bootstrap_B,
             minp_B=minp_B,
             moments=moments,
+            processes=processes,
         )
         for start in range(0, reps, size)
     ]
     t0 = time.perf_counter()
-    if workers == 1 or len(tasks) == 1:
+    if processes == 1:
         outs = [_run_block(t) for t in tasks]
     elif pool is not None:
         outs = pool.map(_run_block, tasks)
     else:
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(min(workers, len(tasks))) as own:
+        with ctx.Pool(processes) as own:
             outs = own.map(_run_block, tasks)
     elapsed = time.perf_counter() - t0
     results = {}
@@ -549,15 +592,17 @@ def estimate_rejection_rate(
     and the per-group bootstrap min-p rule (``minp``); ``test1`` needs
     per-population totals of at least 4, ``test2`` .. ``test7`` and
     ``minp`` at least 2.  ``bootstrap_B`` and ``minp_B`` are the bootstrap
-    sizes of ``test7`` and ``minp``, at least 2.
+    sizes of ``test7`` and ``minp``, integers of at least 2.
 
     A cell whose sample sizes violate a requested test's precondition
     aborts with :class:`SampleTooSmall` before any sampling, as does an
-    unknown or repeated id or a bootstrap size below 2, with
-    :class:`OutOfRange`; degenerate
+    unknown or repeated id, with :class:`OutOfRange`, or a bootstrap
+    size that is not an integer of at least 2, with
+    :class:`~grouphom.errors.InvalidB`; degenerate
     variance replicates are decided by the sign convention and counted in
     ``MCResult.degenerate``.  Results are bit-identical for any
-    ``workers`` value (default from ``MH_WORKERS``, else 1).
+    ``workers`` value (an integer of at least 1, default from
+    ``MH_WORKERS``, else 1) and any thread count.
     """
     results, _, _ = _run_cell(
         spec, tests, reps, alpha, workers, bootstrap_B, minp_B,
@@ -739,8 +784,10 @@ def reproduce_table(
         spec: i for i, (_, spec, _, _) in enumerate(_table_cells(
             table, table.k_values, table.sizes, table.d_values)[2])
     }
-    # One pool serves every cell, started at the first with two blocks.
+    # One pool serves every cell, started at the first with two blocks;
+    # no more workers than the largest cell's blocks.
     blocks = [-(-reps // _block_size(spec)) for _, spec, _, _ in cells]
+    workers = min(workers, max(blocks))
     moment_notes: dict[str, list[str]] = {}
     pool = None
     try:
@@ -752,7 +799,7 @@ def reproduce_table(
                          f"sizes=({spec.n1},{spec.n2}))")
             if pool is None and workers > 1 and blocks[index] > 1:
                 ctx = multiprocessing.get_context("fork")
-                pool = ctx.Pool(min(workers, max(blocks)))
+                pool = ctx.Pool(workers)
             results, _, moments = _run_cell(
                 spec, tests, reps, alpha, workers, 200, 1000, "auto",
                 moment_reps, pool=pool,

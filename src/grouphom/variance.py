@@ -27,6 +27,7 @@ non-positive aggregated variance as degenerate rather than clipping.
 
 from __future__ import annotations
 
+import math
 import operator
 import os
 from collections import deque
@@ -83,7 +84,12 @@ CHUNK_DRAWS = 1 << 14
 
 
 def _check_bootstrap_size(B: int) -> None:
-    """Every bootstrap here needs ``B >= 2``: one draw has no variance."""
+    """Every bootstrap here needs an integral ``B >= 2``: one draw has no
+    variance."""
+    try:
+        B = operator.index(B)
+    except TypeError:
+        raise InvalidB(f"bootstrap size must be an integer, got {B!r}") from None
     if B < 2:
         raise InvalidB(f"bootstrap needs B >= 2, got {B}")
 
@@ -96,16 +102,67 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _pooled_null_draw(rng, n1, n2, phat, B: int):
+def _pooled_null_draw(rng, n1, n2, phat, B: int, out=None):
     """``B`` pooled-null resamples of both samples, sample 1 first.
 
     ``phat`` holds pooled proportions, ``(..., d)``; the draws have shape
     ``(B, ..., d)``, multinomial on ``phat`` with totals ``n1`` and
     ``n2``.  The library calls this per group, with the group's stream;
-    the Monte Carlo engine per replicate, with the replicate's.
+    the Monte Carlo engine per replicate, with the replicate's, and with
+    ``out``, a pair of int64 arrays of that shape that the draws fill and
+    that is returned.  They are filled in pieces of at most
+    :data:`CHUNK_DRAWS` count vectors, so the draw's own temporaries stay
+    small; ``multinomial`` fills its output in C order, so consecutive
+    pieces from one generator are the rows of one whole draw and leave
+    the generator in the same state.
     """
-    size = (B,) + phat.shape[:-1]
-    return rng.multinomial(n1, phat, size=size), rng.multinomial(n2, phat, size=size)
+    groups = phat.shape[:-1]
+    if out is None:
+        size = (B,) + groups
+        return rng.multinomial(n1, phat, size=size), rng.multinomial(n2, phat, size=size)
+    rows = max(1, CHUNK_DRAWS // math.prod(groups))
+    for b, n in zip(out, (n1, n2)):
+        for lo in range(0, B, rows):
+            b[lo:lo + rows] = rng.multinomial(n, phat, size=(min(rows, B - lo),) + groups)
+    return out
+
+
+def _draw_ahead(draw, jobs, slots, threads: int):
+    """``draw(slot, job)`` of each of ``jobs``, yielded in order.
+
+    Job ``j`` gets ``slots[j % len(slots)]``: the buffers it fills, which
+    the caller allocated and which hold its result until the caller
+    resumes this generator, ``len(slots)`` jobs later at the earliest.
+    With ``threads > 1`` the jobs are drawn ahead on a pool of that many
+    threads, at most ``len(slots)`` of them in flight; else the calling
+    thread draws them.  ``jobs`` is iterated on the calling thread, so it
+    may make each job's generator there.  A worker's exception is raised
+    here, unstarted jobs are cancelled, and no thread outlives the
+    generator.  ``draw`` runs on a worker thread, so it must be
+    thread-safe, and it must call no function that the benchmark's tracer
+    wraps (``perfbench/tracing.py`` keeps one span stack): reductions
+    that call one run on the caller's thread, after the yield.
+    """
+    if threads == 1:
+        # nothing to overlap: a worker would only add a hand-off, and a
+        # malloc arena that keeps what the draws allocated
+        for job in jobs:
+            yield draw(slots[0], job)
+        return
+    with ThreadPoolExecutor(threads) as pool:
+        pending = deque()
+        try:
+            for j, job in enumerate(jobs):
+                if len(pending) == len(slots):
+                    yield pending.popleft().result()
+                # job j reuses the slot of job j - len(slots), which the
+                # caller has just finished with
+                pending.append(pool.submit(draw, slots[j % len(slots)], job))
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
@@ -162,17 +219,15 @@ def null_draws(ds: GroupedDataset, B: int, seed: int | None, work=None):
     groups ``lo..hi-1`` and ``out = work(lo, hi, b1, b2)``, or ``None``
     without ``work``.
 
-    Chunks are drawn ahead on a thread pool of one thread per available
-    CPU (at most one per chunk), with at most one chunk more in flight
-    than there are threads and no more resamples in flight than
-    :data:`CHUNK_DRAWS` allows, so a large ``B`` gets fewer threads;
-    numpy's multinomial draw releases the GIL.  Where that leaves one
-    thread, the calling thread draws.  ``work`` runs on the thread that
-    drew the chunk, so it must be thread-safe and must call no function
-    that the benchmark's tracer wraps (``perfbench/tracing.py`` keeps one
-    span stack).  The buffers are reused: a chunk is valid until the
-    generator is resumed.  A worker's exception is raised here, and the
-    pool is shut down before the generator finishes.
+    Chunks are drawn ahead by :func:`_draw_ahead` on a thread pool of
+    one thread per available CPU (at most one per chunk), with at most
+    one chunk more in flight than there are threads and no more
+    resamples in flight than :data:`CHUNK_DRAWS` allows, so a large ``B``
+    gets fewer threads; numpy's multinomial draw releases the GIL.  Where
+    that leaves one thread, the calling thread draws.  ``work`` runs on
+    the thread that drew the chunk, under :func:`_draw_ahead`'s rules.
+    The buffers are reused: a chunk is valid until the generator is
+    resumed.
     """
     if seed is None:
         seed = np.random.SeedSequence().entropy
@@ -210,26 +265,7 @@ def null_draws(ds: GroupedDataset, B: int, seed: int | None, work=None):
             b1[i], b2[i] = _pooled_null_draw(rng, n1[g], n2[g], phat[i], B)
         return lo, hi, b1, b2, None if work is None else work(lo, hi, b1, b2)
 
-    if threads == 1:
-        # nothing to overlap: a worker would only add a hand-off, and a
-        # malloc arena that keeps what the draws allocated
-        for lo in chunks:
-            yield draw(slots[0], lo)
-        return
-    with ThreadPoolExecutor(threads) as pool:
-        pending = deque()
-        try:
-            for j, lo in enumerate(chunks):
-                if len(pending) == len(slots):
-                    yield pending.popleft().result()
-                # chunk j reuses the slot of chunk j - len(slots), which
-                # the caller has just finished with
-                pending.append(pool.submit(draw, slots[j % len(slots)], lo))
-            while pending:
-                yield pending.popleft().result()
-        finally:
-            for future in pending:
-                future.cancel()
+    yield from _draw_ahead(draw, chunks, slots, threads)
 
 
 def var0_bootstrap(
@@ -254,7 +290,7 @@ def var0_bootstrap(
     Raises
     ------
     InvalidB
-        If ``B < 2``.
+        If ``B`` is not an integer, or below 2.
     SampleTooSmall
         If any sample total is below 2.
     """

@@ -10,13 +10,15 @@ import hashlib
 import json
 import math
 import multiprocessing
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 from scipy.stats import chi2 as chi2_dist
 
-from grouphom import _batch, classical, simulate
+from grouphom import _batch, classical, simulate, variance
 from grouphom.data import ProbVector
 from grouphom.decision import run_global_test
 from grouphom.errors import (
@@ -435,13 +437,16 @@ class TestRejectionRateEngine:
     @pytest.mark.parametrize(
         "test,kwargs",
         [("test7", dict(bootstrap_B=0)), ("test7", dict(bootstrap_B=1)),
-         ("minp", dict(minp_B=0)), ("minp", dict(minp_B=1))],
+         ("minp", dict(minp_B=0)), ("minp", dict(minp_B=1)),
+         ("test7", dict(bootstrap_B=200.0)), ("minp", dict(minp_B=2.5))],
     )
     def test_bootstrap_size_checked_before_sampling(self, test, kwargs, monkeypatch):
         def no_sampling(*args, **kw):
             raise AssertionError("sampled before the bootstrap size was checked")
 
         monkeypatch.setattr(simulate, "_replicate_rng", no_sampling)
+        monkeypatch.setattr(variance, "ThreadPoolExecutor", no_sampling)
+        monkeypatch.setattr(variance, "_available_cpus", lambda: 4)
         with pytest.raises(InvalidB):
             estimate_rejection_rate(self.SPEC, ("test1", test), reps=5, **kwargs)
 
@@ -717,11 +722,13 @@ class TestTableGrids:
 
 class _PoolCounter:
     """Stands in for ``multiprocessing`` inside ``grouphom.simulate`` and
-    records the size of each worker pool started.  Inline pools run their
-    blocks in this process and start none."""
+    records the size of each worker pool started, and the threads alive
+    when it would fork.  Inline pools run their blocks in this process
+    and start none."""
 
     def __init__(self, inline):
         self.sizes = []
+        self.threads_at_fork = []
         self.inline = inline
 
     def get_context(self, method):
@@ -730,6 +737,7 @@ class _PoolCounter:
 
     def Pool(self, processes):
         self.sizes.append(processes)
+        self.threads_at_fork.append(threading.active_count())
         if self.inline:
             return _InlinePool()
         return multiprocessing.get_context("fork").Pool(processes)
@@ -810,3 +818,206 @@ class TestWorkerPools:
         with pytest.raises(OutOfRange, match="workers"):
             estimate_rejection_rate(spec, ("test2",), reps=5, workers=value)
         assert counter.sizes == []
+
+    @pytest.mark.parametrize("value", [2.7, 2.0, True, False])
+    def test_worker_count_must_be_an_integer(self, pools, value):
+        counter = pools(inline=True)
+        spec = SettingSpec(1, 5, 10, 5, 10)
+        with pytest.raises(OutOfRange, match="workers"):
+            estimate_rejection_rate(spec, ("test2",), reps=5, workers=value)
+        with pytest.raises(OutOfRange, match="workers"):
+            reproduce_table("tab2", reps=5, k_values=[20], workers=value)
+        assert counter.sizes == []
+
+    def test_numpy_and_decimal_worker_counts_accepted(self, monkeypatch, pools):
+        counter = pools(inline=True)
+        monkeypatch.setattr(simulate, "_block_size", lambda spec: 3)
+        spec = SettingSpec(1, 5, 10, 5, 10)
+        one = estimate_rejection_rate(spec, ("test2",), reps=6, workers=1)
+        two = estimate_rejection_rate(spec, ("test2",), reps=6,
+                                      workers=np.int64(2))
+        monkeypatch.setenv("MH_WORKERS", "2")
+        env = estimate_rejection_rate(spec, ("test2",), reps=6)
+        assert counter.sizes == [2, 2]
+        for res in (two, env):
+            assert res["test2"].rejections == one["test2"].rejections
+
+
+def _bootstrap_statistics(spec, reps, B, workers=1):
+    """Each replicate's ``test7`` z-score and smallest ``minp`` p-value."""
+    _, stats, _ = simulate._run_cell(
+        spec, ("test7", "minp"), reps, 0.05, workers, B, B, "auto", 100_000,
+    )
+    return stats["test7"], stats["minp"]
+
+
+@pytest.fixture
+def executors(monkeypatch):
+    """On ``cpus`` CPUs, the list of every bootstrap thread pool's size."""
+    executor = variance.ThreadPoolExecutor
+
+    def install(cpus):
+        sizes = []
+
+        class Recording(executor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(variance, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(variance, "ThreadPoolExecutor", Recording)
+        return sizes
+
+    return install
+
+
+class TestThreadedBootstraps:
+    """The engine's ``test7`` and ``minp`` bootstraps draw their
+    replicates on ``max(1, CPUs // processes)`` threads; every output
+    must be bit-identical at any thread count."""
+
+    @pytest.mark.parametrize("spec, B", [
+        *((SettingSpec(1, 5, 50, 5, 10, master_seed=21), B)
+          for B in (2, 7, 1000)),
+        # 16384 // 50 = 327 rows a piece: B = 1000 is drawn as 3 * 327 + 19
+        *((SettingSpec(3, 5, 50, 5, 10, pi0=4, master_seed=22), B)
+          for B in (2, 7, 1000)),
+        # 16384 // 3000 = 5 rows a piece: B = 7 is drawn as 5 + 2
+        (SettingSpec(3, 5, 3000, 5, 10, pi0=2, master_seed=23), 7),
+    ])
+    @pytest.mark.parametrize("reps", [1, 2, 9])
+    def test_bit_identical_at_any_thread_count(self, spec, B, reps,
+                                               executors):
+        sizes = executors(1)
+        serial = _bootstrap_statistics(spec, reps, B)
+        assert sizes == []
+        for cpus in (2, 3):
+            executors(cpus)
+            z, p = _bootstrap_statistics(spec, reps, B)
+            np.testing.assert_array_equal(z, serial[0])
+            np.testing.assert_array_equal(p, serial[1])
+
+    def test_slots_not_reused_early_under_contention(self, executors):
+        # more threads than cores and a switch every microsecond: a
+        # replicate whose buffers were refilled before the caller reduced
+        # them would change the result
+        spec = SettingSpec(3, 5, 30, 5, 10, pi0=4, master_seed=24)
+        executors(1)
+        serial = _bootstrap_statistics(spec, 40, 60)
+        sizes = executors(8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            z, p = _bootstrap_statistics(spec, 40, 60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sizes == [8, 8]
+        np.testing.assert_array_equal(z, serial[0])
+        np.testing.assert_array_equal(p, serial[1])
+
+    def test_golden(self, monkeypatch):
+        # recorded when each replicate's bootstrap was drawn serially
+        monkeypatch.setattr(variance, "_available_cpus", lambda: 3)
+        spec = SettingSpec(3, 5, 50, 5, 10, pi0=2, master_seed=4242)
+        z, p = _bootstrap_statistics(spec, 12, 1000)
+        assert z[:3].tolist() == [
+            0.1935332093684213, 0.14892309619055408, 0.553666936317501]
+        assert p[:3].tolist() == [0.011, 0.011, 0.008]
+        assert hashlib.sha256(z.tobytes() + p.tobytes()).hexdigest() == (
+            "f7c7107c7ff6c12a07b3e30e09a2ba0b6dbb3937eb959ef645d4e0bda73ca3de"
+        )
+
+    @pytest.mark.parametrize("cpus, workers, reps, block, threads", [
+        (2, 1, 6, 1024, [2]),  # in this process: one thread per CPU
+        (3, 1, 2, 1024, [2]),  # no more threads than replicates
+        (4, 1, 1, 1024, []),  # one replicate: the calling thread draws
+        (1, 1, 6, 1024, []),
+        (4, 3, 6, 6, [4]),  # one block runs in this process
+        (2, 2, 6, 3, []),  # two processes on two CPUs: one thread each
+        (8, 2, 6, 3, [3, 3]),
+        (8, 3, 6, 3, [3, 3]),  # a pool of two: only two blocks
+        (8, 4, 6, 2, [2, 2, 2]),
+    ])
+    def test_threads_per_process(self, cpus, workers, reps, block, threads,
+                                 executors, pools, monkeypatch):
+        counter = pools(inline=True)
+        sizes = executors(cpus)
+        monkeypatch.setattr(simulate, "_block_size", lambda spec: block)
+        spec = SettingSpec(1, 5, 20, 5, 10, master_seed=4)
+        estimate_rejection_rate(spec, ("test7",), reps=reps, workers=workers,
+                                bootstrap_B=2)
+        blocks = -(-reps // block)
+        assert counter.sizes == ([min(workers, blocks)]
+                                 if workers > 1 and blocks > 1 else [])
+        assert sizes == threads
+
+    def test_table_cells_share_the_pool_size(self, executors, pools,
+                                             monkeypatch):
+        # k = 20 runs two blocks on a pool of two, k = 50 one block here
+        counter = pools(inline=True)
+        sizes = executors(6)
+        monkeypatch.setattr(simulate, "_block_size",
+                            lambda spec: 2 if spec.k == 20 else 1024)
+        reproduce_table("rev1", reps=4, workers=8, k_values=[20, 50],
+                        size_pairs=[(5, 10)])
+        assert counter.sizes == [2]
+        assert sizes == [2, 2, 4]
+
+    def test_no_thread_alive_when_the_pool_forks(self, executors, pools,
+                                                 monkeypatch):
+        # the single-block k = 20 cell draws on threads in this process;
+        # the two-block k = 50 cell then forks the table's pool
+        counter = pools(inline=True)
+        sizes = executors(4)
+        monkeypatch.setattr(simulate, "_block_size",
+                            lambda spec: 2 if spec.k == 50 else 1024)
+        before = threading.active_count()
+        reproduce_table("rev1", reps=3, workers=2, k_values=[20, 50],
+                        size_pairs=[(5, 10)])
+        assert sizes[0] == 3
+        assert counter.sizes == [2]
+        assert counter.threads_at_fork == [before]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("test", ["test7", "minp"])
+    def test_worker_exception_reaches_caller(self, test, monkeypatch):
+        spec = SettingSpec(1, 5, 20, 5, 10, master_seed=9)
+        ds, _ = generate_replicate(spec, 4)
+        target = (ds.c1 + ds.c2) / 15
+        draw = simulate._pooled_null_draw
+
+        def failing(rng, n1, n2, phat, B, out=None):
+            if threading.current_thread() is threading.main_thread():
+                raise AssertionError("drawn on the calling thread")
+            if np.array_equal(phat, target):
+                raise FloatingPointError("worker failed")
+            return draw(rng, n1, n2, phat, B, out=out)
+
+        monkeypatch.setattr(variance, "_available_cpus", lambda: 3)
+        monkeypatch.setattr(simulate, "_pooled_null_draw", failing)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="worker failed"):
+            estimate_rejection_rate(spec, (test,), reps=8, bootstrap_B=20,
+                                    minp_B=20)
+        assert threading.active_count() == before
+
+    def test_reductions_run_on_the_calling_thread(self, executors,
+                                                  monkeypatch):
+        # from n1 n2 = 2**30 minp compares floats, through _batch.tu_group
+        # as test7's reduction does; the benchmark's tracer wraps it
+        idents = set()
+        tu_group = _batch.tu_group
+
+        def recording(*args):
+            idents.add(threading.get_ident())
+            return tu_group(*args)
+
+        sizes = executors(3)
+        monkeypatch.setattr(_batch, "tu_group", recording)
+        spec = SettingSpec(1, 5, 4, 2**15, 2**15, master_seed=6)
+        res = estimate_rejection_rate(spec, ("test7", "minp"), reps=6,
+                                      alpha=0.6, bootstrap_B=20, minp_B=20)
+        assert sizes == [3, 3]
+        assert idents == {threading.get_ident()}
+        expected = _minp_rejections(spec, 6, 20, 0.6, _statistic)
+        assert res["minp"].rejections == expected

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from grouphom import _batch, variance
 from grouphom.data import CountVector, GroupedDataset, GroupPair, ProbVector
-from grouphom.decision import run_global_test
+from grouphom.decision import pergroup_bootstrap_pvalues, run_global_test
 from grouphom.errors import DimensionMismatch, InvalidB, SampleTooSmall
 from grouphom.simulate import SettingSpec, generate_replicate
 from grouphom.variance import (
@@ -350,6 +350,23 @@ class TestBootstrap:
     def test_rejects_tiny_b(self):
         with pytest.raises(InvalidB):
             var0_bootstrap(self.dataset(), B=1)
+
+    @pytest.mark.parametrize("B", [200.0, 2.5, "200", None])
+    def test_rejects_non_integral_b(self, B, monkeypatch):
+        def no_sampling(*args, **kw):
+            raise AssertionError("sampled before the bootstrap size was checked")
+
+        monkeypatch.setattr(variance, "_pooled_null_draw", no_sampling)
+        monkeypatch.setattr(variance, "ThreadPoolExecutor", no_sampling)
+        with pytest.raises(InvalidB, match="integer"):
+            var0_bootstrap(self.dataset(), B=B, seed=1)
+        with pytest.raises(InvalidB, match="integer"):
+            pergroup_bootstrap_pvalues(self.dataset(), B=B, seed=1)
+
+    def test_numpy_integer_b_accepted(self):
+        ds = self.dataset()
+        assert var0_bootstrap(ds, B=np.int64(60), seed=3) == var0_bootstrap(
+            ds, B=60, seed=3)
 
     def test_tracks_closed_form(self):
         # B = 2000 pins the bootstrap well within 15% of the pooled

@@ -843,10 +843,10 @@ class TestWorkerPools:
             assert res["test2"].rejections == one["test2"].rejections
 
 
-def _bootstrap_statistics(spec, reps, B, workers=1):
+def _bootstrap_statistics(spec, reps, B):
     """Each replicate's ``test7`` z-score and smallest ``minp`` p-value."""
     _, stats, _ = simulate._run_cell(
-        spec, ("test7", "minp"), reps, 0.05, workers, B, B, "auto", 100_000,
+        spec, ("test7", "minp"), reps, 0.05, 1, B, B, "auto", 100_000,
     )
     return stats["test7"], stats["minp"]
 

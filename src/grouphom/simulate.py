@@ -30,8 +30,10 @@ replicates, with no more workers than blocks.  Within a process, the
 ``test7`` and ``minp`` bootstraps draw a block's replicates ahead on
 ``max(1, CPUs // processes)`` threads, at most one per replicate (see
 :func:`_replicate_null_draws`); they hold ``2 B k d`` int64 counts per
-thread plus one more replicate's, and no thread outlives a block, so a
-pool never forks a process with bootstrap threads running.
+thread plus one more replicate's, but at most ``8 d`` MiB in a process
+unless one replicate needs more (fewer threads then), and no thread
+outlives a block, so a pool never forks a process with bootstrap threads
+running.
 """
 
 from __future__ import annotations
@@ -348,6 +350,12 @@ def _block_size(spec: SettingSpec) -> int:
     return max(16, min(1024, 2_000_000 // (spec.k * spec.d)))
 
 
+#: Bootstrap count vectors per population that a process's ``test7`` or
+#: ``minp`` bootstrap holds in flight, or one replicate's ``B k`` if more:
+#: with both populations' int64 counts, ``8 d`` MiB.
+_BOOTSTRAP_DRAWS = 32 * variance.CHUNK_DRAWS
+
+
 def _replicate_null_draws(task: _CellTask, s: _Stack, salt: int, B: int):
     """Each replicate's pooled-null resamples, from its ``salt`` stream:
     yields ``(i, b1, b2)`` in replicate order for replicate
@@ -356,18 +364,22 @@ def _replicate_null_draws(task: _CellTask, s: _Stack, salt: int, B: int):
 
     The replicates are drawn ahead by :func:`grouphom.variance._draw_ahead`
     on ``max(1, CPUs // task.processes)`` threads, at most one per
-    replicate, so the cell's processes do not oversubscribe the host.
-    Each generator is made on this thread, and a worker only draws, into
-    buffers allocated here; the caller reduces the draws on its own
-    thread, which also keeps the reductions' temporaries out of the
-    workers' malloc arenas.
+    replicate, so the cell's processes do not oversubscribe the host,
+    with one replicate more in flight than there are threads, but no
+    more than :data:`_BOOTSTRAP_DRAWS` allows, so a large cell gets
+    fewer threads.  Each generator is made on this thread, and a worker
+    only draws, into buffers allocated here; the caller reduces the
+    draws on its own thread, which also keeps the reductions'
+    temporaries out of the workers' malloc arenas.
     """
     spec = task.spec
     blen = len(s.c1)
-    threads = min(max(1, variance._available_cpus() // task.processes), blen)
+    cpus = max(1, variance._available_cpus() // task.processes)
+    in_flight = min(cpus + 1, blen, max(1, _BOOTSTRAP_DRAWS // (B * spec.k)))
+    threads = min(cpus, in_flight)
     shape = (B, spec.k, spec.d)
     slots = [(np.empty(shape, dtype=np.int64), np.empty(shape, dtype=np.int64))
-             for _ in range(min(threads + 1, blen) if threads > 1 else 1)]
+             for _ in range(in_flight if threads > 1 else 1)]
 
     def draw(slot, job):
         i, rng = job
@@ -501,8 +513,8 @@ def _run_cell(
     pool=None,
 ):
     """Run one cell in blocks of replicates: in this process at one worker
-    or one block, else on ``pool``, which has ``workers`` processes, or on
-    a pool of its own.  Returns the results, each test's per-replicate
+    or one block, else on ``min(workers, blocks)`` processes, of ``pool``
+    (which has at least that many) or of a pool of its own.  Returns the results, each test's per-replicate
     statistics and the oracle moments ``(means, variances, methods)`` of
     ``wkprime``/``vkprime``."""
     if reps < 1:
@@ -527,10 +539,7 @@ def _run_cell(
     }
     size = _block_size(spec)
     blocks = -(-reps // size)
-    if workers == 1 or blocks == 1:
-        processes = 1
-    else:
-        processes = workers if pool is not None else min(workers, blocks)
+    processes = 1 if workers == 1 or blocks == 1 else min(workers, blocks)
     tasks = [
         _CellTask(
             spec=spec,

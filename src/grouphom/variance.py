@@ -102,24 +102,21 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _pooled_null_draw(rng, n1, n2, phat, B: int, out=None):
-    """``B`` pooled-null resamples of both samples, sample 1 first.
+def _pooled_null_draw(rng, n1, n2, phat, B: int, out):
+    """Fill ``out`` with ``B`` pooled-null resamples of both samples.
 
-    ``phat`` holds pooled proportions, ``(..., d)``; the draws have shape
-    ``(B, ..., d)``, multinomial on ``phat`` with totals ``n1`` and
-    ``n2``.  The library calls this per group, with the group's stream;
-    the Monte Carlo engine per replicate, with the replicate's, and with
-    ``out``, a pair of int64 arrays of that shape that the draws fill and
-    that is returned.  They are filled in pieces of at most
-    :data:`CHUNK_DRAWS` count vectors, so the draw's own temporaries stay
-    small; ``multinomial`` fills its output in C order, so consecutive
-    pieces from one generator are the rows of one whole draw and leave
-    the generator in the same state.
+    ``phat`` holds pooled proportions, ``(..., d)``; ``out`` is a pair of
+    int64 arrays of shape ``(B, ..., d)``, sample 1 first, filled with
+    multinomial draws on ``phat`` with totals ``n1`` and ``n2`` and
+    returned.  The library calls this per group, with the group's
+    stream; the Monte Carlo engine per replicate, with the replicate's.
+    The arrays are filled in pieces of at most :data:`CHUNK_DRAWS` count
+    vectors, so the draw's own temporaries stay small; ``multinomial``
+    fills its output in C order, so consecutive pieces from one
+    generator are the rows of one whole draw and leave the generator in
+    the same state.
     """
     groups = phat.shape[:-1]
-    if out is None:
-        size = (B,) + groups
-        return rng.multinomial(n1, phat, size=size), rng.multinomial(n2, phat, size=size)
     rows = max(1, CHUNK_DRAWS // math.prod(groups))
     for b, n in zip(out, (n1, n2)):
         for lo in range(0, B, rows):
@@ -262,7 +259,7 @@ def null_draws(ds: GroupedDataset, B: int, seed: int | None, work=None):
                 "state": {"counter": zeros, "key": keys[g]},
                 "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
             }
-            b1[i], b2[i] = _pooled_null_draw(rng, n1[g], n2[g], phat[i], B)
+            _pooled_null_draw(rng, n1[g], n2[g], phat[i], B, out=(b1[i], b2[i]))
         return lo, hi, b1, b2, None if work is None else work(lo, hi, b1, b2)
 
     yield from _draw_ahead(draw, chunks, slots, threads)

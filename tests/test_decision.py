@@ -477,12 +477,12 @@ class TestThreadedDraws:
     def test_worker_exception_reaches_caller(self, run, monkeypatch):
         draw = variance._pooled_null_draw
 
-        def failing(rng, n1, n2, phat, B):
+        def failing(rng, n1, n2, phat, B, out):
             if threading.current_thread() is threading.main_thread():
                 raise AssertionError("drawn on the calling thread")
             if n1 == 5 and phat[3] > 0.3:  # a group in a middle chunk
                 raise FloatingPointError("worker failed")
-            return draw(rng, n1, n2, phat, B)
+            return draw(rng, n1, n2, phat, B, out)
 
         ds = self.dataset(400)
         flagged = np.flatnonzero((ds.c1 + ds.c2)[:, 3] / 15 > 0.3)

@@ -951,17 +951,47 @@ class TestThreadedBootstraps:
                                  if workers > 1 and blocks > 1 else [])
         assert sizes == threads
 
-    def test_table_cells_share_the_pool_size(self, executors, pools,
-                                             monkeypatch):
+    @pytest.mark.parametrize("cpus, reps, block50, pool, threads", [
         # k = 20 runs two blocks on a pool of two, k = 50 one block here
+        (6, 4, 1024, 2, [2, 2, 4]),
+        # k = 20 runs four blocks on a pool of four, k = 50 two blocks on
+        # two of its processes, with 12 // 2 threads each
+        (12, 8, 4, 4, [2, 2, 2, 2, 4, 4]),
+    ])
+    def test_table_cells_share_the_pool_size(self, cpus, reps, block50, pool,
+                                             threads, executors, pools,
+                                             monkeypatch):
         counter = pools(inline=True)
-        sizes = executors(6)
+        sizes = executors(cpus)
         monkeypatch.setattr(simulate, "_block_size",
-                            lambda spec: 2 if spec.k == 20 else 1024)
-        reproduce_table("rev1", reps=4, workers=8, k_values=[20, 50],
+                            lambda spec: 2 if spec.k == 20 else block50)
+        reproduce_table("rev1", reps=reps, workers=8, k_values=[20, 50],
                         size_pairs=[(5, 10)])
-        assert counter.sizes == [2]
-        assert sizes == [2, 2, 4]
+        assert counter.sizes == [pool]
+        assert sizes == threads
+
+    @pytest.mark.parametrize("cpus, k, B, reps, drawn", [
+        (2, 50, 1000, 6, (3, 2)),  # resample-cell's minp: one slot spare
+        (16, 50, 1000, 12, (10, 10)),  # 10 replicates fit the byte cap
+        (16, 750, 200, 8, (3, 3)),  # a rev3 cell: three, not eight
+        (16, 200, 1000, 8, (2, 2)),  # a powerCM cell
+        (16, 2700, 200, 4, (1, 1)),  # over the cap: the caller draws
+    ])
+    def test_slots_capped_by_bytes(self, cpus, k, B, reps, drawn, executors,
+                                   monkeypatch):
+        # d = 2 keeps the slots small; the cap counts count vectors
+        calls = []
+        draw_ahead = variance._draw_ahead
+
+        def recording(draw, jobs, slots, threads):
+            calls.append((len(slots), threads))
+            return draw_ahead(draw, jobs, slots, threads)
+
+        executors(cpus)
+        monkeypatch.setattr(variance, "_draw_ahead", recording)
+        spec = SettingSpec(1, 2, k, 5, 10, master_seed=8)
+        estimate_rejection_rate(spec, ("minp",), reps=reps, minp_B=B)
+        assert calls == [drawn]
 
     def test_no_thread_alive_when_the_pool_forks(self, executors, pools,
                                                  monkeypatch):
@@ -986,7 +1016,7 @@ class TestThreadedBootstraps:
         target = (ds.c1 + ds.c2) / 15
         draw = simulate._pooled_null_draw
 
-        def failing(rng, n1, n2, phat, B, out=None):
+        def failing(rng, n1, n2, phat, B, out):
             if threading.current_thread() is threading.main_thread():
                 raise AssertionError("drawn on the calling thread")
             if np.array_equal(phat, target):

@@ -19,21 +19,28 @@ counter-based Philox stream keyed by ``SeedSequence(master_seed, (r,))``,
 with a fixed draw order inside the replicate (mixture picks, then
 sample-1 categories ``0..d-2``, then sample-2 categories), each phase one
 group-vectorized call.  Within-replicate bootstrap procedures use the
-side keys ``(r, 1)`` and ``(r, 2)``.  Results are therefore independent
-of block sizes and of the worker count.
+side keys ``(r, 1)`` and ``(r, 2)``.  A block of replicates derives
+these streams' Philox keys at once, equal to the keys numpy derives from
+each SeedSequence (:func:`grouphom.variance._stream_keys`), and sets a
+reused generator to each in turn.  Results are therefore independent of
+block sizes and of the worker count.
 
 Cost: the conditional-binomial probabilities of the (at most six) vectors
-a setting draws are computed once, so a replicate costs little more than
-its ``2 (d - 1)`` binomial calls.  :func:`reproduce_table` forks one
-worker pool per table, at the first cell with more than one block of
-replicates, with no more workers than blocks.  Within a process, the
-``test7`` and ``minp`` bootstraps draw a block's replicates ahead on
-``max(1, CPUs // processes)`` threads, at most one per replicate (see
-:func:`_replicate_null_draws`); they hold ``2 B k d`` int64 counts per
-thread plus one more replicate's, but at most ``8 d`` MiB in a process
-unless one replicate needs more (fewer threads then), and no thread
-outlives a block, so a pool never forks a process with bootstrap threads
-running.
+a setting draws are computed once, and no generator is built per
+replicate (setting one's state takes a few microseconds), so a replicate
+costs little more than its ``2 (d - 1)`` binomial calls.  In setting 1,
+whose groups share one vector, each sample's first category is one
+scalar call, which skips numpy's array checks.
+
+:func:`reproduce_table` forks one worker pool per table, at the first
+cell with more than one block of replicates, with no more workers than
+blocks.  Within a process, the ``test7`` and ``minp`` bootstraps draw a
+block's replicates ahead on ``max(1, CPUs // processes)`` threads, at
+most one per replicate (see :func:`_replicate_null_draws`); they hold
+``2 B k d`` int64 counts per thread plus one more replicate's, but at
+most ``8 d`` MiB in a process unless one replicate needs more (fewer
+threads then), and no thread outlives a block, so a pool never forks a
+process with bootstrap threads running.
 """
 
 from __future__ import annotations
@@ -150,9 +157,21 @@ def pi_library(d: int) -> PiLibrary:
 # ---------------------------------------------------------------------------
 
 
+def _check_seed(seed) -> None:
+    """An engine seed is a non-negative integer (numpy's too, not a
+    bool): it keys every replicate's stream."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = -1
+    if value < 0 or isinstance(seed, bool):
+        raise OutOfRange(f"seed must be a non-negative integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class SettingSpec:
-    """One simulation cell: setting, dimension, group count, sizes, seed."""
+    """One simulation cell: setting, dimension, group count, sizes, seed
+    (a non-negative integer)."""
 
     setting: int
     d: int
@@ -163,6 +182,7 @@ class SettingSpec:
     master_seed: int = 0
 
     def __post_init__(self):
+        _check_seed(self.master_seed)
         if self.setting not in (1, 2, 3, 4, 5):
             raise OutOfRange(f"setting must be 1..5, got {self.setting}")
         if self.d < 2:
@@ -208,16 +228,24 @@ def _conditional_probs(vectors: np.ndarray) -> np.ndarray:
     return cond
 
 
-def _conditional_binomial(rng, n, cond: np.ndarray) -> np.ndarray:
-    """Draw one multinomial vector of total ``n`` per column of ``cond``
-    (from :func:`_conditional_probs`) by the sequential
+def _conditional_binomial(rng, n, cond, k: int) -> np.ndarray:
+    """Draw ``k`` multinomial vectors of total ``n`` by the sequential
     conditional-binomial method: category ``j`` is binomial on the trials
-    left, so each vector costs ``d - 1`` binomial draws."""
-    d1, k = cond.shape
+    left, with probability ``cond[j]``, so each vector costs ``d - 1``
+    binomial draws.  ``cond`` is either a ``(d - 1, k)`` array, one
+    column per vector (from :func:`_conditional_probs`), or a tuple of
+    ``d - 1`` floats that all ``k`` vectors share: the first category is
+    then one scalar call, which numpy draws without its array checks (the
+    same values as the array call), and the rest pass a scalar
+    probability."""
+    d1 = len(cond)
     out = np.empty((k, d1 + 1), dtype=np.int64)
     remaining = np.full(k, n, dtype=np.int64)
     for j in range(d1):
-        cj = rng.binomial(remaining, cond[j])
+        if j == 0 and isinstance(cond, tuple):
+            cj = rng.binomial(n, cond[0], size=k)
+        else:
+            cj = rng.binomial(remaining, cond[j])
         out[:, j] = cj
         remaining -= cj
     out[:, d1] = remaining
@@ -234,27 +262,29 @@ def sample_multinomial(n: int, pi, rng) -> CountVector:
         raise OutOfRange(f"need n >= 0, got {n}")
     p = pi.probs if isinstance(pi, ProbVector) else np.asarray(pi, np.float64)
     cond = _conditional_probs(p[None, :])
-    return CountVector(_conditional_binomial(rng, n, cond)[0])
+    return CountVector(_conditional_binomial(rng, n, cond, 1)[0])
 
 
 def _replicate_rng(spec: SettingSpec, r: int, salt: int | None = None):
-    key = (r,) if salt is None else (r, salt)
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(spec.master_seed, spawn_key=key))
-    )
+    """A new generator on replicate ``r``'s stream, or on its ``salt``
+    stream; the engine itself sets reused generators to these streams
+    (:func:`_run_block`, :func:`_replicate_null_draws`)."""
+    salts = () if salt is None else (salt,)
+    key = variance._stream_keys(spec.master_seed, r, *salts)[0]
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @functools.lru_cache(maxsize=None)
-def _setting_probs(setting: int, d: int, pi0: int | None) -> np.ndarray:
-    """Conditional probabilities of every vector a setting draws, by
-    column: the uniform vector for setting 1; library vectors 1-5 for the
-    others, plus the reversed ``pi0`` vector as column 5 for setting 4."""
+def _setting_probs(setting: int, d: int, pi0: int | None):
+    """Conditional probabilities of every vector a setting draws: for
+    setting 1, the uniform vector's as a tuple of floats, which every
+    group shares; for the others, by column, library vectors 1-5, plus
+    the reversed ``pi0`` vector as column 5 for setting 4."""
     if setting == 1:
-        vectors = np.full((1, d), 1.0 / d)
-    else:
-        vectors = pi_library(d).vectors
-        if setting == 4:
-            vectors = np.vstack([vectors, vectors[pi0 - 1][::-1]])
+        return tuple(_conditional_probs(np.full((1, d), 1.0 / d))[:, 0].tolist())
+    vectors = pi_library(d).vectors
+    if setting == 4:
+        vectors = np.vstack([vectors, vectors[pi0 - 1][::-1]])
     cond = _conditional_probs(vectors)
     cond.flags.writeable = False
     return cond
@@ -266,13 +296,18 @@ def _draw_replicate(spec: SettingSpec, rng):
     Returns ``(counts1, counts2, picks, null_flags)`` where ``picks`` is
     the per-group library index of the shared (null) vector, or -1 on
     alternative groups; for setting 1 all picks are 0.  Each sample's
-    groups index the columns of :func:`_setting_probs`.
+    groups index the columns of :func:`_setting_probs`, except in setting
+    1, where they share its probabilities.
     """
     k = spec.k
+    cond = _setting_probs(spec.setting, spec.d, spec.pi0)
     if spec.setting == 1:
-        picks = rows1 = rows2 = np.zeros(k, dtype=np.int64)
+        picks = np.zeros(k, dtype=np.int64)
         null_flags = np.ones(k, dtype=bool)
-    elif spec.setting == 2:
+        counts1 = _conditional_binomial(rng, spec.n1, cond, k)
+        counts2 = _conditional_binomial(rng, spec.n2, cond, k)
+        return counts1, counts2, picks, null_flags
+    if spec.setting == 2:
         picks = rows1 = rows2 = rng.integers(0, 5, size=k)
         null_flags = np.ones(k, dtype=bool)
     elif spec.setting == 3:
@@ -292,9 +327,8 @@ def _draw_replicate(spec: SettingSpec, rng):
         rows2 = rng.integers(0, 5, size=k)
         null_flags = rows1 == rows2
         picks = np.where(null_flags, rows1, -1)
-    cond = _setting_probs(spec.setting, spec.d, spec.pi0)
-    counts1 = _conditional_binomial(rng, spec.n1, np.take(cond, rows1, axis=1))
-    counts2 = _conditional_binomial(rng, spec.n2, np.take(cond, rows2, axis=1))
+    counts1 = _conditional_binomial(rng, spec.n1, np.take(cond, rows1, axis=1), k)
+    counts2 = _conditional_binomial(rng, spec.n2, np.take(cond, rows2, axis=1), k)
     return counts1, counts2, picks, null_flags
 
 
@@ -356,6 +390,13 @@ def _block_size(spec: SettingSpec) -> int:
 _BOOTSTRAP_DRAWS = 32 * variance.CHUNK_DRAWS
 
 
+def _block_keys(task: _CellTask, *salt: int) -> np.ndarray:
+    """Philox keys of the streams of the block's replicates, or of their
+    ``salt`` streams, one row per replicate."""
+    replicates = np.arange(task.start, task.stop, dtype=np.uint64)
+    return variance._stream_keys(task.spec.master_seed, replicates, *salt)
+
+
 def _replicate_null_draws(task: _CellTask, s: _Stack, salt: int, B: int):
     """Each replicate's pooled-null resamples, from its ``salt`` stream:
     yields ``(i, b1, b2)`` in replicate order for replicate
@@ -367,10 +408,11 @@ def _replicate_null_draws(task: _CellTask, s: _Stack, salt: int, B: int):
     replicate, so the cell's processes do not oversubscribe the host,
     with one replicate more in flight than there are threads, but no
     more than :data:`_BOOTSTRAP_DRAWS` allows, so a large cell gets
-    fewer threads.  Each generator is made on this thread, and a worker
-    only draws, into buffers allocated here; the caller reduces the
-    draws on its own thread, which also keeps the reductions'
-    temporaries out of the workers' malloc arenas.
+    fewer threads.  The block's keys are derived here at once; each slot
+    owns its buffers, allocated here, and a generator, which the worker
+    sets to its job's key and draws from.  The caller reduces the draws
+    on its own thread, which also keeps the reductions' temporaries out
+    of the workers' malloc arenas.
     """
     spec = task.spec
     blen = len(s.c1)
@@ -378,17 +420,18 @@ def _replicate_null_draws(task: _CellTask, s: _Stack, salt: int, B: int):
     in_flight = min(cpus + 1, blen, max(1, _BOOTSTRAP_DRAWS // (B * spec.k)))
     threads = min(cpus, in_flight)
     shape = (B, spec.k, spec.d)
-    slots = [(np.empty(shape, dtype=np.int64), np.empty(shape, dtype=np.int64))
+    slots = [(np.empty(shape, dtype=np.int64), np.empty(shape, dtype=np.int64),
+              *variance._stream_rng())
              for _ in range(in_flight if threads > 1 else 1)]
+    keys = _block_keys(task, salt)
 
-    def draw(slot, job):
-        i, rng = job
+    def draw(slot, i):
+        b1, b2, bitgen, rng = slot
+        variance._start_stream(bitgen, keys[i])
         phat = (s.c1[i] + s.c2[i]) / (spec.n1 + spec.n2)
-        return (i, *_pooled_null_draw(rng, spec.n1, spec.n2, phat, B, out=slot))
+        return (i, *_pooled_null_draw(rng, spec.n1, spec.n2, phat, B, out=(b1, b2)))
 
-    jobs = ((i, _replicate_rng(spec, task.start + i, salt=salt))
-            for i in range(blen))
-    return variance._draw_ahead(draw, jobs, slots, threads)
+    return variance._draw_ahead(draw, range(blen), slots, threads)
 
 
 def _null_variances(task: _CellTask, s: _Stack):
@@ -425,8 +468,11 @@ def _run_block(task: _CellTask):
     c1 = np.empty((blen, spec.k, spec.d), dtype=np.float64)
     c2 = np.empty((blen, spec.k, spec.d), dtype=np.float64)
     picks = np.empty((blen, spec.k), dtype=np.int64)
+    # one generator, set to each replicate's stream in turn
+    bitgen, rng = variance._stream_rng()
+    keys = _block_keys(task)
     for i in range(blen):
-        rng = _replicate_rng(spec, task.start + i)
+        variance._start_stream(bitgen, keys[i])
         a, b, p, _ = _draw_replicate(spec, rng)
         c1[i] = a
         c2[i] = b
@@ -756,8 +802,10 @@ def reproduce_table(
     UnknownTable
         For an unrecognized ``table_id``.
     OutOfRange
-        For a restriction value outside the table's grid, or repeated.
+        For a ``seed`` that is not a non-negative integer, or a
+        restriction value outside the table's grid, or repeated.
     """
+    _check_seed(seed)
     if table_id not in _TABLES:
         raise UnknownTable(
             f"unknown table {table_id!r}; expected one of {sorted(_TABLES)}"

@@ -132,13 +132,16 @@ def _draw_ahead(draw, jobs, slots, threads: int):
     resumes this generator, ``len(slots)`` jobs later at the earliest.
     With ``threads > 1`` the jobs are drawn ahead on a pool of that many
     threads, at most ``len(slots)`` of them in flight; else the calling
-    thread draws them.  ``jobs`` is iterated on the calling thread, so it
-    may make each job's generator there.  A worker's exception is raised
-    here, unstarted jobs are cancelled, and no thread outlives the
-    generator.  ``draw`` runs on a worker thread, so it must be
-    thread-safe, and it must call no function that the benchmark's tracer
-    wraps (``perfbench/tracing.py`` keeps one span stack): reductions
-    that call one run on the caller's thread, after the yield.
+    thread draws them.  ``jobs`` is iterated on the calling thread.  A job
+    names its streams' keys; each slot owns a generator
+    (:func:`_stream_rng`), which ``draw`` sets to each of the job's
+    streams in turn (:func:`_start_stream`), so no generator is built per
+    job.  A worker's exception is raised here, unstarted jobs are
+    cancelled, and no thread outlives the generator.  ``draw`` runs on a
+    worker thread, so it must be thread-safe, and it must call no
+    function that the benchmark's tracer wraps (``perfbench/tracing.py``
+    keeps one span stack): reductions that call one run on the caller's
+    thread, after the yield.
     """
     if threads == 1:
         # nothing to overlap: a worker would only add a hand-off, and a
@@ -169,32 +172,31 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
-def _stream_keys(seed: int, k: int) -> np.ndarray:
-    """Philox keys of ``SeedSequence(seed, spawn_key=(g,))``, ``g < k``.
+def _words(value: int) -> list[int]:
+    """The 32-bit words SeedSequence reads a non-negative integer as,
+    least significant first."""
+    value = operator.index(value)
+    return [value >> shift & _M32 for shift in range(0, max(1, value.bit_length()), 32)]
 
-    Equal to ``Philox(SeedSequence(seed, spawn_key=(g,))).state["state"]
-    ["key"]`` for each ``g``, as a ``(k, 2)`` uint64 array, but made for
-    all groups at once: constructing both objects per group holds the
-    GIL, which no other thread's draw can overlap, so at small ``B`` it
-    would serialise the threaded draw.  SeedSequence mixes the spawn-key
-    word into the pool of ``SeedSequence(seed)`` after the seed's own
-    32-bit words, four hash-mixes each (16 for the first four words), and
-    Philox keys itself from ``generate_state(2, np.uint64)``; both steps
-    are repeated here.
-    """
-    seed = operator.index(seed)
+
+def _mixed_keys(seed: int, words) -> np.ndarray:
+    """Philox keys of ``SeedSequence(seed, spawn_key=...)`` for spawn keys
+    given as ``words``: a list of 32-bit words, each an int or a 1-D
+    array with one entry per key, so every key has as many words."""
     pool = np.random.SeedSequence(seed).pool.astype(np.uint64)
-    words = max(1, -(-seed.bit_length() // 32))
-    h = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - 4), 1 << 32) & _M32
-    g = np.arange(k, dtype=np.uint64)
-    state = np.empty((k, 4), dtype=np.uint64)
-    for i in range(4):
-        v = g ^ h
-        h = h * _MULT_A & _M32
-        v = v * h & _M32
-        v ^= v >> 16
-        mixed = (_MIX_L * pool[i] - _MIX_R * v) & _M32
-        state[:, i] = mixed ^ (mixed >> 16)
+    seed_words = len(_words(seed))
+    h = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, seed_words - 4), 1 << 32) & _M32
+    n = max(np.size(w) for w in words)
+    state = np.repeat(pool[None], n, axis=0)
+    for w in words:
+        w = np.asarray(w, dtype=np.uint64)
+        for i in range(4):
+            v = w ^ h
+            h = h * _MULT_A & _M32
+            v = v * h & _M32
+            v = v ^ v >> 16
+            mixed = (_MIX_L * state[:, i] - _MIX_R * v) & _M32
+            state[:, i] = mixed ^ (mixed >> 16)
     h = _INIT_B
     for i in range(4):
         v = state[:, i] ^ h
@@ -202,6 +204,61 @@ def _stream_keys(seed: int, k: int) -> np.ndarray:
         v = v * h & _M32
         state[:, i] = v ^ (v >> 16)
     return state[:, 0::2] | state[:, 1::2] << 32
+
+
+def _stream_keys(seed: int, first, *rest: int) -> np.ndarray:
+    """Philox keys of ``SeedSequence(seed, spawn_key=(i, *rest))`` for
+    each ``i`` of ``first``.
+
+    ``first`` is an integer, or a 1-D array of integers below ``2**64``;
+    ``rest`` are integers.  Equal to ``Philox(SeedSequence(seed,
+    spawn_key=(i, *rest))).state["state"]["key"]`` for each ``i``, as an
+    ``(len(first), 2)`` uint64 array (one row for an integer ``first``),
+    but made for all keys at once: constructing both objects per key
+    holds the GIL, which no other thread's draw can overlap, so at small
+    ``B`` it would serialise the threaded draw.  SeedSequence mixes each
+    32-bit word of the spawn key (an integer from ``2**32`` is two words
+    or more) into every entry of the pool of ``SeedSequence(seed)`` in
+    turn, after the seed's own words, four hash-mixes a word (16 for the
+    seed's first four), and Philox keys itself from
+    ``generate_state(2, np.uint64)``; both steps are repeated here.
+    """
+    seed = operator.index(seed)
+    tail = [w for x in rest for w in _words(x)]
+    if np.ndim(first) == 0:
+        return _mixed_keys(seed, _words(first) + tail)
+    first = np.asarray(first, dtype=np.uint64)
+    keys = np.empty((len(first), 2), dtype=np.uint64)
+    wide = first > _M32
+    for rows, split in ((~wide, False), (wide, True)):
+        if rows.any():
+            head = first[rows]
+            words = [head & _M32, head >> 32] if split else [head]
+            keys[rows] = _mixed_keys(seed, words + tail)
+    return keys
+
+
+_ZEROS = np.zeros(4, dtype=np.uint64)
+_ZEROS.flags.writeable = False
+
+
+def _stream_rng():
+    """A Philox bit generator and a Generator on it, which
+    :func:`_start_stream` sets to one stream after another."""
+    bitgen = np.random.Philox(0)
+    return bitgen, np.random.Generator(bitgen)
+
+
+def _start_stream(bitgen, key) -> None:
+    """Set the Philox ``bitgen`` to the state ``Philox(key=key)`` starts
+    in, the start of the stream keyed ``key`` (a row of
+    :func:`_stream_keys`): a few microseconds, where building a new
+    generator takes tens."""
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS, "key": key},
+        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
 
 
 def null_draws(ds: GroupedDataset, B: int, seed: int | None, work=None):
@@ -229,7 +286,7 @@ def null_draws(ds: GroupedDataset, B: int, seed: int | None, work=None):
     if seed is None:
         seed = np.random.SeedSequence().entropy
     n1, n2 = ds.sizes(1), ds.sizes(2)
-    keys = _stream_keys(seed, ds.k)
+    keys = _stream_keys(seed, np.arange(ds.k, dtype=np.uint64))
     cpus = _available_cpus()
     # Chunks in flight: one more than the threads, but with at most
     # max(CHUNK_DRAWS, B) resamples per population held at once.
@@ -239,13 +296,9 @@ def null_draws(ds: GroupedDataset, B: int, seed: int | None, work=None):
     threads = min(cpus, in_flight, len(chunks))
     # A chunk in flight owns two buffers and a generator, whose Philox
     # state is set to each of its groups' streams in turn.
-    slots = []
-    for _ in range(min(in_flight, len(chunks)) if threads > 1 else 1):
-        bitgen = np.random.Philox(0)
-        slots.append((np.empty((chunk, B, ds.d), dtype=np.int64),
-                      np.empty((chunk, B, ds.d), dtype=np.int64),
-                      bitgen, np.random.Generator(bitgen)))
-    zeros = np.zeros(4, dtype=np.uint64)
+    slots = [(np.empty((chunk, B, ds.d), dtype=np.int64),
+              np.empty((chunk, B, ds.d), dtype=np.int64), *_stream_rng())
+             for _ in range(min(in_flight, len(chunks)) if threads > 1 else 1)]
 
     def draw(slot, lo):
         b1, b2, bitgen, rng = slot
@@ -253,12 +306,7 @@ def null_draws(ds: GroupedDataset, B: int, seed: int | None, work=None):
         b1, b2 = b1[: hi - lo], b2[: hi - lo]
         phat = (ds.c1[lo:hi] + ds.c2[lo:hi]) / (n1[lo:hi] + n2[lo:hi])[:, None]
         for i, g in enumerate(range(lo, hi)):
-            # the state Philox(SeedSequence(seed, spawn_key=(g,))) starts in
-            bitgen.state = {
-                "bit_generator": "Philox",
-                "state": {"counter": zeros, "key": keys[g]},
-                "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-            }
+            _start_stream(bitgen, keys[g])
             _pooled_null_draw(rng, n1[g], n2[g], phat[i], B, out=(b1[i], b2[i]))
         return lo, hi, b1, b2, None if work is None else work(lo, hi, b1, b2)
 

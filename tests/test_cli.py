@@ -186,6 +186,18 @@ class TestSimulateCommand:
         assert rc == 2
         assert "'test1'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("form", [
+        ["--setting", "1", "--tests", "test1", "--reps", "5"],
+        ["--setting", "1", "--export-replicate", "0", "--out", "unused.csv"],
+        ["--table", "tab2", "--reps", "5", "--k-values", "20", "--sizes", "5,10"],
+    ])
+    def test_negative_seed_exits_2(self, form, capsys):
+        # it failed inside numpy mid-run, with a traceback and exit 1
+        rc = main(["simulate", *form, "--seed", "-1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+
     def test_setting_form_deterministic(self, capsys):
         argv = ["simulate", "--setting", "1", "--d", "5", "--k", "10",
                 "--n1", "8", "--n2", "8", "--tests", "test3",

@@ -109,6 +109,22 @@ class TestSettingSpec:
         with pytest.raises(OutOfRange):
             SettingSpec(**kwargs)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True, [1]])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # None would draw fresh entropy for every replicate, -1 failed
+        # deep inside numpy mid-run
+        with pytest.raises(OutOfRange, match="seed must be a non-negative integer"):
+            SettingSpec(1, 5, 10, 5, 5, master_seed=seed)
+        with pytest.raises(OutOfRange, match="seed must be a non-negative integer"):
+            reproduce_table("tab2", reps=2, seed=seed, k_values=[20],
+                            size_pairs=[(5, 10)])
+
+    def test_numpy_and_large_seeds_accepted(self):
+        spec = SettingSpec(1, 5, 10, 5, 5, master_seed=np.uint64(2**64 - 1))
+        ds, _ = generate_replicate(spec, 1)
+        big = SettingSpec(1, 5, 10, 5, 5, master_seed=2**64 - 1)
+        assert ds == generate_replicate(big, 1)[0]
+
 
 class TestSampling:
     def test_sample_multinomial_totals(self):
@@ -213,6 +229,15 @@ class TestGenerateReplicate:
         assert flags.tolist() == [False, False, True, True, False, True]
         assert ds.group_ids() == [f"g00{i}" for i in range(1, 7)]
 
+    @pytest.mark.parametrize("r", [0, 2**32 - 1, 2**32, 2**32 + 5, 2**64 + 1])
+    def test_matches_seed_sequence_reference(self, r):
+        # numpy reads an index from 2**32 as two or more 32-bit words
+        spec = SettingSpec(3, 5, 9, 5, 10, pi0=2, master_seed=2**64 - 1)
+        ds, _ = generate_replicate(spec, r)
+        c1, c2 = _reference_counts(spec, r)
+        assert ds.c1.tolist() == c1.tolist()
+        assert ds.c2.tolist() == c2.tolist()
+
     # Replicate 2 of SettingSpec(setting, d, 6, 5, 10, pi0, master_seed=7):
     # sample-1 and sample-2 counts (groups separated by ';') and null flags.
     GOLDEN = [
@@ -282,6 +307,51 @@ class TestGenerateReplicate:
         assert null_flags.tolist() == [f == "1" for f in flags]
 
 
+def _seed_sequence_rng(spec, *spawn_key):
+    """A generator on the stream the determinism contract names, built
+    from numpy's SeedSequence."""
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(spec.master_seed, spawn_key=spawn_key)))
+
+
+def _reference_counts(spec, r):
+    """Replicate ``r``'s counts as the determinism contract states them:
+    from the SeedSequence stream, the mixture picks, then one binomial
+    call over the groups per category, with array arguments."""
+    rng = _seed_sequence_rng(spec, r)
+    k, d = spec.k, spec.d
+    lib = (np.full((1, d), 1.0 / d) if spec.setting == 1
+           else pi_library(d).vectors)
+    if spec.setting == 1:
+        rows1 = rows2 = np.zeros(k, dtype=np.int64)
+    elif spec.setting == 2:
+        rows1 = rows2 = rng.integers(0, 5, size=k)
+    elif spec.setting == 3:
+        raw = rng.integers(0, 5, size=k)
+        rows1, rows2 = raw % 4, np.where(raw < 4, raw, spec.pi0 - 1)
+    elif spec.setting == 4:
+        raw = rng.integers(0, 10, size=k)
+        lib = np.vstack([lib, lib[spec.pi0 - 1][::-1]])
+        rows1 = (raw // 2) % 4
+        rows2 = np.where(raw < 8, raw // 2, np.where(raw == 8, spec.pi0 - 1, 5))
+    else:
+        rows1, rows2 = rng.integers(0, 5, size=k), rng.integers(0, 5, size=k)
+    out = []
+    for n, rows in ((spec.n1, rows1), (spec.n2, rows2)):
+        p = lib[rows]
+        counts = np.empty((k, d), dtype=np.int64)
+        remaining = np.full(k, n, dtype=np.int64)
+        rest = np.ones(k)
+        for j in range(d - 1):
+            q = np.divide(p[:, j], rest, out=np.zeros(k), where=rest > 0)
+            counts[:, j] = rng.binomial(remaining, np.clip(q, 0.0, 1.0))
+            remaining -= counts[:, j]
+            rest = rest - p[:, j]
+        counts[:, -1] = remaining
+        out.append(counts)
+    return out
+
+
 def _numerator(a, b, n1, n2):
     # T * n1 (n1 - 1) n2 (n2 - 1) in integers, from the U-statistic's terms
     return (
@@ -301,7 +371,7 @@ def _minp_rejections(spec, reps, B, alpha, statistic):
     rejections = 0
     for r in range(reps):
         ds, _ = generate_replicate(spec, r)
-        rng = simulate._replicate_rng(spec, r, salt=2)
+        rng = _seed_sequence_rng(spec, r, 2)
         phat = (ds.c1 + ds.c2) / (n1 + n2)
         b1 = rng.multinomial(n1, phat, size=(B, spec.k))
         b2 = rng.multinomial(n2, phat, size=(B, spec.k))
@@ -319,7 +389,7 @@ def _test7_z(spec, reps, B):
     z = []
     for r in range(reps):
         ds, _ = generate_replicate(spec, r)
-        rng = simulate._replicate_rng(spec, r, salt=1)
+        rng = _seed_sequence_rng(spec, r, 1)
         phat = (ds.c1 + ds.c2) / (n1 + n2)
         b1 = rng.multinomial(n1, phat, size=(B, k))
         b2 = rng.multinomial(n2, phat, size=(B, k))
@@ -331,6 +401,35 @@ def _test7_z(spec, reps, B):
 
 class TestRejectionRateEngine:
     SPEC = SettingSpec(1, 5, 20, 10, 10, master_seed=31)
+
+    @pytest.mark.parametrize("setting, d, pi0", [
+        *((s, d, pi0) for d in (5, 10)
+          for s, pi0 in ((1, None), (2, None), (3, 2), (4, 4), (5, None))),
+        (1, 2, None),
+    ])
+    def test_block_draws_match_seed_sequence(self, setting, d, pi0,
+                                             monkeypatch):
+        # a block derives its replicates' keys at once and sets one
+        # generator to each; every replicate must be the one its own
+        # SeedSequence stream gives
+        spec = SettingSpec(setting, d, 13, 4, 9, pi0=pi0,
+                           master_seed=simulate._cell_seed(5, 3))
+        stacks = []
+        stack = simulate._Stack
+
+        def recording(c1, c2, *args, **kwargs):
+            stacks.append((c1.copy(), c2.copy()))
+            return stack(c1, c2, *args, **kwargs)
+
+        monkeypatch.setattr(simulate, "_Stack", recording)
+        task = simulate._CellTask(spec, ("test2",), 37, 43, 0.05, 200, 1000,
+                                  {}, 1)
+        simulate._run_block(task)
+        (c1, c2), = stacks
+        for i, r in enumerate(range(37, 43)):
+            expected1, expected2 = _reference_counts(spec, r)
+            assert c1[i].tolist() == expected1.tolist(), r
+            assert c2[i].tolist() == expected2.tolist(), r
 
     def test_matches_library_decision_path(self):
         # the vectorized engine must agree replicate-by-replicate with
@@ -445,6 +544,8 @@ class TestRejectionRateEngine:
             raise AssertionError("sampled before the bootstrap size was checked")
 
         monkeypatch.setattr(simulate, "_replicate_rng", no_sampling)
+        monkeypatch.setattr(simulate, "_draw_replicate", no_sampling)
+        monkeypatch.setattr(variance, "_stream_keys", no_sampling)
         monkeypatch.setattr(variance, "ThreadPoolExecutor", no_sampling)
         monkeypatch.setattr(variance, "_available_cpus", lambda: 4)
         with pytest.raises(InvalidB):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grouphom import _batch, variance
+from grouphom import _batch, simulate, variance
 from grouphom.data import CountVector, GroupedDataset, GroupPair, ProbVector
 from grouphom.decision import pergroup_bootstrap_pvalues, run_global_test
 from grouphom.errors import DimensionMismatch, InvalidB, SampleTooSmall
@@ -393,22 +393,34 @@ class TestBootstrap:
     @pytest.mark.parametrize("seed", [
         0, 1, 11, 2**32 - 1, 2**32, 2**64 + 5, 2**128 - 1, 2**128,
         2**200 + 3, np.int64(7), int(np.random.SeedSequence(2024).entropy),
+        # the Monte Carlo engine's cell seeds
+        simulate._cell_seed(0, 0), simulate._cell_seed(2024, 17),
     ])
-    def test_stream_keys_match_seed_sequence(self, seed):
-        # the groups' Philox keys are derived for all groups at once; each
-        # must be the key numpy derives from the group's own SeedSequence,
-        # and the state the draw sets must be the state Philox starts in
-        keys = variance._stream_keys(seed, 70_000)
-        zeros = np.zeros(4, dtype=np.uint64)
-        for g in (0, 1, 2, 255, 65_535, 65_536, 69_999):
+    @pytest.mark.parametrize("salt", [(), (1,), (2,), (2**32,)])
+    def test_stream_keys_match_seed_sequence(self, seed, salt):
+        # the Philox keys of spawn keys (g, *salt) are derived for all
+        # groups at once; each must be the key numpy derives from the
+        # group's own SeedSequence, and the state the draw sets must be
+        # the state Philox starts in.  numpy reads an integer from 2**32
+        # as two or more 32-bit words; an array may mix one- and two-word
+        # entries
+        wide = [2**32 - 1, 2**32, 2**32 + 9, 2**64 - 1]
+        first = np.concatenate([np.arange(70_000, dtype=np.uint64),
+                                np.array(wide, dtype=np.uint64)])
+        keys = variance._stream_keys(seed, first, *salt)
+        rows = [0, 1, 2, 255, 65_535, 65_536, 69_999, 70_000, 70_001, 70_002, 70_003]
+        for g, key in [*((int(first[i]), keys[i]) for i in rows),
+                       *((g, None) for g in (2**64 + 1, 2**70))]:
             state = np.random.Philox(
-                np.random.SeedSequence(seed, spawn_key=(g,))
+                np.random.SeedSequence(seed, spawn_key=(g, *salt))
             ).state
-            assert keys[g].tolist() == state["state"]["key"].tolist()
-            assert state["state"]["counter"].tolist() == zeros.tolist()
-            assert state["buffer"].tolist() == zeros.tolist()
-            assert (state["buffer_pos"], state["has_uint32"],
-                    state["uinteger"]) == (4, 0, 0)
+            expected = state["state"]["key"].tolist()
+            if key is not None:
+                assert key.tolist() == expected
+                bitgen = np.random.Philox(0)
+                variance._start_stream(bitgen, key)
+                assert repr(bitgen.state) == repr(state)
+            assert variance._stream_keys(seed, g, *salt).tolist() == [expected]
 
     def test_seed_must_be_an_integer(self):
         with pytest.raises(TypeError):

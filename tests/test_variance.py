@@ -396,8 +396,7 @@ class TestBootstrap:
         # the Monte Carlo engine's cell seeds
         simulate._cell_seed(0, 0), simulate._cell_seed(2024, 17),
     ])
-    @pytest.mark.parametrize("salt", [(), (1,), (2,), (2**32,)])
-    def test_stream_keys_match_seed_sequence(self, seed, salt):
+    def test_stream_keys_match_seed_sequence(self, seed):
         # the Philox keys of spawn keys (g, *salt) are derived for all
         # groups at once; each must be the key numpy derives from the
         # group's own SeedSequence, and the state the draw sets must be
@@ -407,20 +406,21 @@ class TestBootstrap:
         wide = [2**32 - 1, 2**32, 2**32 + 9, 2**64 - 1]
         first = np.concatenate([np.arange(70_000, dtype=np.uint64),
                                 np.array(wide, dtype=np.uint64)])
-        keys = variance._stream_keys(seed, first, *salt)
         rows = [0, 1, 2, 255, 65_535, 65_536, 69_999, 70_000, 70_001, 70_002, 70_003]
-        for g, key in [*((int(first[i]), keys[i]) for i in rows),
-                       *((g, None) for g in (2**64 + 1, 2**70))]:
-            state = np.random.Philox(
-                np.random.SeedSequence(seed, spawn_key=(g, *salt))
-            ).state
-            expected = state["state"]["key"].tolist()
-            if key is not None:
-                assert key.tolist() == expected
-                bitgen = np.random.Philox(0)
-                variance._start_stream(bitgen, key)
-                assert repr(bitgen.state) == repr(state)
-            assert variance._stream_keys(seed, g, *salt).tolist() == [expected]
+        for salt in [(), (1,), (2,), (2**32,)]:
+            keys = variance._stream_keys(seed, first, *salt)
+            for g, key in [*((int(first[i]), keys[i]) for i in rows),
+                           *((g, None) for g in (2**64 + 1, 2**70))]:
+                state = np.random.Philox(
+                    np.random.SeedSequence(seed, spawn_key=(g, *salt))
+                ).state
+                expected = state["state"]["key"].tolist()
+                if key is not None:
+                    assert key.tolist() == expected, (g, salt)
+                    bitgen = np.random.Philox(0)
+                    variance._start_stream(bitgen, key)
+                    assert repr(bitgen.state) == repr(state)
+                assert variance._stream_keys(seed, g, *salt).tolist() == [expected]
 
     def test_seed_must_be_an_integer(self):
         with pytest.raises(TypeError):

@@ -44,13 +44,17 @@ def tu_numerator(c1, c2, n1, n2):
 
     ``(S11 - n1) n2 (n2-1) + (S22 - n2) n1 (n1-1) - 2 S12 (n1-1) (n2-1)``
     with ``S11 = sum c1^2``, ``S22 = sum c2^2`` and ``S12 = sum c1 c2``,
-    from integer counts and totals.  Every term stays below
-    ``2 n1^2 n2^2``, so the result is exact in int64 while
-    ``4 n1^2 n2^2 < 2^63``; beyond that it silently wraps.
+    from integer counts and totals.  The three sums are taken in the
+    counts' own dtype, which holds them while they fit it (for int16
+    counts, while both totals are at most 181), and widened to int64
+    before the products.  Every term stays below ``2 n1^2 n2^2``, so the
+    result is exact in int64 while ``4 n1^2 n2^2 < 2^63``; beyond that
+    it silently wraps.
     """
-    s11 = np.einsum("...j,...j->...", c1, c1)
-    s22 = np.einsum("...j,...j->...", c2, c2)
-    s12 = np.einsum("...j,...j->...", c1, c2)
+    s11, s22, s12 = (
+        np.einsum("...j,...j->...", a, b).astype(np.int64, copy=False)
+        for a, b in ((c1, c1), (c2, c2), (c1, c2))
+    )
     return (
         (s11 - n1) * n2 * (n2 - 1)
         + (s22 - n2) * n1 * (n1 - 1)

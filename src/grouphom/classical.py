@@ -42,6 +42,10 @@ __all__ = [
 #: Pair-enumeration ceiling for the exact moments path.
 EXACT_PAIR_LIMIT = 10_000_000
 
+#: Outcome pairs per call of a statistic kernel in the moments oracle,
+#: which bounds the kernel's temporaries.
+_PIECE_PAIRS = 1 << 15
+
 
 @dataclass(frozen=True)
 class MomentPair:
@@ -193,8 +197,24 @@ def _null_moments(
     reps: int,
     seed,
 ) -> MomentPair:
+    """Null mean and variance of ``stat_fn`` at ``pi``, exact or Monte
+    Carlo.
+
+    The exact path sums over the outcome-pair grid in chunks of about
+    2,000,000 pairs, ``v1`` rows at a time: ``mean += sum(w t)`` and
+    ``second += sum((w t) t)`` per chunk, with ``w`` the pairs'
+    probabilities and ``t`` their statistics.  The Monte Carlo path
+    draws both samples' ``reps`` count vectors whole, from one
+    generator, and takes the mean and sample variance of ``t``.  Both
+    fill ``t`` by calling ``stat_fn`` on pieces of at most
+    :data:`_PIECE_PAIRS` pairs: the kernels work elementwise over the
+    leading axes and reduce only over categories, so ``t`` is the same
+    float for float as from one call, and the kernel's ``(pairs, d)``
+    float temporaries stay small.
+    """
     p = pi.probs
     d = p.size
+    f1, f2 = float(n1), float(n2)
     if method == "auto":
         method = "exact" if exact_enumeration_feasible(d, n1, n2) else "montecarlo"
     if method == "exact":
@@ -207,17 +227,27 @@ def _null_moments(
         v2 = _compositions(n2, d)
         w1 = np.exp(_log_pmf(v1, n1, p))
         w2 = np.exp(_log_pmf(v2, n2, p))
+        m2 = v2.shape[0]
         mean = 0.0
         second = 0.0
-        chunk = max(1, 2_000_000 // max(1, v2.shape[0]))
+        chunk = max(1, 2_000_000 // max(1, m2))
+        rows = max(1, _PIECE_PAIRS // m2)
         for lo in range(0, v1.shape[0], chunk):
             hi = min(lo + chunk, v1.shape[0])
-            t = stat_fn(
-                v1[lo:hi, None, :], v2[None, :, :], float(n1), float(n2)
-            )
-            w = w1[lo:hi, None] * w2[None, :]
-            mean += float((w * t).sum())
-            second += float((w * t * t).sum())
+            t = np.empty((hi - lo, m2))
+            for a in range(lo, hi, rows):
+                b = min(a + rows, hi)
+                for c in range(0, m2, _PIECE_PAIRS):
+                    t[a - lo:b - lo, c:c + _PIECE_PAIRS] = stat_fn(
+                        v1[a:b, None, :], v2[None, c:c + _PIECE_PAIRS, :], f1, f2
+                    )
+            # w t, then (w t) t: the order ``w * t * t`` evaluates in,
+            # with each product formed in place
+            wt = w1[lo:hi, None] * w2[None, :]
+            wt *= t
+            mean += float(wt.sum())
+            t *= wt
+            second += float(t.sum())
         return MomentPair(mean, max(0.0, second - mean * mean))
     if method == "montecarlo":
         if reps < 2:
@@ -225,7 +255,11 @@ def _null_moments(
         rng = np.random.default_rng(seed)
         c1 = rng.multinomial(n1, p, size=reps)
         c2 = rng.multinomial(n2, p, size=reps)
-        t = stat_fn(c1, c2, float(n1), float(n2))
+        t = np.empty(reps)
+        for a in range(0, reps, _PIECE_PAIRS):
+            t[a:a + _PIECE_PAIRS] = stat_fn(
+                c1[a:a + _PIECE_PAIRS], c2[a:a + _PIECE_PAIRS], f1, f2
+            )
         return MomentPair(float(t.mean()), float(t.var(ddof=1)))
     raise OutOfRange(f"method must be 'auto', 'exact' or 'montecarlo': {method!r}")
 

@@ -33,6 +33,7 @@ from .ustat import group_statistics
 from .variance import (
     VarianceEstimate,
     _check_bootstrap_size,
+    _check_seed,
     null_draws,
     var0_bootstrap,
 )
@@ -344,10 +345,13 @@ def pergroup_bootstrap_pvalues(
     ------
     InvalidB
         If ``B`` is not an integer, or below 2.
+    OutOfRange
+        If ``seed`` is a negative integer.
     SampleTooSmall
         If any sample total is below 2.
     """
     _check_bootstrap_size(B)
+    _check_seed(seed)
     ds.require_totals(2, "the per-group bootstrap")
     stats = group_statistics(ds)
     n1, n2 = ds.sizes(1), ds.sizes(2)

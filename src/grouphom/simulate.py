@@ -37,10 +37,11 @@ cell with more than one block of replicates, with no more workers than
 blocks.  Within a process, the ``test7`` and ``minp`` bootstraps draw a
 block's replicates ahead on ``max(1, CPUs // processes)`` threads, at
 most one per replicate (see :func:`_replicate_null_draws`); they hold
-``2 B k d`` int64 counts per thread plus one more replicate's, but at
-most ``8 d`` MiB in a process unless one replicate needs more (fewer
-threads then), and no thread outlives a block, so a pool never forks a
-process with bootstrap threads running.
+``2 B k d`` counts per thread plus one more replicate's, as int16 while
+both sample totals are at most 181 (else int64), but at most ``2 d``
+MiB in a process (``8 d`` MiB as int64) unless one replicate needs more
+(fewer threads then), and no thread outlives a block, so a pool never
+forks a process with bootstrap threads running.
 """
 
 from __future__ import annotations
@@ -386,7 +387,8 @@ def _block_size(spec: SettingSpec) -> int:
 
 #: Bootstrap count vectors per population that a process's ``test7`` or
 #: ``minp`` bootstrap holds in flight, or one replicate's ``B k`` if more:
-#: with both populations' int64 counts, ``8 d`` MiB.
+#: with both populations' int16 counts, ``2 d`` MiB (``8 d`` MiB with
+#: int64 counts, for sample totals above 181).
 _BOOTSTRAP_DRAWS = 32 * variance.CHUNK_DRAWS
 
 
@@ -401,7 +403,8 @@ def _replicate_null_draws(task: _CellTask, s: _Stack, salt: int, B: int):
     """Each replicate's pooled-null resamples, from its ``salt`` stream:
     yields ``(i, b1, b2)`` in replicate order for replicate
     ``task.start + i``, with ``b1``, ``b2`` of shape ``(B, k, d)``, valid
-    until the generator is resumed.
+    until the generator is resumed, int16 or int64 as
+    :func:`grouphom.variance._count_buffers` decides.
 
     The replicates are drawn ahead by :func:`grouphom.variance._draw_ahead`
     on ``max(1, CPUs // task.processes)`` threads, at most one per
@@ -420,7 +423,7 @@ def _replicate_null_draws(task: _CellTask, s: _Stack, salt: int, B: int):
     in_flight = min(cpus + 1, blen, max(1, _BOOTSTRAP_DRAWS // (B * spec.k)))
     threads = min(cpus, in_flight)
     shape = (B, spec.k, spec.d)
-    slots = [(np.empty(shape, dtype=np.int64), np.empty(shape, dtype=np.int64),
+    slots = [(*variance._count_buffers(shape, max(spec.n1, spec.n2)),
               *variance._stream_rng())
              for _ in range(in_flight if threads > 1 else 1)]
     keys = _block_keys(task, salt)

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import _batch
 from .data import GroupedDataset, ProbVector
-from .errors import DimensionMismatch, InvalidB, SampleTooSmall
+from .errors import DimensionMismatch, InvalidB, OutOfRange, SampleTooSmall
 
 __all__ = [
     "VarianceEstimate",
@@ -94,6 +94,30 @@ def _check_bootstrap_size(B: int) -> None:
         raise InvalidB(f"bootstrap needs B >= 2, got {B}")
 
 
+def _check_seed(seed) -> None:
+    """A negative integer seed raises OutOfRange before any draw; other
+    non-integers are left to :func:`_stream_keys`, which raises
+    TypeError."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        return
+    if value < 0:
+        raise OutOfRange(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def _count_buffers(shape, max_total: int):
+    """Two empty arrays of ``shape`` for both samples' bootstrap counts,
+    where no sample total exceeds ``max_total``.
+
+    They are int16 while ``max_total <= 181``: then ``sum c^2`` and
+    ``sum c1 c2`` stay at most ``181^2 < 2^15``, exact in the int16 sums
+    of :func:`grouphom._batch.tu_numerator`.  Otherwise they are int64.
+    """
+    dtype = np.int16 if max_total <= 181 else np.int64
+    return np.empty(shape, dtype=dtype), np.empty(shape, dtype=dtype)
+
+
 def _available_cpus() -> int:
     """CPUs this process may run on."""
     try:
@@ -106,12 +130,14 @@ def _pooled_null_draw(rng, n1, n2, phat, B: int, out):
     """Fill ``out`` with ``B`` pooled-null resamples of both samples.
 
     ``phat`` holds pooled proportions, ``(..., d)``; ``out`` is a pair of
-    int64 arrays of shape ``(B, ..., d)``, sample 1 first, filled with
+    integer arrays of shape ``(B, ..., d)``, sample 1 first, filled with
     multinomial draws on ``phat`` with totals ``n1`` and ``n2`` and
-    returned.  The library calls this per group, with the group's
-    stream; the Monte Carlo engine per replicate, with the replicate's.
-    The arrays are filled in pieces of at most :data:`CHUNK_DRAWS` count
-    vectors, so the draw's own temporaries stay small; ``multinomial``
+    returned.  They are int16 or int64 (:func:`_count_buffers`): the
+    slice assignment casts numpy's int64 draws, which fit either.  The
+    library calls this per group, with the group's stream; the Monte
+    Carlo engine per replicate, with the replicate's.  The arrays are
+    filled in pieces of at most :data:`CHUNK_DRAWS` count vectors, so
+    the draw's own temporaries stay small; ``multinomial``
     fills its output in C order, so consecutive pieces from one
     generator are the rows of one whole draw and leave the generator in
     the same state.
@@ -296,8 +322,8 @@ def null_draws(ds: GroupedDataset, B: int, seed: int | None, work=None):
     threads = min(cpus, in_flight, len(chunks))
     # A chunk in flight owns two buffers and a generator, whose Philox
     # state is set to each of its groups' streams in turn.
-    slots = [(np.empty((chunk, B, ds.d), dtype=np.int64),
-              np.empty((chunk, B, ds.d), dtype=np.int64), *_stream_rng())
+    max_total = max(n1.max(), n2.max())
+    slots = [(*_count_buffers((chunk, B, ds.d), max_total), *_stream_rng())
              for _ in range(min(in_flight, len(chunks)) if threads > 1 else 1)]
 
     def draw(slot, lo):
@@ -340,6 +366,7 @@ def var0_bootstrap(
         If any sample total is below 2.
     """
     _check_bootstrap_size(B)
+    _check_seed(seed)
     ds.require_totals(2, "estimator test7")
     n1 = ds.sizes(1).astype(np.float64)[:, None]
     n2 = ds.sizes(2).astype(np.float64)[:, None]

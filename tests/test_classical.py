@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -127,6 +128,51 @@ class TestMomentPair:
             MomentPair(1.0, -0.5)
 
 
+# float.hex of the oracle's mean and variance, recorded before the kernels
+# were called on pieces of the outcome-pair grid: (statistic, d,
+# non-uniform vector, n1, n2) for the exact path, plus (reps, seed) for
+# the Monte Carlo path.  (2, 300) has more outcomes in sample 2 than one
+# piece holds, so a row is split too.
+_VECTORS = {3: [0.2, 0.3, 0.5], 5: [0.1, 0.15, 0.2, 0.25, 0.3],
+            10: list(np.arange(1, 11) / 55)}
+_EXACT_GOLDEN = [
+    (("chi2", 3, False, 5, 10), "0x1.11589d6b601b8p+1", "0x1.cbb72f6ec1bd0p+1"),
+    (("lrt", 3, False, 5, 10), "0x1.4531077a9e622p+1", "0x1.6399ac713b30bp+2"),
+    (("chi2", 3, True, 10, 10), "0x1.0bd008eb84e68p+1", "0x1.c84063eec97acp+1"),
+    (("lrt", 3, True, 10, 10), "0x1.32115cc4f3df2p+1", "0x1.5a08fe73b12a5p+2"),
+    (("chi2", 3, True, 2, 300), "0x1.00d9ba425676ap+1", "0x1.5d6f11c0951a4p+1"),
+    (("lrt", 3, False, 2, 300), "0x1.45e62a0f68daap+1", "0x1.bcaf5c001405cp+0"),
+    (("chi2", 5, False, 5, 10), "0x1.0638f5d34e3b5p+2", "0x1.5ce319127fd68p+2"),
+    (("lrt", 5, True, 5, 10), "0x1.39e84f2b2271ep+2", "0x1.05e99ebf3af56p+3"),
+    (("chi2", 5, False, 10, 10), "0x1.099714ab67f29p+2", "0x1.8a840ca8567a0p+2"),
+    (("lrt", 5, False, 10, 10), "0x1.44c84b7b17c80p+2", "0x1.5e64f86e4b830p+3"),
+    (("chi2", 5, True, 10, 10), "0x1.01a0c3e671300p+2", "0x1.6eda7049cc418p+2"),
+    (("chi2", 10, False, 5, 5), "0x1.880d06eedc983p+2", "0x1.04a56b0aad5f8p+2"),
+    (("lrt", 10, False, 5, 5), "0x1.0d35b34a5cb74p+3", "0x1.0157db8ec3d40p+3"),
+    (("lrt", 10, True, 5, 5), "0x1.e2961618a08fdp+2", "0x1.0ce4014e1eed0p+3"),
+]
+_MONTECARLO_GOLDEN = [
+    (("chi2", 3, False, 5, 10, 100000, 1),
+     "0x1.105365908c959p+1", "0x1.c4c639a41f450p+1"),
+    (("lrt", 3, True, 5, 10, 70001, 2),
+     "0x1.4328b2cd49d03p+1", "0x1.3fcbb5f9ad4afp+2"),
+    (("chi2", 5, True, 10, 10, 100000, 3),
+     "0x1.0110156d16162p+2", "0x1.6e601ea14c501p+2"),
+    (("lrt", 5, False, 10, 10, 50000, 4),
+     "0x1.45db958c9a885p+2", "0x1.628b1d30ea509p+3"),
+    (("chi2", 10, False, 5, 10, 100000, 5),
+     "0x1.dcb4b945308bcp+2", "0x1.b57c296de60dcp+2"),
+    (("lrt", 10, True, 5, 10, 100000, 6),
+     "0x1.0d2aa1e676e9ap+3", "0x1.569ae3a9bf093p+3"),
+]
+
+
+def _oracle(statistic, d, nonuniform):
+    vector = ProbVector(_VECTORS[d] if nonuniform else np.full(d, 1.0 / d))
+    fn = chi_square_moments_oracle if statistic == "chi2" else lrt_moments_oracle
+    return vector, fn
+
+
 class TestMomentOracle:
     def test_exact_matches_hand_enumeration(self):
         # d = 2, n1 = n2 = 2, pi = (1/2, 1/2): nine outcomes
@@ -198,6 +244,33 @@ class TestMomentOracle:
         b = lrt_moments_oracle(piv, 5, 6, method="montecarlo",
                                reps=5000, seed=7)
         assert a == b
+
+    @pytest.mark.parametrize("case, mean, variance", _EXACT_GOLDEN)
+    def test_exact_golden(self, case, mean, variance):
+        statistic, d, nonuniform, n1, n2 = case
+        vector, fn = _oracle(statistic, d, nonuniform)
+        mom = fn(vector, n1, n2, method="exact")
+        assert (mom.mean.hex(), mom.variance.hex()) == (mean, variance)
+
+    @pytest.mark.parametrize("case, mean, variance", _MONTECARLO_GOLDEN)
+    def test_montecarlo_golden(self, case, mean, variance):
+        statistic, d, nonuniform, n1, n2, reps, seed = case
+        vector, fn = _oracle(statistic, d, nonuniform)
+        mom = fn(vector, n1, n2, method="montecarlo", reps=reps, seed=seed)
+        assert (mom.mean.hex(), mom.variance.hex()) == (mean, variance)
+
+    def test_exact_memory_bounded(self):
+        # one call on the whole million-pair grid peaked at 168 MiB; in
+        # pieces the summation's own arrays (8 MB each) dominate
+        tracemalloc.start()
+        try:
+            chi_square_moments_oracle(
+                ProbVector(np.full(5, 0.2)), 10, 10, method="exact"
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
 
     def test_asymptotic_sanity_large_n(self):
         # for large equal sizes the chi-square statistic approaches its

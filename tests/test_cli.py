@@ -127,6 +127,22 @@ class TestTestCommand:
         assert exc.value.code == 2
 
 
+    @pytest.mark.parametrize("argv", [
+        ["test", "--estimator", "test7"],
+        ["test", "--estimator", "all"],
+        ["pergroup"],
+    ])
+    def test_negative_seed_exits_2(self, argv, data_csv, capsys):
+        # it failed inside numpy, with a traceback and exit 1
+        rc = main([argv[0], data_csv, *argv[1:], "--seed", "-1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: seed must be a non-negative integer, got -1\n"
+        )
+        assert captured.out == ""
+
+
 class TestPergroupCommand:
     def test_csv_schema(self, data_csv, capsys):
         assert main(["pergroup", data_csv, "--seed", "2",

@@ -16,7 +16,12 @@ from hypothesis import strategies as st
 from grouphom import _batch, simulate, variance
 from grouphom.data import CountVector, GroupedDataset, GroupPair, ProbVector
 from grouphom.decision import pergroup_bootstrap_pvalues, run_global_test
-from grouphom.errors import DimensionMismatch, InvalidB, SampleTooSmall
+from grouphom.errors import (
+    DimensionMismatch,
+    InvalidB,
+    OutOfRange,
+    SampleTooSmall,
+)
 from grouphom.simulate import SettingSpec, generate_replicate
 from grouphom.variance import (
     VarianceEstimate,
@@ -428,7 +433,79 @@ class TestBootstrap:
         with pytest.raises(ValueError):
             var0_bootstrap(self.dataset(), B=10, seed=-1)
 
+    def test_negative_seed_checked_before_sampling(self, monkeypatch):
+        # it failed inside numpy's SeedSequence, with a bare ValueError
+        def no_sampling(*args, **kw):
+            raise AssertionError("sampled before the seed was checked")
+
+        monkeypatch.setattr(variance, "_stream_keys", no_sampling)
+        monkeypatch.setattr(variance, "ThreadPoolExecutor", no_sampling)
+        for seed in (-1, np.int64(-3)):
+            with pytest.raises(OutOfRange, match="non-negative integer"):
+                var0_bootstrap(self.dataset(), B=10, seed=seed)
+            with pytest.raises(OutOfRange, match="non-negative integer"):
+                pergroup_bootstrap_pvalues(self.dataset(), B=10, seed=seed)
+
     def test_value_is_frozen_dataclass(self):
         est = VarianceEstimate(1.0, "test1")
         with pytest.raises(AttributeError):
             est.value = 2.0
+
+
+def _int64_buffers(shape, max_total):
+    return np.empty(shape, np.int64), np.empty(shape, np.int64)
+
+
+class TestCountDtype:
+    """Bootstrap counts are int16 while every sample total is at most
+    181; every result must equal the one from int64 counts."""
+
+    @staticmethod
+    def dataset(total):
+        # point masses make sum c^2 and sum c1 c2 reach total^2, which
+        # wraps in int16 from a total of 182
+        rng = np.random.default_rng(total)
+        pairs = [([total, 0, 0], [total, 0, 0]), ([0, total, 0], [0, 0, total]),
+                 ([total - 1, 1, 0], [total, 0, 0])]
+        for _ in range(5):
+            p = rng.dirichlet(np.ones(3))
+            pairs.append((rng.multinomial(total, p).tolist(),
+                          rng.multinomial(rng.integers(2, total + 1), p).tolist()))
+        return GroupedDataset(tuple(
+            pair(c1, c2, f"g{i}") for i, (c1, c2) in enumerate(pairs)
+        ))
+
+    @pytest.mark.parametrize("total, dtype", [(181, np.int16), (182, np.int64)])
+    def test_library_matches_int64(self, total, dtype, monkeypatch):
+        ds = self.dataset(total)
+        dtypes = []
+        count_buffers = variance._count_buffers
+
+        def recording(shape, max_total):
+            buffers = count_buffers(shape, max_total)
+            dtypes.append(buffers[0].dtype)
+            return buffers
+
+        def results():
+            return (var0_bootstrap(ds, B=300, seed=5),
+                    pergroup_bootstrap_pvalues(ds, B=300, seed=5))
+
+        monkeypatch.setattr(variance, "_count_buffers", recording)
+        got = results()
+        assert set(dtypes) == {np.dtype(dtype)}
+        monkeypatch.setattr(variance, "_count_buffers", _int64_buffers)
+        assert got == results()
+
+    def test_tu_numerator_int16_at_181(self):
+        rng = np.random.default_rng(3)
+        c1 = rng.multinomial(181, [0.97, 0.01, 0.01, 0.01], size=500)
+        c2 = rng.multinomial(181, [0.97, 0.01, 0.01, 0.01], size=500)
+        c1[0] = c2[0] = [181, 0, 0, 0]
+        c1[1], c2[1] = [0, 181, 0, 0], [0, 0, 0, 181]
+        for n in (181, np.full(500, 181)):
+            want = _batch.tu_numerator(c1, c2, n, n)
+            got = _batch.tu_numerator(
+                c1.astype(np.int16), c2.astype(np.int16), n, n
+            )
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)

@@ -1016,29 +1016,6 @@ class TestThreadedBootstraps:
         np.testing.assert_array_equal(z, serial[0])
         np.testing.assert_array_equal(p, serial[1])
 
-    @pytest.mark.parametrize("n2, dtype", [(181, np.int16), (182, np.int64)])
-    def test_count_dtype_boundary(self, n2, dtype, monkeypatch):
-        # int16 counts while both sample totals are at most 181; the
-        # z-scores and p-values must equal those from int64 counts
-        spec = SettingSpec(2, 5, 6, 150, n2, master_seed=25)
-        dtypes = []
-        count_buffers = variance._count_buffers
-
-        def recording(shape, max_total):
-            buffers = count_buffers(shape, max_total)
-            dtypes.append(buffers[0].dtype)
-            return buffers
-
-        monkeypatch.setattr(variance, "_count_buffers", recording)
-        z, p = _bootstrap_statistics(spec, 3, 40)
-        assert set(dtypes) == {np.dtype(dtype)}
-        monkeypatch.setattr(variance, "_count_buffers",
-                            lambda shape, max_total: (np.empty(shape, np.int64),
-                                                      np.empty(shape, np.int64)))
-        z64, p64 = _bootstrap_statistics(spec, 3, 40)
-        np.testing.assert_array_equal(z, z64)
-        np.testing.assert_array_equal(p, p64)
-
     def test_golden(self, monkeypatch):
         # recorded when each replicate's bootstrap was drawn serially
         monkeypatch.setattr(variance, "_available_cpus", lambda: 3)

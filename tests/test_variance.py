@@ -456,6 +456,21 @@ def _int64_buffers(shape, max_total):
     return np.empty(shape, np.int64), np.empty(shape, np.int64)
 
 
+@pytest.fixture
+def count_dtypes(monkeypatch):
+    """The dtype of every pair of bootstrap count buffers allocated."""
+    dtypes = []
+    count_buffers = variance._count_buffers
+
+    def recording(shape, max_total):
+        buffers = count_buffers(shape, max_total)
+        dtypes.append(buffers[0].dtype)
+        return buffers
+
+    monkeypatch.setattr(variance, "_count_buffers", recording)
+    return dtypes
+
+
 class TestCountDtype:
     """Bootstrap counts are int16 while every sample total is at most
     181; every result must equal the one from int64 counts."""
@@ -476,25 +491,35 @@ class TestCountDtype:
         ))
 
     @pytest.mark.parametrize("total, dtype", [(181, np.int16), (182, np.int64)])
-    def test_library_matches_int64(self, total, dtype, monkeypatch):
+    def test_library_matches_int64(self, total, dtype, count_dtypes,
+                                   monkeypatch):
         ds = self.dataset(total)
-        dtypes = []
-        count_buffers = variance._count_buffers
-
-        def recording(shape, max_total):
-            buffers = count_buffers(shape, max_total)
-            dtypes.append(buffers[0].dtype)
-            return buffers
 
         def results():
             return (var0_bootstrap(ds, B=300, seed=5),
                     pergroup_bootstrap_pvalues(ds, B=300, seed=5))
 
-        monkeypatch.setattr(variance, "_count_buffers", recording)
         got = results()
-        assert set(dtypes) == {np.dtype(dtype)}
+        assert set(count_dtypes) == {np.dtype(dtype)}
         monkeypatch.setattr(variance, "_count_buffers", _int64_buffers)
         assert got == results()
+
+    @pytest.mark.parametrize("n2, dtype", [(181, np.int16), (182, np.int64)])
+    def test_engine_matches_int64(self, n2, dtype, count_dtypes, monkeypatch):
+        spec = SettingSpec(2, 5, 6, 150, n2, master_seed=25)
+
+        def statistics():
+            _, stats, _ = simulate._run_cell(
+                spec, ("test7", "minp"), 3, 0.05, 1, 40, 40, "auto", 100_000,
+            )
+            return stats["test7"], stats["minp"]
+
+        z, p = statistics()
+        assert set(count_dtypes) == {np.dtype(dtype)}
+        monkeypatch.setattr(variance, "_count_buffers", _int64_buffers)
+        z64, p64 = statistics()
+        np.testing.assert_array_equal(z, z64)
+        np.testing.assert_array_equal(p, p64)
 
     def test_tu_numerator_int16_at_181(self):
         rng = np.random.default_rng(3)

@@ -11,9 +11,7 @@ see, but the aggregated U-statistic accumulates it.
 import numpy as np
 
 from grouphom import (
-    CountVector,
     GroupedDataset,
-    GroupPair,
     run_all_tests,
     run_global_test,
     write_dataset_csv,
@@ -26,12 +24,12 @@ n = 12
 pi1 = np.array([0.25, 0.25, 0.25, 0.25])
 pi2 = np.array([0.36, 0.28, 0.22, 0.14])   # ||pi1 - pi2||^2 = 0.026
 
-groups = []
+# one row per group: row r of c1 and c2 are group r's two samples
+c1, c2 = np.empty((2, k, 4), dtype=np.int64)
 for r in range(k):
-    c1 = rng.multinomial(n, pi1)
-    c2 = rng.multinomial(n, pi2)
-    groups.append(GroupPair(f"g{r + 1:03d}", CountVector(c1), CountVector(c2)))
-ds = GroupedDataset(tuple(groups))
+    c1[r] = rng.multinomial(n, pi1)
+    c2[r] = rng.multinomial(n, pi2)
+ds = GroupedDataset(c1, c2, [f"g{r + 1:03d}" for r in range(k)])
 
 # How does a per-group chi-square fare?  With 12 observations a side the
 # 95th percentile of chi2(3) is 7.81; count the groups that clear it.

@@ -14,9 +14,7 @@ observations a side.
 import numpy as np
 
 from grouphom import (
-    CountVector,
     GroupedDataset,
-    GroupPair,
     global_minp_rule,
     pergroup_bootstrap_pvalues,
     run_global_test,
@@ -30,15 +28,12 @@ base = np.array([0.5, 0.3, 0.2])
 shifted = np.array([0.15, 0.3, 0.55])   # ||base - shifted||^2 = 0.245
 truly_different = set(rng.choice(k, size=8, replace=False).tolist())
 
-groups = []
+c1, c2 = np.empty((2, k, 3), dtype=np.int64)
 for r in range(k):
     p2 = shifted if r in truly_different else base
-    groups.append(GroupPair(
-        f"g{r + 1:03d}",
-        CountVector(rng.multinomial(n1, base)),
-        CountVector(rng.multinomial(n2, p2)),
-    ))
-ds = GroupedDataset(tuple(groups))
+    c1[r] = rng.multinomial(n1, base)
+    c2[r] = rng.multinomial(n2, p2)
+ds = GroupedDataset(c1, c2, [f"g{r + 1:03d}" for r in range(k)])
 
 report = run_global_test(ds, estimator="test1")
 print(f"global test: z = {report.z:.2f}, p = {report.p_value:.4f} "

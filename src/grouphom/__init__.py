@@ -27,9 +27,7 @@ from .classical import (
     wk_statistic,
 )
 from .data import (
-    CountVector,
     GroupedDataset,
-    GroupPair,
     ProbVector,
     load_dataset,
     read_counts_csv,
@@ -65,7 +63,6 @@ from .simulate import (
     null_z_scores,
     pi_library,
     reproduce_table,
-    sample_multinomial,
 )
 from .ustat import (
     aggregate_statistic,
@@ -83,9 +80,7 @@ from .variance import (
 __all__ = [
     "__version__",
     # data
-    "CountVector",
     "ProbVector",
-    "GroupPair",
     "GroupedDataset",
     "validate_dataset",
     "read_counts_csv",
@@ -126,7 +121,6 @@ __all__ = [
     "MCResult",
     "TableResult",
     "pi_library",
-    "sample_multinomial",
     "generate_replicate",
     "estimate_rejection_rate",
     "null_z_scores",

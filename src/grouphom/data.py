@@ -1,25 +1,24 @@
 """Count data model: validated per-group paired multinomial counts.
 
 A dataset holds ``k`` groups; group ``r`` carries two independent count
-vectors over the same ``d`` categories, one per population.  The on-disk
-format is a CSV with header ``group,population,c1,...,cd`` where
-``population`` is 1 or 2 and each group must contribute exactly one row
-per population.
+vectors over the same ``d`` categories, one per population.  In memory it
+is two read-only ``(k, d)`` int64 arrays and a tuple of ``k`` group ids
+(:class:`GroupedDataset`).  The on-disk format is a CSV with header
+``group,population,c1,...,cd`` where ``population`` is 1 or 2 and each
+group must contribute exactly one row per population.
 """
 
 from __future__ import annotations
 
 import csv
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import (
     DatasetError,
-    DimensionMismatch,
     DuplicateSample,
     EmptyInput,
     MissingMate,
@@ -29,9 +28,7 @@ from .errors import (
 )
 
 __all__ = [
-    "CountVector",
     "ProbVector",
-    "GroupPair",
     "GroupedDataset",
     "validate_dataset",
     "read_counts_csv",
@@ -43,7 +40,10 @@ __all__ = [
 def _frozen_array(values, dtype, ndim: int = 1) -> np.ndarray:
     """Read-only ``ndim``-d copy of ``values``; an integer ``dtype`` also
     requires integer values that fit it."""
-    arr = np.asarray(values)
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # numpy refuses ragged nested sequences
+        raise MixedDimension("rows have different numbers of entries") from None
     if dtype is np.int64 and arr.dtype.kind != "i":
         if not np.all(np.equal(np.mod(arr, 1), 0)):
             raise DatasetError("counts must be integers")
@@ -58,38 +58,6 @@ def _frozen_array(values, dtype, ndim: int = 1) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class CountVector:
-    """Immutable vector of non-negative integer category counts."""
-
-    counts: np.ndarray
-    total: int = field(init=False)
-
-    def __post_init__(self):
-        arr = _frozen_array(self.counts, np.int64)
-        if arr.size == 0:
-            raise DatasetError("count vector must have at least one category")
-        if np.any(arr < 0):
-            raise NegativeCount(f"negative count in {arr.tolist()}")
-        object.__setattr__(self, "counts", arr)
-        object.__setattr__(self, "total", int(arr.sum()))
-
-    @property
-    def d(self) -> int:
-        return self.counts.size
-
-    def __len__(self) -> int:
-        return self.counts.size
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CountVector):
-            return NotImplemented
-        return np.array_equal(self.counts, other.counts)
-
-    def __hash__(self) -> int:
-        return hash(self.counts.tobytes())
-
-
-@dataclass(frozen=True, eq=False)
 class ProbVector:
     """Probability vector: entries in [0, 1] summing to 1 (tolerance 1e-9)."""
 
@@ -97,6 +65,9 @@ class ProbVector:
 
     def __post_init__(self):
         arr = _frozen_array(self.probs, np.float64)
+        # NaN passes both comparisons below
+        if not np.all(np.isfinite(arr)):
+            raise DatasetError(f"probabilities must be finite, got {arr.tolist()}")
         if np.any(arr < 0) or np.any(arr > 1):
             raise DatasetError("probabilities must lie in [0, 1]")
         if abs(float(arr.sum()) - 1.0) > 1e-9:
@@ -116,69 +87,23 @@ class ProbVector:
         return hash(self.probs.tobytes())
 
 
-@dataclass(frozen=True)
-class GroupPair:
-    """One group's pair of samples, sharing the category dimension."""
-
-    group_id: str
-    sample1: CountVector
-    sample2: CountVector
-
-    def __post_init__(self):
-        if self.sample1.d != self.sample2.d:
-            raise DimensionMismatch(
-                f"group {self.group_id!r}: samples have {self.sample1.d} "
-                f"and {self.sample2.d} categories"
-            )
-
-    @property
-    def d(self) -> int:
-        return self.sample1.d
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class GroupedDataset:
     """An ordered collection of groups over a common category dimension.
 
-    Held as two read-only ``(k, d)`` int64 arrays: row ``r`` of ``c1``
-    and ``c2`` is group ``r``'s sample from population 1 and 2, and
-    ``ids[r]`` is its id.  Build one from :class:`GroupPair` objects, or
-    from arrays with :meth:`from_counts`; ``groups`` and iteration give
-    per-group :class:`GroupPair` views, built on first use.
+    ``GroupedDataset(c1, c2, ids)`` takes two ``(k, d)`` integer count
+    arrays and ``k`` distinct ids, and validates them as
+    :func:`validate_dataset` validates rows.  It holds read-only int64
+    copies: row ``r`` of ``c1`` and ``c2`` is group ``r``'s sample from
+    population 1 and 2, and ``ids[r]`` is its id.
     """
 
     c1: np.ndarray
     c2: np.ndarray
     ids: tuple[str, ...]
 
-    def __init__(self, groups: Iterable[GroupPair]):
-        groups = tuple(groups)
-        if not groups:
-            raise EmptyInput("dataset has no groups")
-        d = groups[0].d
-        for g in groups:
-            if g.d != d:
-                raise MixedDimension(
-                    f"group {g.group_id!r} has {g.d} categories, expected {d}"
-                )
-        self._assign(
-            np.stack([g.sample1.counts for g in groups]),
-            np.stack([g.sample2.counts for g in groups]),
-            [g.group_id for g in groups],
-        )
-        object.__setattr__(self, "groups", groups)
-
-    @classmethod
-    def from_counts(cls, c1, c2, ids: Sequence) -> "GroupedDataset":
-        """Dataset from two ``(k, d)`` integer count arrays and ``k``
-        distinct ids, validated as :func:`validate_dataset` validates rows."""
-        ds = cls.__new__(cls)
-        ds._assign(
-            _frozen_array(c1, np.int64, 2), _frozen_array(c2, np.int64, 2), ids
-        )
-        return ds
-
-    def _assign(self, c1: np.ndarray, c2: np.ndarray, ids) -> None:
+    def __init__(self, c1, c2, ids: Iterable):
+        c1, c2 = _frozen_array(c1, np.int64, 2), _frozen_array(c2, np.int64, 2)
         ids = tuple(str(i) for i in ids)
         k, d = c1.shape
         if c2.shape != c1.shape or len(ids) != k:
@@ -202,7 +127,7 @@ class GroupedDataset:
             if c.sum(axis=1, dtype=np.float64).max() >= 2.0**62:
                 raise DatasetError("sample totals must stay below 2**62")
             n = c.sum(axis=1)
-            c.flags.writeable = n.flags.writeable = False
+            n.flags.writeable = False
             totals.append(n)
         object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "c2", c2)
@@ -216,16 +141,6 @@ class GroupedDataset:
     @property
     def d(self) -> int:
         return self.c1.shape[1]
-
-    @cached_property
-    def groups(self) -> tuple[GroupPair, ...]:
-        return tuple(
-            GroupPair(gid, CountVector(a), CountVector(b))
-            for gid, a, b in zip(self.ids, self.c1, self.c2)
-        )
-
-    def __iter__(self) -> Iterator[GroupPair]:
-        return iter(self.groups)
 
     def __len__(self) -> int:
         return self.k
@@ -242,19 +157,11 @@ class GroupedDataset:
     def __hash__(self) -> int:
         return hash((self.ids, self.c1.tobytes(), self.c2.tobytes()))
 
-    def group_ids(self) -> list[str]:
-        return list(self.ids)
-
-    def counts_matrix(self, population: int) -> np.ndarray:
-        """One population's counts as a read-only (k, d) int64 matrix."""
-        if population not in (1, 2):
-            raise DatasetError(f"population must be 1 or 2, got {population}")
-        return (self.c1, self.c2)[population - 1]
-
     def sizes(self, population: int) -> np.ndarray:
         """Per-group totals of one population as a read-only (k,) int64
         array, summed once when the dataset is built."""
-        self.counts_matrix(population)  # validates population
+        if population not in (1, 2):
+            raise DatasetError(f"population must be 1 or 2, got {population}")
         return self._totals[population - 1]
 
     def require_totals(self, minimum: int, what: str) -> None:
@@ -319,9 +226,7 @@ def validate_dataset(rows: Iterable[RawRow]) -> GroupedDataset:
             )
     matrix = _frozen_array([row[2] for row in rows], np.int64, 2)
     index = np.array(list(where.values()), dtype=np.intp)
-    return GroupedDataset.from_counts(
-        matrix[index[:, 0]], matrix[index[:, 1]], where.keys()
-    )
+    return GroupedDataset(matrix[index[:, 0]], matrix[index[:, 1]], where.keys())
 
 
 def read_counts_csv(path) -> list[RawRow]:

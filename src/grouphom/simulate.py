@@ -60,7 +60,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, _batch, classical, variance
-from .data import CountVector, GroupedDataset, ProbVector
+from .data import GroupedDataset, ProbVector
 from .decision import (
     ESTIMATORS,
     _check_alpha,
@@ -84,7 +84,6 @@ __all__ = [
     "MCResult",
     "TableResult",
     "pi_library",
-    "sample_multinomial",
     "generate_replicate",
     "estimate_rejection_rate",
     "null_z_scores",
@@ -253,19 +252,6 @@ def _conditional_binomial(rng, n, cond, k: int) -> np.ndarray:
     return out
 
 
-def sample_multinomial(n: int, pi, rng) -> CountVector:
-    """One multinomial draw by the conditional-binomial method.
-
-    ``pi`` may be a :class:`ProbVector` or a plain array; ``rng`` is a
-    numpy Generator.
-    """
-    if n < 0:
-        raise OutOfRange(f"need n >= 0, got {n}")
-    p = pi.probs if isinstance(pi, ProbVector) else np.asarray(pi, np.float64)
-    cond = _conditional_probs(p[None, :])
-    return CountVector(_conditional_binomial(rng, n, cond, 1)[0])
-
-
 def _replicate_rng(spec: SettingSpec, r: int, salt: int | None = None):
     """A new generator on replicate ``r``'s stream, or on its ``salt``
     stream; the engine itself sets reused generators to these streams
@@ -348,7 +334,7 @@ def generate_replicate(
     counts1, counts2, _, null_flags = _draw_replicate(spec, rng)
     width = max(3, len(str(spec.k)))
     ids = [f"g{r + 1:0{width}d}" for r in range(spec.k)]
-    return GroupedDataset.from_counts(counts1, counts2, ids), null_flags
+    return GroupedDataset(counts1, counts2, ids), null_flags
 
 
 # ---------------------------------------------------------------------------

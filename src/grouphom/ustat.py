@@ -17,8 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _batch
-from .data import GroupedDataset, GroupPair
-from .errors import SampleTooSmall
+from .data import GroupedDataset
 
 __all__ = [
     "group_ustat",
@@ -28,30 +27,19 @@ __all__ = [
 ]
 
 
-def _check_sizes(pair: GroupPair, minimum: int = 2) -> tuple[int, int]:
-    n1, n2 = pair.sample1.total, pair.sample2.total
-    if n1 < minimum or n2 < minimum:
-        raise SampleTooSmall(
-            f"group {pair.group_id!r}: sample totals ({n1}, {n2}) below "
-            f"the minimum of {minimum} per population"
-        )
-    return n1, n2
-
-
-def group_ustat(pair: GroupPair) -> float:
-    """Unbiased squared-distance statistic for one group.
+def group_ustat(c1, c2) -> float:
+    """Unbiased squared-distance statistic for one group, from its two
+    count vectors.
 
     Raises
     ------
     SampleTooSmall
         If either sample total is below 2.
     """
-    n1, n2 = _check_sizes(pair)
-    p1, p2 = pair.sample1.counts / n1, pair.sample2.counts / n2
-    return float(_batch.tu_group(p1, p2, float(n1), float(n2)))
+    return float(group_statistics(GroupedDataset([c1], [c2], ["group"]))[0])
 
 
-def group_ustat_kernel_oracle(pair: GroupPair) -> float:
+def group_ustat_kernel_oracle(c1, c2) -> float:
     """Same statistic via direct four-index kernel enumeration.
 
     Expands the counts into category label sequences and averages the
@@ -64,14 +52,15 @@ def group_ustat_kernel_oracle(pair: GroupPair) -> float:
     ordered pairs (s, t), s != t, from sample 2.  O(n1^2 n2^2) — reference
     implementation for testing, not for production use.
     """
-    n1, n2 = _check_sizes(pair)
-    x1 = np.repeat(np.arange(pair.d), pair.sample1.counts)
-    x2 = np.repeat(np.arange(pair.d), pair.sample2.counts)
+    ds = GroupedDataset([c1], [c2], ["group"])
+    ds.require_totals(2, "the per-group statistic")
+    x1 = np.repeat(np.arange(ds.d), ds.c1[0])
+    x2 = np.repeat(np.arange(ds.d), ds.c2[0])
     eq11 = (x1[:, None] == x1[None, :]).astype(np.float64)
     eq22 = (x2[:, None] == x2[None, :]).astype(np.float64)
     eq12 = (x1[:, None] == x2[None, :]).astype(np.float64)
-    u, v = np.nonzero(~np.eye(n1, dtype=bool))
-    s, t = np.nonzero(~np.eye(n2, dtype=bool))
+    u, v = np.nonzero(~np.eye(x1.size, dtype=bool))
+    s, t = np.nonzero(~np.eye(x2.size, dtype=bool))
     h = (
         eq11[u, v][:, None]
         + eq22[s, t][None, :]

@@ -23,18 +23,14 @@ from grouphom.classical import (
     wk_prime,
     wk_statistic,
 )
-from grouphom.data import CountVector, GroupedDataset, GroupPair, ProbVector
+from grouphom.data import GroupedDataset, ProbVector
 from grouphom.errors import OutOfRange, TooManyOutcomes, ZeroVariance
 
 
-def pair(c1, c2, gid="g"):
-    return GroupPair(gid, CountVector(c1), CountVector(c2))
-
-
 def dataset(*pairs):
-    return GroupedDataset(
-        tuple(pair(c1, c2, f"g{i}") for i, (c1, c2) in enumerate(pairs))
-    )
+    """Dataset of ``(c1, c2)`` count-vector pairs, ids ``g0``, ``g1``, ..."""
+    c1, c2 = zip(*pairs)
+    return GroupedDataset(c1, c2, [f"g{i}" for i in range(len(pairs))])
 
 
 def binom_weight(n, a, p):

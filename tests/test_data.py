@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from grouphom.data import (
-    CountVector,
     GroupedDataset,
-    GroupPair,
     ProbVector,
     load_dataset,
     read_counts_csv,
@@ -17,7 +15,6 @@ from grouphom.data import (
 )
 from grouphom.errors import (
     DatasetError,
-    DimensionMismatch,
     DuplicateSample,
     EmptyInput,
     MissingMate,
@@ -26,42 +23,44 @@ from grouphom.errors import (
 )
 
 
-def make_pair(group_id, c1, c2):
-    return GroupPair(group_id, CountVector(c1), CountVector(c2))
+def one_group(c1, c2, group_id="a"):
+    return GroupedDataset([c1], [c2], [group_id])
 
 
 class TestCountVector:
+    """A group's count vectors are the rows of ``c1`` and ``c2``."""
+
     def test_basic(self):
-        v = CountVector([3, 0, 2])
-        assert v.total == 5
-        assert v.d == 3
-        assert len(v) == 3
-        assert v.counts.dtype == np.int64
+        ds = one_group([3, 0, 2], [1, 1, 1])
+        assert ds.sizes(1).tolist() == [5]
+        assert ds.d == 3
+        assert ds.c1.dtype == np.int64
 
     def test_accepts_integral_floats(self):
-        v = CountVector(np.array([1.0, 2.0]))
-        assert v.total == 3
+        ds = one_group(np.array([1.0, 2.0]), [1, 2])
+        assert ds.sizes(1).tolist() == [3]
+        assert ds.c1.dtype == np.int64
 
     def test_rejects_fractional(self):
-        with pytest.raises(DatasetError):
-            CountVector([1.5, 2.0])
+        with pytest.raises(DatasetError, match="integers"):
+            one_group([1.5, 2.0], [1, 2])
 
     def test_rejects_negative(self):
-        with pytest.raises(NegativeCount):
-            CountVector([1, -1])
+        with pytest.raises(NegativeCount, match=r"\[1, -1\]"):
+            one_group([1, 2], [1, -1])
 
     def test_rejects_empty(self):
         with pytest.raises(DatasetError):
-            CountVector([])
+            one_group([], [])
 
     def test_immutable(self):
-        v = CountVector([1, 2])
+        ds = one_group([1, 2], [3, 4])
         with pytest.raises(ValueError):
-            v.counts[0] = 5
+            ds.c2[0, 0] = 5
         source = np.array([1, 2])
-        w = CountVector(source)
+        w = one_group(source, [3, 4])
         source[0] = 99
-        assert w.counts[0] == 1
+        assert w.c1[0, 0] == 1
 
 
 class TestProbVector:
@@ -81,61 +80,64 @@ class TestProbVector:
         third = 1.0 / 3.0
         ProbVector([third, third, 1.0 - 2.0 * third])
 
-
-class TestGroupPair:
-    def test_dimension_check(self):
-        with pytest.raises(DimensionMismatch):
-            make_pair("g", [1, 2], [1, 2, 3])
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            [np.nan, 1.0],
+            [np.nan, np.nan, np.nan],
+            [np.inf, 0.0],
+            [0.5, 0.5, -np.inf],
+        ],
+    )
+    def test_rejects_non_finite(self, probs):
+        with pytest.raises(DatasetError, match="finite"):
+            ProbVector(probs)
 
 
 class TestGroupedDataset:
     def test_matrices_and_sizes(self):
-        ds = GroupedDataset(
-            (make_pair("a", [1, 2], [3, 4]), make_pair("b", [5, 6], [7, 8]))
-        )
+        ds = GroupedDataset([[1, 2], [5, 6]], [[3, 4], [7, 8]], ["a", "b"])
         assert ds.k == 2
         assert ds.d == 2
-        assert ds.counts_matrix(1).tolist() == [[1, 2], [5, 6]]
-        assert ds.counts_matrix(2).tolist() == [[3, 4], [7, 8]]
+        assert len(ds) == 2
+        assert ds.c1.tolist() == [[1, 2], [5, 6]]
+        assert ds.c2.tolist() == [[3, 4], [7, 8]]
         assert ds.sizes(1).tolist() == [3, 11]
         assert ds.sizes(2).tolist() == [7, 15]
-        assert ds.group_ids() == ["a", "b"]
-        assert len(list(ds)) == 2
+        assert ds.ids == ("a", "b")
 
     def test_rejects_empty(self):
         with pytest.raises(EmptyInput):
-            GroupedDataset(())
+            GroupedDataset(np.zeros((0, 2), np.int64), np.zeros((0, 2), np.int64), [])
 
     def test_rejects_mixed_dimension(self):
         with pytest.raises(MixedDimension):
-            GroupedDataset(
-                (make_pair("a", [1, 2], [3, 4]),
-                 make_pair("b", [1, 2, 3], [4, 5, 6]))
-            )
+            GroupedDataset([[1, 2], [1, 2, 3]], [[3, 4], [4, 5, 6]], ["a", "b"])
 
     def test_bad_population_argument(self):
-        ds = GroupedDataset((make_pair("a", [1, 2], [3, 4]),))
-        with pytest.raises(DatasetError):
-            ds.counts_matrix(3)
+        ds = one_group([1, 2], [3, 4])
         with pytest.raises(DatasetError):
             ds.sizes(3)
+        with pytest.raises(DatasetError):
+            ds.sizes(0)
 
     def test_from_counts_matches_pairs(self):
-        ds = GroupedDataset.from_counts(
+        # the array constructor and the row validator build equal datasets
+        ds = GroupedDataset(
             np.array([[1, 2], [5, 6]]), [[3, 4], [7, 8]], ["a", "b"]
         )
-        assert ds == GroupedDataset(
-            (make_pair("a", [1, 2], [3, 4]), make_pair("b", [5, 6], [7, 8]))
+        assert ds == validate_dataset(
+            [("a", 1, [1, 2]), ("a", 2, [3, 4]), ("b", 1, [5, 6]), ("b", 2, [7, 8])]
         )
         assert ds.ids == ("a", "b")
-        assert ds.groups[1].sample2.counts.tolist() == [7, 8]
+        assert ds.c2[1].tolist() == [7, 8]
         assert ds.c1.dtype == np.int64
         with pytest.raises(ValueError):
             ds.c1[0, 0] = 9
 
     def test_from_counts_copies_its_input(self):
         c1 = np.array([[1, 2]])
-        ds = GroupedDataset.from_counts(c1, [[3, 4]], ["a"])
+        ds = GroupedDataset(c1, [[3, 4]], ["a"])
         c1[0, 0] = 99
         assert ds.c1[0, 0] == 1
 
@@ -157,23 +159,21 @@ class TestGroupedDataset:
     )
     def test_from_counts_rejects(self, c1, c2, ids, error):
         with pytest.raises(error):
-            GroupedDataset.from_counts(c1, c2, ids)
+            GroupedDataset(c1, c2, ids)
 
     def test_rejects_duplicate_ids(self):
         # a dataset with repeated ids would write a CSV load_dataset refuses
         with pytest.raises(DuplicateSample, match="'a' population 1"):
-            GroupedDataset(
-                (make_pair("a", [1, 2], [3, 4]), make_pair("a", [5, 6], [7, 8]))
-            )
+            GroupedDataset([[1, 2], [5, 6]], [[3, 4], [7, 8]], ["a", "a"])
 
     def test_sizes_are_read_only(self):
-        ds = GroupedDataset((make_pair("a", [1, 2], [3, 4]),))
+        ds = one_group([1, 2], [3, 4])
         with pytest.raises(ValueError):
             ds.sizes(1)[0] = 0
 
     def test_rejects_single_category(self):
         with pytest.raises(DatasetError, match="at least 2 categories"):
-            GroupedDataset((make_pair("a", [3], [4]),))
+            one_group([3], [4])
 
 
 class TestValidateDataset:
@@ -186,15 +186,15 @@ class TestValidateDataset:
                 ("a", 1, [1, 1]),
             ]
         )
-        assert ds.group_ids() == ["b", "a"]
+        assert ds.ids == ("b", "a")
 
     def test_idempotent(self):
         rows = [("g1", 1, [1, 2]), ("g1", 2, [3, 4])]
         ds = validate_dataset(rows)
         again = validate_dataset(
-            (g.group_id, pop, getattr(g, f"sample{pop}").counts.tolist())
-            for g in ds
-            for pop in (1, 2)
+            (group_id, pop, counts[r].tolist())
+            for r, group_id in enumerate(ds.ids)
+            for pop, counts in ((1, ds.c1), (2, ds.c2))
         )
         assert again == ds
 
@@ -260,7 +260,7 @@ class TestCsvRoundTrip:
         )
         ds = load_dataset(path)
         assert ds.k == 1
-        assert ds.groups[0].sample1.counts.tolist() == [3, 1]
+        assert ds.c1.tolist() == [[3, 1]]
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -292,7 +292,7 @@ class TestCsvRoundTrip:
             "a,2,5,5\n"
         )
         ds = load_dataset(path)
-        assert ds.group_ids() == ["b", "a", "c"]
+        assert ds.ids == ("b", "a", "c")
         assert ds.c1.tolist() == [[2, 2], [1, 1], [4, 0]]
         assert ds.c2.tolist() == [[0, 3], [5, 5], [1, 1]]
 

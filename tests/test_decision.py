@@ -25,7 +25,7 @@ from grouphom.decision import (
     run_all_tests,
     run_global_test,
 )
-from grouphom.data import CountVector, GroupedDataset, GroupPair
+from grouphom.data import GroupedDataset
 from grouphom.errors import InvalidB, OutOfRange, SampleTooSmall
 from grouphom.simulate import SettingSpec, generate_replicate
 from grouphom.ustat import aggregate_statistic
@@ -33,14 +33,20 @@ from grouphom.variance import var0_bootstrap
 
 
 def pair(c1, c2, gid="g"):
-    return GroupPair(gid, CountVector(c1), CountVector(c2))
+    return c1, c2, gid
+
+
+def dataset(*pairs):
+    """Dataset of :func:`pair` groups, in order."""
+    c1, c2, ids = zip(*pairs)
+    return GroupedDataset(c1, c2, ids)
 
 
 def null_dataset(seed=0, k=40, n1=15, n2=15, d=4):
     rng = np.random.default_rng(seed)
     piv = np.full(d, 1.0 / d)
-    return GroupedDataset(
-        tuple(
+    return dataset(
+        *(
             pair(
                 rng.multinomial(n1, piv).tolist(),
                 rng.multinomial(n2, piv).tolist(),
@@ -88,7 +94,7 @@ class TestRunGlobalTest:
             run_global_test(null_dataset(), "test1", alpha=alpha)
 
     def test_test1_minimum_sample_size(self):
-        ds = GroupedDataset((pair([2, 1], [2, 2]),))
+        ds = dataset(pair([2, 1], [2, 2]))
         with pytest.raises(SampleTooSmall):
             run_global_test(ds, "test1")
         # but the cross-trace estimator only needs two per sample
@@ -96,9 +102,7 @@ class TestRunGlobalTest:
 
     def test_degenerate_zero_statistic(self):
         # identical point masses: statistic 0, variance 0 -> retain, flagged
-        ds = GroupedDataset(
-            tuple(pair([5, 0], [5, 0], f"g{i}") for i in range(3))
-        )
+        ds = dataset(*(pair([5, 0], [5, 0], f"g{i}") for i in range(3)))
         report = run_global_test(ds, "test2")
         assert report.degenerate_variance
         assert math.isnan(report.z)
@@ -107,9 +111,7 @@ class TestRunGlobalTest:
 
     def test_degenerate_positive_statistic(self):
         # disjoint point masses: statistic positive, variance estimate 0
-        ds = GroupedDataset(
-            tuple(pair([5, 0], [0, 5], f"g{i}") for i in range(3))
-        )
+        ds = dataset(*(pair([5, 0], [0, 5], f"g{i}") for i in range(3)))
         report = run_global_test(ds, "test2")
         assert report.degenerate_variance
         assert report.p_value == 0.0
@@ -144,8 +146,7 @@ class TestSeededGolden:
 
     def dataset(self):
         return GroupedDataset(
-            tuple(pair(a, b, f"g{i}")
-                  for i, (a, b) in enumerate(zip(self.C1, self.C2)))
+            self.C1, self.C2, [f"g{i}" for i in range(len(self.C1))]
         )
 
     def test_variances_bit_identical(self):
@@ -285,9 +286,7 @@ class TestPergroupBootstrap:
             assert 1.0 / (B + 1) <= r.p_raw <= 1.0
 
     def test_degenerate_group_flagged(self):
-        ds = GroupedDataset(
-            (pair([5, 0], [5, 0], "flat"), pair([4, 2], [1, 5], "live"))
-        )
+        ds = dataset(pair([5, 0], [5, 0], "flat"), pair([4, 2], [1, 5], "live"))
         results = pergroup_bootstrap_pvalues(ds, B=100, seed=1)
         flat = {r.group_id: r for r in results}["flat"]
         live = {r.group_id: r for r in results}["live"]
@@ -321,7 +320,7 @@ class TestPergroupBootstrap:
         assert round(above, 4) == 0.2115
         assert round(above + tied, 4) == 0.2884
         B = 20_000
-        ds = GroupedDataset((pair([0, 0, 0, 1, 4], [0, 0, 0, 5, 5]),))
+        ds = dataset(pair([0, 0, 0, 1, 4], [0, 0, 0, 5, 5]))
         result = pergroup_bootstrap_pvalues(ds, B=B, seed=1)[0]
         se = math.sqrt(above * (1 - above) / B)
         assert abs(result.p_raw - above) < 4 * se
@@ -337,10 +336,10 @@ class TestPergroupBootstrap:
         small = pair([3, 2, 1], [1, 2, 3], "small")
         c1, c2 = [50_000, 37_500, 12_500], [49_700, 37_800, 12_500]
         both = pergroup_bootstrap_pvalues(
-            GroupedDataset((small, pair(c1, c2, "large"))), B=200, seed=4
+            dataset(small, pair(c1, c2, "large")), B=200, seed=4
         )
         alone = pergroup_bootstrap_pvalues(
-            GroupedDataset((small,)), B=200, seed=4
+            dataset(small), B=200, seed=4
         )
         assert both[0].p_raw == alone[0].p_raw
         rng = np.random.Generator(
@@ -357,7 +356,7 @@ class TestPergroupBootstrap:
         # not fit in int64, yet no pooled-null draw comes near T
         split = pair([100_000, 0], [0, 100_000], "split")
         result = pergroup_bootstrap_pvalues(
-            GroupedDataset((split,)), B=50, seed=4
+            dataset(split), B=50, seed=4
         )
         assert result[0].statistic == pytest.approx(2.0)
         assert result[0].p_raw == 0.0
@@ -367,7 +366,7 @@ class TestPergroupBootstrap:
             pergroup_bootstrap_pvalues(null_dataset(), B=1)
 
     def test_small_samples_rejected(self):
-        ds = GroupedDataset((pair([1, 0], [3, 3]),))
+        ds = dataset(pair([1, 0], [3, 3]))
         with pytest.raises(SampleTooSmall):
             pergroup_bootstrap_pvalues(ds, B=10, seed=0)
 
@@ -391,7 +390,7 @@ class TestThreadedDraws:
         ds, _ = generate_replicate(
             SettingSpec(3, 5, 400, 5, 10, pi0=4, master_seed=3), 0
         )
-        return GroupedDataset.from_counts(ds.c1[:k], ds.c2[:k], ds.ids[:k])
+        return GroupedDataset(ds.c1[:k], ds.c2[:k], ds.ids[:k])
 
     @staticmethod
     def outputs(ds, B):

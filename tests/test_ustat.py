@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grouphom.data import CountVector, GroupedDataset, GroupPair
-from grouphom.errors import SampleTooSmall
+from grouphom.data import GroupedDataset
+from grouphom.errors import DatasetError, NegativeCount, SampleTooSmall
 from grouphom.ustat import (
     aggregate_statistic,
     group_statistics,
@@ -20,8 +20,10 @@ from grouphom.ustat import (
 )
 
 
-def pair(c1, c2, gid="g"):
-    return GroupPair(gid, CountVector(c1), CountVector(c2))
+def dataset(*pairs):
+    """Dataset of ``(c1, c2)`` count-vector pairs, ids ``g0``, ``g1``, ..."""
+    c1, c2 = zip(*pairs)
+    return GroupedDataset(c1, c2, [f"g{i}" for i in range(len(pairs))])
 
 
 def kernel_average_quadruple_loop(c1, c2):
@@ -59,30 +61,46 @@ class TestGroupUstat:
     def test_hand_computed_value(self):
         # p1 = (1/2, 1/2), p2 = (1/4, 3/4), n1 = n2 = 4:
         # 1/3 + 1/2 - 1 = -1/6
-        assert group_ustat(pair([2, 2], [1, 3])) == pytest.approx(-1.0 / 6.0)
+        assert group_ustat([2, 2], [1, 3]) == pytest.approx(-1.0 / 6.0)
 
     def test_minimal_balanced_case(self):
         # one observation per category on both sides
-        assert group_ustat(pair([1, 1], [1, 1])) == pytest.approx(-1.0)
+        assert group_ustat([1, 1], [1, 1]) == pytest.approx(-1.0)
 
     def test_identical_point_masses(self):
         # both samples concentrated on the same category: estimate of 0
         # with no within- or cross-sample variation
-        assert group_ustat(pair([4, 0], [4, 0])) == pytest.approx(0.0)
+        assert group_ustat([4, 0], [4, 0]) == pytest.approx(0.0)
 
     def test_disjoint_point_masses(self):
         # maximally separated: estimates ||e1 - e2||^2 = 2 exactly
-        assert group_ustat(pair([4, 0], [0, 4])) == pytest.approx(2.0)
+        assert group_ustat([4, 0], [0, 4]) == pytest.approx(2.0)
 
     def test_symmetric_in_samples(self):
-        a = pair([3, 1, 2], [0, 4, 1])
-        b = pair([0, 4, 1], [3, 1, 2])
-        assert group_ustat(a) == pytest.approx(group_ustat(b))
+        assert group_ustat([3, 1, 2], [0, 4, 1]) == pytest.approx(
+            group_ustat([0, 4, 1], [3, 1, 2])
+        )
 
     @pytest.mark.parametrize("c1,c2", [([1, 0], [2, 2]), ([2, 2], [0, 1])])
     def test_needs_two_per_sample(self, c1, c2):
         with pytest.raises(SampleTooSmall):
-            group_ustat(pair(c1, c2))
+            group_ustat(c1, c2)
+        with pytest.raises(SampleTooSmall):
+            group_ustat_kernel_oracle(c1, c2)
+
+    @pytest.mark.parametrize(
+        "c1,c2,error",
+        [
+            ([1, 2], [1, 2, 3], DatasetError),
+            ([2, -1, 3], [2, 2, 2], NegativeCount),
+            ([1.5, 2], [2, 2], DatasetError),
+            ([[2, 2]], [[2, 2]], DatasetError),
+        ],
+    )
+    def test_counts_validated_as_a_dataset(self, c1, c2, error):
+        for statistic in (group_ustat, group_ustat_kernel_oracle):
+            with pytest.raises(error):
+                statistic(c1, c2)
 
 
 class TestKernelOracle:
@@ -96,7 +114,7 @@ class TestKernelOracle:
             ([2, 1, 1], [1, 1, 2]),
         ]:
             expected = kernel_average_quadruple_loop(c1, c2)
-            assert group_ustat_kernel_oracle(pair(c1, c2)) == pytest.approx(
+            assert group_ustat_kernel_oracle(c1, c2) == pytest.approx(
                 expected, abs=1e-12
             )
 
@@ -106,9 +124,8 @@ class TestKernelOracle:
             d = rng.integers(2, 5)
             c1 = rng.multinomial(rng.integers(2, 9), np.full(d, 1.0 / d))
             c2 = rng.multinomial(rng.integers(2, 9), np.full(d, 1.0 / d))
-            p = pair(c1.tolist(), c2.tolist())
-            assert group_ustat_kernel_oracle(p) == pytest.approx(
-                group_ustat(p), abs=1e-10
+            assert group_ustat_kernel_oracle(c1, c2) == pytest.approx(
+                group_ustat(c1, c2), abs=1e-10
             )
 
     @given(
@@ -121,18 +138,16 @@ class TestKernelOracle:
         c2 = data.draw(st.lists(st.integers(0, 3), min_size=d, max_size=d))
         if sum(c1) < 2 or sum(c2) < 2:
             return
-        base = group_ustat(pair(c1, c2))
+        base = group_ustat(c1, c2)
         perm = data.draw(st.sampled_from(list(permutations(range(d)))))
         c1p = [c1[perm[j]] for j in range(d)]
         c2p = [c2[perm[j]] for j in range(d)]
-        assert group_ustat(pair(c1p, c2p)) == pytest.approx(base, abs=1e-12)
+        assert group_ustat(c1p, c2p) == pytest.approx(base, abs=1e-12)
 
 
 class TestAggregation:
     def test_two_group_value(self):
-        ds = GroupedDataset(
-            (pair([2, 2], [1, 3], "a"), pair([1, 1], [1, 1], "b"))
-        )
+        ds = dataset(([2, 2], [1, 3]), ([1, 1], [1, 1]))
         stats = group_statistics(ds)
         assert stats == pytest.approx([-1.0 / 6.0, -1.0])
         assert aggregate_statistic(ds) == pytest.approx(
@@ -140,12 +155,9 @@ class TestAggregation:
         )
 
     def test_scales_with_root_k(self):
-        one = pair([3, 1], [1, 3])
-        t1 = group_ustat(one)
+        t1 = group_ustat([3, 1], [1, 3])
         for k in (1, 4, 9):
-            ds = GroupedDataset(
-                tuple(pair([3, 1], [1, 3], f"g{i}") for i in range(k))
-            )
+            ds = dataset(*[([3, 1], [1, 3])] * k)
             assert aggregate_statistic(ds) == pytest.approx(
                 k * t1 / math.sqrt(k)
             )
@@ -164,5 +176,5 @@ class TestAggregation:
                 comb(n1, a) * p1**a * (1 - p1) ** (n1 - a)
                 * comb(n2, b) * p2**b * (1 - p2) ** (n2 - b)
             )
-            acc += w * group_ustat(pair([a, n1 - a], [b, n2 - b]))
+            acc += w * group_ustat([a, n1 - a], [b, n2 - b])
         assert acc == pytest.approx(target, abs=1e-12)

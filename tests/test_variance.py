@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grouphom import _batch, simulate, variance
-from grouphom.data import CountVector, GroupedDataset, GroupPair, ProbVector
+from grouphom.data import GroupedDataset, ProbVector
 from grouphom.decision import pergroup_bootstrap_pvalues, run_global_test
 from grouphom.errors import (
     DimensionMismatch,
@@ -32,8 +32,10 @@ from grouphom.variance import (
 )
 
 
-def pair(c1, c2, gid="g"):
-    return GroupPair(gid, CountVector(c1), CountVector(c2))
+def dataset(*pairs):
+    """Dataset of ``(c1, c2)`` count-vector pairs, ids ``g0``, ``g1``, ..."""
+    c1, c2 = zip(*pairs)
+    return GroupedDataset(c1, c2, [f"g{i}" for i in range(len(pairs))])
 
 
 def sigma_of(p):
@@ -197,7 +199,7 @@ class TestGroupEstimators:
         )
 
     def test_test1_needs_four_per_sample(self):
-        ds = GroupedDataset((pair([2, 1], [2, 2]),))
+        ds = dataset(([2, 1], [2, 2]))
         with pytest.raises(SampleTooSmall):
             run_global_test(ds, "test1")
 
@@ -224,7 +226,7 @@ class TestGroupEstimators:
 
     @pytest.mark.parametrize("which", ["test4", "test5", "test6"])
     def test_plugin_labels(self, which):
-        ds = GroupedDataset((pair([3, 2], [2, 3]),))
+        ds = dataset(([3, 2], [2, 3]))
         est = run_global_test(ds, which).variance
         assert est.estimator == which
         assert est.value == var_group(which, [3, 2], [2, 3])
@@ -326,14 +328,13 @@ class TestBootstrap:
     def dataset(seed=0, k=30, n1=12, n2=12, d=4):
         rng = np.random.default_rng(seed)
         piv = np.full(d, 1.0 / d)
-        return GroupedDataset(
-            tuple(
-                pair(
+        return dataset(
+            *(
+                (
                     rng.multinomial(n1, piv).tolist(),
                     rng.multinomial(n2, piv).tolist(),
-                    f"g{i}",
                 )
-                for i in range(k)
+                for _ in range(k)
             )
         )
 
@@ -486,9 +487,7 @@ class TestCountDtype:
             p = rng.dirichlet(np.ones(3))
             pairs.append((rng.multinomial(total, p).tolist(),
                           rng.multinomial(rng.integers(2, total + 1), p).tolist()))
-        return GroupedDataset(tuple(
-            pair(c1, c2, f"g{i}") for i, (c1, c2) in enumerate(pairs)
-        ))
+        return dataset(*pairs)
 
     @pytest.mark.parametrize("total, dtype", [(181, np.int16), (182, np.int64)])
     def test_library_matches_int64(self, total, dtype, count_dtypes,

@@ -44,6 +44,8 @@ def _frozen_array(values, dtype, ndim: int = 1) -> np.ndarray:
         arr = np.asarray(values)
     except ValueError:  # numpy refuses ragged nested sequences
         raise MixedDimension("rows have different numbers of entries") from None
+    if ndim == 2 and arr.shape == (0,):
+        arr = arr.reshape(0, 0)  # ``[]``: no rows, not one empty row
     if dtype is np.int64 and arr.dtype.kind != "i":
         if not np.all(np.equal(np.mod(arr, 1), 0)):
             raise DatasetError("counts must be integers")
@@ -117,7 +119,7 @@ class GroupedDataset:
             raise DatasetError(f"need at least 2 categories, got {d}")
         if len(set(ids)) != k:
             dup = next(i for i, n in Counter(ids).items() if n > 1)
-            raise DuplicateSample(f"group {dup!r} population 1 appears twice")
+            raise DuplicateSample(f"group {dup!r} appears twice")
         totals = []
         for c in (c1, c2):
             bad = np.flatnonzero((c < 0).any(axis=1))
@@ -276,7 +278,20 @@ def load_dataset(path) -> GroupedDataset:
 
 
 def write_dataset_csv(ds: GroupedDataset, path) -> None:
-    """Write a dataset in the ingestible CSV format (round-trip safe)."""
+    """Write a dataset in the ingestible CSV format (round-trip safe).
+
+    Raises
+    ------
+    DatasetError
+        Before the file is opened, naming the first group id with leading
+        or trailing whitespace, which :func:`read_counts_csv` strips.
+    """
+    spaced = next((i for i in ds.ids if i != i.strip()), None)
+    if spaced is not None:
+        raise DatasetError(
+            f"group id {spaced!r} has leading or trailing whitespace, "
+            "which the CSV reader strips"
+        )
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(

@@ -27,10 +27,15 @@ block sizes and of the worker count.
 
 Cost: the conditional-binomial probabilities of the (at most six) vectors
 a setting draws are computed once, and no generator is built per
-replicate (setting one's state takes a few microseconds), so a replicate
-costs little more than its ``2 (d - 1)`` binomial calls.  In setting 1,
-whose groups share one vector, each sample's first category is one
-scalar call, which skips numpy's array checks.
+replicate (setting one's state takes a few microseconds).  A block does
+not call numpy's binomial at all where numpy would draw by inversion
+(``min(p, 1 - p) n <= 30``, every cell of the published tables): each
+replicate sets its stream, draws its picks and one array of doubles,
+and the block's draws are then a search of numpy's cumulative
+probabilities per category, vectorized over the block, on the doubles
+numpy's inversion would read (:func:`_draw_block`).  The counts are
+bit-identical; the few draws the search cannot settle, and cells numpy
+draws by BTPE, go through the per-replicate binomial calls.
 
 :func:`reproduce_table` forks one worker pool per table, at the first
 cell with more than one block of replicates, with no more workers than
@@ -277,24 +282,20 @@ def _setting_probs(setting: int, d: int, pi0: int | None):
     return cond
 
 
-def _draw_replicate(spec: SettingSpec, rng):
-    """Draw one replicate's counts.
+def _setting_picks(spec: SettingSpec, rng):
+    """One replicate's mixture picks, the first draws of its stream.
 
-    Returns ``(counts1, counts2, picks, null_flags)`` where ``picks`` is
-    the per-group library index of the shared (null) vector, or -1 on
-    alternative groups; for setting 1 all picks are 0.  Each sample's
-    groups index the columns of :func:`_setting_probs`, except in setting
-    1, where they share its probabilities.
+    Returns ``(picks, null_flags, rows1, rows2)`` where ``picks`` is the
+    per-group library index of the shared (null) vector, or -1 on
+    alternative groups, and ``rows1``, ``rows2`` index each sample's
+    groups into the columns of :func:`_setting_probs`.  Setting 1 draws
+    nothing: its picks and rows are all 0.
     """
     k = spec.k
-    cond = _setting_probs(spec.setting, spec.d, spec.pi0)
     if spec.setting == 1:
-        picks = np.zeros(k, dtype=np.int64)
+        picks = rows1 = rows2 = np.zeros(k, dtype=np.int64)
         null_flags = np.ones(k, dtype=bool)
-        counts1 = _conditional_binomial(rng, spec.n1, cond, k)
-        counts2 = _conditional_binomial(rng, spec.n2, cond, k)
-        return counts1, counts2, picks, null_flags
-    if spec.setting == 2:
+    elif spec.setting == 2:
         picks = rows1 = rows2 = rng.integers(0, 5, size=k)
         null_flags = np.ones(k, dtype=bool)
     elif spec.setting == 3:
@@ -314,6 +315,24 @@ def _draw_replicate(spec: SettingSpec, rng):
         rows2 = rng.integers(0, 5, size=k)
         null_flags = rows1 == rows2
         picks = np.where(null_flags, rows1, -1)
+    return picks, null_flags, rows1, rows2
+
+
+def _draw_replicate(spec: SettingSpec, rng):
+    """Draw one replicate's counts.
+
+    Returns ``(counts1, counts2, picks, null_flags)`` as
+    :func:`_setting_picks` describes them.  Each sample's groups index the
+    columns of :func:`_setting_probs`, except in setting 1, where they
+    share its probabilities.
+    """
+    k = spec.k
+    cond = _setting_probs(spec.setting, spec.d, spec.pi0)
+    picks, null_flags, rows1, rows2 = _setting_picks(spec, rng)
+    if spec.setting == 1:
+        counts1 = _conditional_binomial(rng, spec.n1, cond, k)
+        counts2 = _conditional_binomial(rng, spec.n2, cond, k)
+        return counts1, counts2, picks, null_flags
     counts1 = _conditional_binomial(rng, spec.n1, np.take(cond, rows1, axis=1), k)
     counts2 = _conditional_binomial(rng, spec.n2, np.take(cond, rows2, axis=1), k)
     return counts1, counts2, picks, null_flags
@@ -451,21 +470,176 @@ def _null_pvalues(task: _CellTask, s: _Stack):
     return p
 
 
-def _run_block(task: _CellTask):
-    spec = task.spec
-    blen = task.stop - task.start
-    c1 = np.empty((blen, spec.k, spec.d), dtype=np.float64)
-    c2 = np.empty((blen, spec.k, spec.d), dtype=np.float64)
-    picks = np.empty((blen, spec.k), dtype=np.int64)
-    # one generator, set to each replicate's stream in turn
+#: numpy draws ``Binomial(n, p)`` by inversion while ``min(p, 1 - p) n``
+#: is at most this, else by BTPE (``random_binomial`` in numpy's C
+#: distributions).
+_INVERSION_MAX_MEAN = 30.0
+
+#: How close a double may come to a cumulative probability of
+#: :func:`_inversion_tables` before :func:`_inverse_binomial` leaves the
+#: draw to numpy.  numpy's walk subtracts from the double, and the tables
+#: add up, at most 86 probabilities (its bound is below ``30 + 10
+#: sqrt(31)``), each rounding by at most ``2 ** -53``, so the two differ
+#: by less than ``2 ** -45``.
+_TIE_MARGIN = 2.0 ** -40
+
+
+def _inversion_tables(cond: np.ndarray, n_max: int):
+    """numpy's inversion of each probability of ``cond``, a ``(d - 1,
+    m)`` array, for every trial count ``0..n_max``, as search tables; or
+    None if numpy would draw some of them by BTPE.
+
+    numpy inverts ``p' = min(p, 1 - p)`` and flips the draw where ``p >
+    0.5``: from ``px = q ** n`` (``q = 1 - p'``), it takes one double
+    ``U`` and, while ``U > px``, steps ``X`` up, subtracts ``px`` from
+    ``U`` and sets ``px`` to the probability of ``X``, restarting on a
+    fresh double if ``X`` passes a bound.  So the draw is the number of
+    cumulative probabilities below ``U``.  Returns ``(flip, cum)``, where
+    ``cum[j, c, n]`` holds those of ``cond[j, c]`` at ``n`` trials, in
+    numpy's float operations (``q ** n``, the bound with libm's ``exp``,
+    ``log`` and ``sqrt``, as numpy's C code computes them), and ``inf``
+    past the bound, over a last axis of a power-of-two length with room
+    for one ``inf``.
+    """
+    flip = cond > 0.5
+    p = np.where(flip, 1.0 - cond, cond)
+    if np.any(p * n_max > _INVERSION_MAX_MEAN):
+        return None
+    q = 1.0 - p
+    qn = np.empty(cond.shape + (n_max + 1,))
+    bound = np.empty(cond.shape + (n_max + 1,), dtype=np.int64)
+    for at in np.ndindex(cond.shape):
+        pv, qv = float(p[at]), float(q[at])
+        log_q = math.log(qv)
+        for n in range(n_max + 1):
+            mean = n * pv
+            qn[at + (n,)] = math.exp(n * log_q)
+            bound[at + (n,)] = int(min(n, mean + 10.0 * math.sqrt(mean * qv + 1)))
+    width = 1 << int(bound.max() + 1).bit_length()
+    n = np.arange(n_max + 1)
+    p, q = p[..., None], q[..., None]
+    px = np.empty(qn.shape + (width,))
+    px[..., 0] = qn
+    for x in range(1, width):
+        px[..., x] = (n - x + 1) * p * px[..., x - 1] / (x * q)
+    cum = np.cumsum(px, axis=-1)
+    cum[np.arange(width) > bound[..., None]] = np.inf
+    return flip, cum
+
+
+def _inverse_binomial(tables, j: int, col, n, u):
+    """numpy's draws of ``Binomial(n, cond[j, col])`` on the doubles
+    ``u``, one each (``n > 0``, ``cond[j, col] > 0``), by a binary search
+    of :func:`_inversion_tables`.  Returns the draws and a mask of those
+    it cannot settle: where numpy would restart, or ``u`` lies within
+    :data:`_TIE_MARGIN` of a cumulative probability, so that the rounding
+    of numpy's walk decides."""
+    flip, cum = tables
+    width = cum.shape[-1]
+    flat = cum.reshape(-1)
+    base = ((j * cum.shape[1] + col) * cum.shape[2] + n) * width
+    x = np.zeros(len(u), dtype=np.int64)
+    half = width // 2
+    while half:
+        x += half * (flat[base + x + (half - 1)] < u)
+        half //= 2
+    below = flat[base + np.maximum(x - 1, 0)]
+    above = flat[base + x]
+    unsure = (above == np.inf) | (above - u <= _TIE_MARGIN)
+    unsure |= np.abs(u - below) <= _TIE_MARGIN
+    return np.where(flip[j, col], n - x, x), unsure
+
+
+def _draw_slice(spec: SettingSpec, cond, tables, bitgen, rng, keys, u,
+                c1, c2, picks):
+    """Draw the replicates of ``keys`` into ``c1``, ``c2`` and ``picks``
+    by :func:`_inverse_binomial`; returns the indices of those with a
+    draw it cannot settle (their counts are not valid).
+
+    Each replicate's stream yields its picks (:func:`_setting_picks`) and
+    then fills its row of ``u`` with doubles, as many as its binomials
+    can take without a restart.  numpy's binomials read the same doubles
+    in order, one per draw with ``n > 0`` and ``p > 0``: sample 1's
+    categories, then sample 2's, each over the groups in order.  Nothing
+    else reads a replicate's stream, so the doubles left over are not
+    missed.
+    """
+    s, k = len(keys), spec.k
+    rows = np.empty((2, s, k), dtype=np.int64)
+    for i, key in enumerate(keys):
+        variance._start_stream(bitgen, key)
+        picks[i], _, rows[0, i], rows[1, i] = _setting_picks(spec, rng)
+        rng.random(out=u[i])
+    # where each replicate's next unused double sits in ``u.ravel()``
+    start = np.arange(s) * u.shape[1]
+    u = u.ravel()
+    unsure = np.zeros(s * k, dtype=bool)
+    drawn = np.empty(s * k, dtype=np.int64)
+    for n_total, cols, out in ((spec.n1, rows[0], c1), (spec.n2, rows[1], c2)):
+        remaining = np.full(s * k, n_total, dtype=np.int64)
+        cols = cols.ravel()
+        for j in range(spec.d - 1):
+            active = (remaining != 0) & (cond[j, cols] != 0)
+            taken = np.cumsum(active.reshape(s, k), axis=1)
+            at = np.flatnonzero(active)
+            where = (start[:, None] + taken - 1).ravel()[at]
+            start += taken[:, -1]
+            x, unsettled = _inverse_binomial(tables, j, cols[at], remaining[at],
+                                             u[where])
+            drawn.fill(0)
+            drawn[at] = x
+            unsure[at[unsettled]] = True
+            out[:, :, j] = drawn.reshape(s, k)
+            remaining -= drawn
+        out[:, :, -1] = remaining.reshape(s, k)
+    return np.flatnonzero(unsure.reshape(s, k).any(axis=1))
+
+
+def _draw_block(spec: SettingSpec, keys: np.ndarray):
+    """Draw the block's replicates, one per row of ``keys``: returns
+    ``(c1, c2, picks)``, the counts as floats of shape ``(blen, k, d)``,
+    bit-identical to :func:`_draw_replicate` on each replicate's stream.
+
+    The binomial draws of the whole block are one vectorized search per
+    category (:func:`_draw_slice`), which reads each replicate's doubles
+    as numpy's inversion would, in slices of replicates of at most
+    :data:`_BOOTSTRAP_DRAWS` doubles.  A replicate with a draw the search
+    cannot settle (about ``4e-12`` per draw), or every replicate of a cell
+    whose draws numpy makes by BTPE, is drawn by :func:`_draw_replicate`
+    instead, on a reused generator.
+    """
+    k, d = spec.k, spec.d
+    blen = len(keys)
+    c1 = np.empty((blen, k, d), dtype=np.float64)
+    c2 = np.empty((blen, k, d), dtype=np.float64)
+    picks = np.empty((blen, k), dtype=np.int64)
     bitgen, rng = variance._stream_rng()
-    keys = _block_keys(task)
-    for i in range(blen):
+    cond = np.array(_setting_probs(spec.setting, d, spec.pi0)).reshape(d - 1, -1)
+    tables = _inversion_tables(cond, max(spec.n1, spec.n2))
+    redraw = range(blen)
+    if tables is not None:
+        width = 2 * k * (d - 1)
+        size = max(1, _BOOTSTRAP_DRAWS // width)
+        u = np.empty((min(size, blen), width))
+        redraw = []
+        for lo in range(0, blen, size):
+            hi = min(lo + size, blen)
+            for i in _draw_slice(spec, cond, tables, bitgen, rng, keys[lo:hi],
+                                 u[: hi - lo], c1[lo:hi], c2[lo:hi],
+                                 picks[lo:hi]):
+                redraw.append(lo + i)
+    for i in redraw:
         variance._start_stream(bitgen, keys[i])
         a, b, p, _ = _draw_replicate(spec, rng)
         c1[i] = a
         c2[i] = b
         picks[i] = p
+    return c1, c2, picks
+
+
+def _run_block(task: _CellTask):
+    spec = task.spec
+    c1, c2, picks = _draw_block(spec, _block_keys(task))
     stack = _Stack(
         c1, c2, spec.n1, spec.n2, task.alpha,
         null_variance=functools.partial(_null_variances, task),
@@ -480,12 +654,14 @@ def _run_block(task: _CellTask):
 
 
 def _oracle_moments(
-    spec: SettingSpec, statistic: str, method: str, reps: int
+    spec: SettingSpec, statistic: str, method: str, reps: int, exact=None
 ) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Null moments for every library vector the setting can draw.
 
     Only settings 1 and 2 generate purely null groups with known vectors,
-    which is what the oracle standardizations need.
+    which is what the oracle standardizations need.  Exact moments do not
+    depend on the cell's seed: a dict ``exact`` keeps them by statistic,
+    setting, ``d`` and sizes, for the cells of one table.
     """
     if spec.setting not in (1, 2):
         raise OutOfRange(
@@ -505,6 +681,9 @@ def _oracle_moments(
     if method == "auto":
         feasible = classical.exact_enumeration_feasible(spec.d, spec.n1, spec.n2)
         method = "exact" if feasible else "montecarlo"
+    key = (statistic, spec.setting, spec.d, spec.n1, spec.n2)
+    if method == "exact" and exact is not None and key in exact:
+        return exact[key]
     means, variances = [], []
     for i, pv in enumerate(pis):
         mom = oracle(
@@ -517,7 +696,10 @@ def _oracle_moments(
         )
         means.append(mom.mean)
         variances.append(mom.variance)
-    return np.array(means), np.array(variances), [method] * len(pis)
+    moments = np.array(means), np.array(variances), [method] * len(pis)
+    if method == "exact" and exact is not None:
+        exact[key] = moments
+    return moments
 
 
 def _resolve_workers(workers) -> int:
@@ -546,12 +728,14 @@ def _run_cell(
     moment_method: str,
     moment_reps: int,
     pool=None,
+    exact_moments=None,
 ):
     """Run one cell in blocks of replicates: in this process at one worker
     or one block, else on ``min(workers, blocks)`` processes, of ``pool``
-    (which has at least that many) or of a pool of its own.  Returns the results, each test's per-replicate
-    statistics and the oracle moments ``(means, variances, methods)`` of
-    ``wkprime``/``vkprime``."""
+    (which has at least that many) or of a pool of its own.  Returns the
+    results, each test's per-replicate statistics and the oracle moments
+    ``(means, variances, methods)`` of ``wkprime``/``vkprime``, exact ones
+    kept in ``exact_moments`` if given (see :func:`_oracle_moments`)."""
     if reps < 1:
         raise InvalidReps(f"need reps >= 1, got {reps}")
     _check_alpha(alpha)
@@ -569,7 +753,8 @@ def _run_cell(
             _check_bootstrap_size(B)
     workers = _resolve_workers(workers)
     moments = {
-        test: _oracle_moments(spec, test, moment_method, moment_reps)
+        test: _oracle_moments(spec, test, moment_method, moment_reps,
+                              exact_moments)
         for test in ("wkprime", "vkprime") if test in tests
     }
     size = _block_size(spec)
@@ -835,6 +1020,8 @@ def reproduce_table(
     blocks = [-(-reps // _block_size(spec)) for _, spec, _, _ in cells]
     workers = min(workers, max(blocks))
     moment_notes: dict[str, list[str]] = {}
+    # exact oracle moments are the same for every k of a (d, n1, n2)
+    exact_moments: dict = {}
     pool = None
     try:
         for index, (row, spec, tests, collect_map) in enumerate(cells):
@@ -848,7 +1035,7 @@ def reproduce_table(
                 pool = ctx.Pool(workers)
             results, _, moments = _run_cell(
                 spec, tests, reps, alpha, workers, 200, 1000, "auto",
-                moment_reps, pool=pool,
+                moment_reps, pool=pool, exact_moments=exact_moments,
             )
             for _, _, used in moments.values():
                 moment_notes[f"d={spec.d},n1={spec.n1},n2={spec.n2}"] = used

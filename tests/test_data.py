@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -162,9 +164,15 @@ class TestGroupedDataset:
             GroupedDataset(c1, c2, ids)
 
     def test_rejects_duplicate_ids(self):
-        # a dataset with repeated ids would write a CSV load_dataset refuses
-        with pytest.raises(DuplicateSample, match="'a' population 1"):
+        # a dataset with repeated ids would write a CSV load_dataset refuses;
+        # array input has no population rows to name
+        with pytest.raises(DuplicateSample, match=r"^group 'a' appears twice$"):
             GroupedDataset([[1, 2], [5, 6]], [[3, 4], [7, 8]], ["a", "a"])
+
+    def test_rejects_empty_lists(self):
+        # as (0, d) arrays do, not as a 1-d array
+        with pytest.raises(EmptyInput, match=r"^dataset has no groups$"):
+            GroupedDataset([], [], [])
 
     def test_sizes_are_read_only(self):
         ds = one_group([1, 2], [3, 4])
@@ -199,7 +207,8 @@ class TestValidateDataset:
         assert again == ds
 
     def test_duplicate(self):
-        with pytest.raises(DuplicateSample):
+        with pytest.raises(DuplicateSample,
+                           match=r"^group 'g' population 1 appears twice$"):
             validate_dataset(
                 [("g", 1, [1, 2]), ("g", 1, [1, 2]), ("g", 2, [1, 2])]
             )
@@ -245,6 +254,27 @@ class TestCsvRoundTrip:
                 ("g2", 2, [2, 5, 5]),
             ]
         )
+        path = tmp_path / "data.csv"
+        write_dataset_csv(ds, path)
+        assert load_dataset(path) == ds
+
+    @pytest.mark.parametrize("ids,named", [
+        ([" a", "b "], " a"),
+        (["a", " a"], " a"),
+        (["a", "b\t"], "b\t"),
+    ])
+    def test_spaced_ids_refused_before_writing(self, tmp_path, ids, named):
+        # the reader strips ids: " a" and "b " would come back as "a" and
+        # "b", and "a" with " a" as a CSV that load_dataset refuses
+        ds = GroupedDataset([[1, 2], [3, 4]], [[1, 2], [3, 4]], ids)
+        path = tmp_path / "data.csv"
+        message = f"group id {named!r} has leading or trailing whitespace"
+        with pytest.raises(DatasetError, match=re.escape(message)):
+            write_dataset_csv(ds, path)
+        assert not path.exists()
+
+    def test_inner_spaces_round_trip(self, tmp_path):
+        ds = GroupedDataset([[1, 2], [3, 4]], [[1, 2], [3, 4]], ["a b", "c,d"])
         path = tmp_path / "data.csv"
         write_dataset_csv(ds, path)
         assert load_dataset(path) == ds

@@ -357,6 +357,161 @@ def _reference_counts(spec, r):
     return out
 
 
+_SETTINGS = ((1, None), (2, None), (3, 2), (3, 4), (4, 2), (4, 4), (5, None))
+_DRAW_REPLICATE = simulate._draw_replicate
+
+
+def _setting_probabilities():
+    """Every conditional probability the settings draw with (settings 1-5
+    at d = 5 and 10, setting 1 also at d = 2 and 20), and the edge
+    values 0, 0.5, 1 - 2**-53 and 1."""
+    values = {0.0, 0.5, 1 - 2.0**-53, 1.0}
+    for setting, pi0 in _SETTINGS:
+        for d in (5, 10):
+            values.update(np.ravel(simulate._setting_probs(setting, d, pi0)))
+    for d in (2, 20):
+        values.update(simulate._setting_probs(1, d, None))
+    return sorted(float(v) for v in values)
+
+
+def _draw_blocks(spec, blen, first=0):
+    """The block draw of replicates ``first..first + blen - 1`` and the
+    same replicates drawn one by one by ``_draw_replicate``, each on its
+    own stream."""
+    keys = variance._stream_keys(spec.master_seed,
+                                 np.arange(first, first + blen, dtype=np.uint64))
+    block = simulate._draw_block(spec, keys)
+    bitgen, rng = variance._stream_rng()
+    one_by_one = []
+    for key in keys:
+        variance._start_stream(bitgen, key)
+        one_by_one.append(_DRAW_REPLICATE(spec, rng)[:3])
+    return block, one_by_one
+
+
+def _assert_block_draw_exact(spec, blen, first=0):
+    (c1, c2, picks), one_by_one = _draw_blocks(spec, blen, first)
+    assert c1.dtype == c2.dtype == np.float64
+    for i, (a, b, p) in enumerate(one_by_one):
+        assert c1[i].tolist() == a.tolist(), (spec, i)
+        assert c2[i].tolist() == b.tolist(), (spec, i)
+        assert picks[i].tolist() == p.tolist(), (spec, i)
+
+
+@pytest.fixture
+def replicate_draws(monkeypatch):
+    """Counts the replicates the block draw leaves to ``_draw_replicate``."""
+    calls = []
+
+    def counting(spec, rng):
+        calls.append(spec)
+        return _DRAW_REPLICATE(spec, rng)
+
+    monkeypatch.setattr(simulate, "_draw_replicate", counting)
+    return calls
+
+
+class TestBlockDraw:
+    def test_inverse_binomial_matches_numpy(self):
+        # n = 0..60, 20 draws each, on two copies of one stream: the search
+        # reads one double per draw with n > 0 and p > 0, as numpy's
+        # inversion does, and gives numpy's value
+        n = np.tile(np.arange(61), 20)
+        for i, p in enumerate(_setting_probabilities()):
+            key = variance._stream_keys(2024, i)[0]
+            (bit_a, rng_a), (bit_b, rng_b) = (variance._stream_rng(),
+                                              variance._stream_rng())
+            variance._start_stream(bit_a, key)
+            variance._start_stream(bit_b, key)
+            expected = rng_b.binomial(n, p)
+            tables = simulate._inversion_tables(np.array([[p]]), 60)
+            active = (n != 0) & (p != 0)
+            u = rng_a.random(np.count_nonzero(active))
+            x, unsure = simulate._inverse_binomial(
+                tables, 0, np.zeros(len(u), dtype=np.int64), n[active], u)
+            assert not unsure.any(), p
+            drawn = np.zeros_like(n)
+            drawn[active] = x
+            assert drawn.tolist() == expected.tolist(), p
+            assert rng_a.random() == rng_b.random(), p
+
+    @pytest.mark.parametrize("blen", [1, 16, 1024])
+    @pytest.mark.parametrize("index", range(len(_SETTINGS)))
+    def test_matches_draw_replicate(self, index, blen, replicate_draws):
+        # every setting on the level and power size grids at both d; a
+        # full-size block, whose reference draw is slow, on one (d, sizes)
+        # of each setting, together covering both d and every size
+        setting, pi0 = _SETTINGS[index]
+        sizes = sorted(set(simulate._SIZES_LEVEL) | set(simulate._SIZES_POWER))
+        cells = [(d, n) for d in (5, 10) for n in sizes]
+        if blen == 1024:
+            cells = [((5, 10)[index % 2], sizes[index % len(sizes)])]
+        for j, (d, (n1, n2)) in enumerate(cells):
+            spec = SettingSpec(setting, d, 3, n1, n2, pi0=pi0,
+                               master_seed=simulate._cell_seed(15, j))
+            _assert_block_draw_exact(spec, blen, first=j * blen)
+        assert not replicate_draws
+
+    @pytest.mark.parametrize("d", [2, 20])
+    def test_setting_one_dimensions(self, d, replicate_draws):
+        for n1, n2 in ((5, 10), (30, 30)):
+            _assert_block_draw_exact(SettingSpec(1, d, 20, n1, n2, master_seed=9), 64)
+        assert not replicate_draws
+
+    def test_slices(self, monkeypatch, replicate_draws):
+        # a block draws its doubles in slices of whole replicates
+        spec = SettingSpec(4, 10, 5, 20, 30, pi0=2, master_seed=3)
+        monkeypatch.setattr(simulate, "_BOOTSTRAP_DRAWS", 3 * 2 * 5 * 9 + 1)
+        _assert_block_draw_exact(spec, 10)
+        assert not replicate_draws
+
+    def test_doubles_near_a_boundary_unsettled(self):
+        # on either side of a cumulative probability the rounding of
+        # numpy's walk decides, so the search must not
+        tables = simulate._inversion_tables(np.array([[0.2]]), 10)
+        cum = tables[1][0, 0, 10]
+        edges = cum[np.isfinite(cum)]
+        u = np.concatenate([edges - 2.0**-42, edges + 2.0**-42,
+                            (edges[:-1] + edges[1:]) / 2])
+        x, unsure = simulate._inverse_binomial(
+            tables, 0, np.zeros(len(u), dtype=np.int64), np.full(len(u), 10), u)
+        assert unsure[: 2 * len(edges)].all()
+        assert not unsure[2 * len(edges):].any()
+        assert x[2 * len(edges):].tolist() == list(range(1, len(edges)))
+
+    def test_unsettled_draws_redrawn(self, monkeypatch, replicate_draws):
+        # a double near a cumulative probability is left to numpy
+        monkeypatch.setattr(simulate, "_TIE_MARGIN", 1.0)
+        spec = SettingSpec(3, 5, 20, 5, 10, pi0=2, master_seed=4)
+        _assert_block_draw_exact(spec, 40)
+        assert len(replicate_draws) == 40
+
+    def test_restart_redrawn(self, monkeypatch, replicate_draws):
+        # with the bound forced down to 1, a draw of 2 or more is one that
+        # numpy restarts: its replicate is redrawn, the others are not
+        tables = simulate._inversion_tables
+
+        def bound_one(cond, n_max):
+            flip, cum = tables(cond, n_max)
+            cum[..., 2:] = np.inf
+            return flip, cum
+
+        monkeypatch.setattr(simulate, "_inversion_tables", bound_one)
+        spec = SettingSpec(1, 5, 1, 2, 2, master_seed=5)
+        _assert_block_draw_exact(spec, 100)
+        assert 0 < len(replicate_draws) < 100
+
+    @pytest.mark.parametrize("n1,n2", [(200, 150), (2**15, 2**15)])
+    def test_btpe_cells_draw_one_by_one(self, n1, n2, replicate_draws):
+        # where numpy draws by BTPE, not inversion, every replicate goes
+        # through _draw_replicate, and no table sized by n is built
+        spec = SettingSpec(1, 5, 4, n1, n2, master_seed=6)
+        cond = np.array(simulate._setting_probs(1, 5, None)).reshape(4, 1)
+        assert simulate._inversion_tables(cond, max(n1, n2)) is None
+        _assert_block_draw_exact(spec, 16)
+        assert len(replicate_draws) == 16
+
+
 def _numerator(a, b, n1, n2):
     # T * n1 (n1 - 1) n2 (n2 - 1) in integers, from the U-statistic's terms
     return (
@@ -550,6 +705,7 @@ class TestRejectionRateEngine:
 
         monkeypatch.setattr(simulate, "_replicate_rng", no_sampling)
         monkeypatch.setattr(simulate, "_draw_replicate", no_sampling)
+        monkeypatch.setattr(simulate, "_draw_block", no_sampling)
         monkeypatch.setattr(variance, "_stream_keys", no_sampling)
         monkeypatch.setattr(variance, "ThreadPoolExecutor", no_sampling)
         monkeypatch.setattr(variance, "_available_cpus", lambda: 4)
@@ -634,6 +790,23 @@ class TestReproduceTable:
     def test_unknown_table(self):
         with pytest.raises(UnknownTable):
             reproduce_table("tab99", reps=2)
+
+    def test_exact_moments_once_per_call(self, monkeypatch):
+        # exact oracle moments depend on neither k nor the cell seed: one
+        # enumeration serves every k row of a call, and none the next call
+        calls = []
+        oracle = classical.lrt_moments_oracle
+
+        def counting(pi, n1, n2, **kwargs):
+            calls.append((n1, n2, kwargs["method"]))
+            return oracle(pi, n1, n2, **kwargs)
+
+        monkeypatch.setattr(classical, "lrt_moments_oracle", counting)
+        for _ in range(2):
+            res = reproduce_table("trv2", reps=5, size_pairs=[(5, 10)],
+                                  d_values=[5], workers=1)
+            assert len(res.rows) == len(simulate._K_LEVEL)
+        assert calls == [(5, 10, "exact")] * 2
 
     def test_level_table_layout(self, tmp_path):
         res = reproduce_table(

@@ -18,7 +18,6 @@ from .classical import (
     MomentPair,
     chi_square_moments_oracle,
     chi_square_pooled,
-    exact_enumeration_feasible,
     lrt_moments_oracle,
     uit_statistic,
     vk_prime,
@@ -50,7 +49,6 @@ from .errors import (
     GrouphomError,
     OutOfRange,
     SampleTooSmall,
-    TooManyOutcomes,
     UnknownTable,
     UnsupportedDimension,
 )
@@ -106,7 +104,6 @@ __all__ = [
     "chi_square_pooled",
     "chi_square_moments_oracle",
     "lrt_moments_oracle",
-    "exact_enumeration_feasible",
     # decisions
     "ESTIMATORS",
     "TestReport",
@@ -130,7 +127,6 @@ __all__ = [
     "DatasetError",
     "EstimatorPrecondition",
     "SampleTooSmall",
-    "TooManyOutcomes",
     "OutOfRange",
     "UnknownTable",
     "UnsupportedDimension",

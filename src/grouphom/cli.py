@@ -232,9 +232,9 @@ def _parse_sizes(text: str) -> list[tuple[int, int]]:
 #: (``--progress`` to False) when not given; the --setting form's
 #: defaults are filled in once the form is known.
 _SETTING_DEFAULTS = {"d": 5, "k": 50, "n1": 10, "n2": 10, "pi0": None,
-                     "tests": "test1", "moment_reps": 100_000}
+                     "tests": "test1"}
 _TABLE_FLAGS = ("outdir", "k_values", "d_values", "sizes", "progress")
-_RATE_FLAGS = ("tests", "moment_reps", "reps", "workers")
+_RATE_FLAGS = ("tests", "reps", "workers")
 
 
 def _reject_flags(args, names, form: str) -> None:
@@ -344,7 +344,6 @@ def _cmd_simulate(args) -> int:
         reps=reps,
         alpha=args.alpha,
         workers=args.workers,
-        moment_reps=args.moment_reps,
     )
     payload = {
         "spec": {
@@ -465,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--d-values", type=int, nargs="+", default=None)
     p_sim.add_argument("--sizes", default=None,
                        help="size pairs like '5,10;10,10'")
-    p_sim.add_argument("--moment-reps", type=int, default=None)
     p_sim.add_argument("--progress", action="store_true",
                        help="report cells on stderr as they finish")
     p_sim.add_argument("--export-replicate", type=int, default=None,

@@ -64,10 +64,6 @@ class ZeroVariance(GrouphomError, ValueError):
     """A variance that must be positive is zero (degenerate input)."""
 
 
-class TooManyOutcomes(EstimatorPrecondition):
-    """Exact enumeration was requested but the outcome space is too large."""
-
-
 class UnknownTable(GrouphomError, KeyError):
     """An unrecognised simulation table identifier."""
 

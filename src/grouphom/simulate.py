@@ -237,20 +237,13 @@ def _conditional_binomial(rng, n, cond, k: int) -> np.ndarray:
     """Draw ``k`` multinomial vectors of total ``n`` by the sequential
     conditional-binomial method: category ``j`` is binomial on the trials
     left, with probability ``cond[j]``, so each vector costs ``d - 1``
-    binomial draws.  ``cond`` is either a ``(d - 1, k)`` array, one
-    column per vector (from :func:`_conditional_probs`), or a tuple of
-    ``d - 1`` floats that all ``k`` vectors share: the first category is
-    then one scalar call, which numpy draws without its array checks (the
-    same values as the array call), and the rest pass a scalar
-    probability."""
+    binomial draws.  ``cond`` is a ``(d - 1, k)`` array, one column per
+    vector (from :func:`_conditional_probs`)."""
     d1 = len(cond)
     out = np.empty((k, d1 + 1), dtype=np.int64)
     remaining = np.full(k, n, dtype=np.int64)
     for j in range(d1):
-        if j == 0 and isinstance(cond, tuple):
-            cj = rng.binomial(n, cond[0], size=k)
-        else:
-            cj = rng.binomial(remaining, cond[j])
+        cj = rng.binomial(remaining, cond[j])
         out[:, j] = cj
         remaining -= cj
     out[:, d1] = remaining
@@ -268,13 +261,13 @@ def _replicate_rng(spec: SettingSpec, r: int, salt: int | None = None):
 
 @functools.lru_cache(maxsize=None)
 def _setting_probs(setting: int, d: int, pi0: int | None):
-    """Conditional probabilities of every vector a setting draws: for
-    setting 1, the uniform vector's as a tuple of floats, which every
-    group shares; for the others, by column, library vectors 1-5, plus
-    the reversed ``pi0`` vector as column 5 for setting 4."""
+    """Conditional probabilities of every vector a setting draws, by
+    column: the uniform vector for setting 1; library vectors 1-5 for the
+    others, plus the reversed ``pi0`` vector as column 5 for setting 4."""
     if setting == 1:
-        return tuple(_conditional_probs(np.full((1, d), 1.0 / d))[:, 0].tolist())
-    vectors = pi_library(d).vectors
+        vectors = np.full((1, d), 1.0 / d)
+    else:
+        vectors = pi_library(d).vectors
     if setting == 4:
         vectors = np.vstack([vectors, vectors[pi0 - 1][::-1]])
     cond = _conditional_probs(vectors)
@@ -323,16 +316,11 @@ def _draw_replicate(spec: SettingSpec, rng):
 
     Returns ``(counts1, counts2, picks, null_flags)`` as
     :func:`_setting_picks` describes them.  Each sample's groups index the
-    columns of :func:`_setting_probs`, except in setting 1, where they
-    share its probabilities.
+    columns of :func:`_setting_probs`.
     """
     k = spec.k
     cond = _setting_probs(spec.setting, spec.d, spec.pi0)
     picks, null_flags, rows1, rows2 = _setting_picks(spec, rng)
-    if spec.setting == 1:
-        counts1 = _conditional_binomial(rng, spec.n1, cond, k)
-        counts2 = _conditional_binomial(rng, spec.n2, cond, k)
-        return counts1, counts2, picks, null_flags
     counts1 = _conditional_binomial(rng, spec.n1, np.take(cond, rows1, axis=1), k)
     counts2 = _conditional_binomial(rng, spec.n2, np.take(cond, rows2, axis=1), k)
     return counts1, counts2, picks, null_flags
@@ -614,7 +602,7 @@ def _draw_block(spec: SettingSpec, keys: np.ndarray):
     c2 = np.empty((blen, k, d), dtype=np.float64)
     picks = np.empty((blen, k), dtype=np.int64)
     bitgen, rng = variance._stream_rng()
-    cond = np.array(_setting_probs(spec.setting, d, spec.pi0)).reshape(d - 1, -1)
+    cond = _setting_probs(spec.setting, d, spec.pi0)
     tables = _inversion_tables(cond, max(spec.n1, spec.n2))
     redraw = range(blen)
     if tables is not None:
@@ -644,7 +632,7 @@ def _run_block(task: _CellTask):
         c1, c2, spec.n1, spec.n2, task.alpha,
         null_variance=functools.partial(_null_variances, task),
         null_pvalues=functools.partial(_null_pvalues, task),
-        moments={t: (m[picks], v[picks]) for t, (m, v, _) in task.moments.items()},
+        moments={t: (m[picks], v[picks]) for t, (m, v) in task.moments.items()},
     )
     out = {}
     for test in task.tests:
@@ -654,13 +642,14 @@ def _run_block(task: _CellTask):
 
 
 def _oracle_moments(
-    spec: SettingSpec, statistic: str, method: str, reps: int, exact=None
-) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Null moments for every library vector the setting can draw.
+    spec: SettingSpec, statistic: str, cache=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Null means and variances for every library vector the setting can
+    draw.
 
     Only settings 1 and 2 generate purely null groups with known vectors,
-    which is what the oracle standardizations need.  Exact moments do not
-    depend on the cell's seed: a dict ``exact`` keeps them by statistic,
+    which is what the oracle standardizations need.  The moments do not
+    depend on the cell's seed: a dict ``cache`` keeps them by statistic,
     setting, ``d`` and sizes, for the cells of one table.
     """
     if spec.setting not in (1, 2):
@@ -678,27 +667,14 @@ def _oracle_moments(
     else:
         lib = pi_library(spec.d)
         pis = [lib.vector(i) for i in range(1, 6)]
-    if method == "auto":
-        feasible = classical.exact_enumeration_feasible(spec.d, spec.n1, spec.n2)
-        method = "exact" if feasible else "montecarlo"
     key = (statistic, spec.setting, spec.d, spec.n1, spec.n2)
-    if method == "exact" and exact is not None and key in exact:
-        return exact[key]
-    means, variances = [], []
-    for i, pv in enumerate(pis):
-        mom = oracle(
-            pv,
-            spec.n1,
-            spec.n2,
-            method=method,
-            reps=reps,
-            seed=np.random.SeedSequence(spec.master_seed, spawn_key=(i, 3)),
-        )
-        means.append(mom.mean)
-        variances.append(mom.variance)
-    moments = np.array(means), np.array(variances), [method] * len(pis)
-    if method == "exact" and exact is not None:
-        exact[key] = moments
+    if cache is not None and key in cache:
+        return cache[key]
+    pairs = [oracle(pv, spec.n1, spec.n2) for pv in pis]
+    moments = (np.array([m.mean for m in pairs]),
+               np.array([m.variance for m in pairs]))
+    if cache is not None:
+        cache[key] = moments
     return moments
 
 
@@ -725,17 +701,15 @@ def _run_cell(
     workers,
     bootstrap_B: int,
     minp_B: int,
-    moment_method: str,
-    moment_reps: int,
     pool=None,
-    exact_moments=None,
+    moments_cache=None,
 ):
     """Run one cell in blocks of replicates: in this process at one worker
     or one block, else on ``min(workers, blocks)`` processes, of ``pool``
     (which has at least that many) or of a pool of its own.  Returns the
-    results, each test's per-replicate statistics and the oracle moments
-    ``(means, variances, methods)`` of ``wkprime``/``vkprime``, exact ones
-    kept in ``exact_moments`` if given (see :func:`_oracle_moments`)."""
+    results and each test's per-replicate statistics.  The oracle moments
+    of ``wkprime``/``vkprime`` are kept in ``moments_cache`` if given (see
+    :func:`_oracle_moments`)."""
     if reps < 1:
         raise InvalidReps(f"need reps >= 1, got {reps}")
     _check_alpha(alpha)
@@ -753,8 +727,7 @@ def _run_cell(
             _check_bootstrap_size(B)
     workers = _resolve_workers(workers)
     moments = {
-        test: _oracle_moments(spec, test, moment_method, moment_reps,
-                              exact_moments)
+        test: _oracle_moments(spec, test, moments_cache)
         for test in ("wkprime", "vkprime") if test in tests
     }
     size = _block_size(spec)
@@ -798,7 +771,7 @@ def _run_cell(
             seconds=elapsed,
         )
     statistics = {t: np.concatenate([out[t][2] for out in outs]) for t in tests}
-    return results, statistics, moments
+    return results, statistics
 
 
 def estimate_rejection_rate(
@@ -809,8 +782,6 @@ def estimate_rejection_rate(
     workers=None,
     bootstrap_B: int = 200,
     minp_B: int = 1000,
-    moment_method: str = "auto",
-    moment_reps: int = 100_000,
 ) -> dict[str, MCResult]:
     """Fraction of replicates each test rejects at level ``alpha``.
 
@@ -833,9 +804,8 @@ def estimate_rejection_rate(
     ``workers`` value (an integer of at least 1, default from
     ``MH_WORKERS``, else 1) and any thread count.
     """
-    results, _, _ = _run_cell(
+    results, _ = _run_cell(
         spec, tests, reps, alpha, workers, bootstrap_B, minp_B,
-        moment_method, moment_reps,
     )
     return results
 
@@ -852,8 +822,8 @@ def null_z_scores(
     Degenerate-variance replicates yield NaN.
     """
     _lookup((estimator,), ESTIMATORS)
-    _, statistics, _ = _run_cell(
-        spec, (estimator,), reps, alpha, workers, 200, 1000, "auto", 100_000,
+    _, statistics = _run_cell(
+        spec, (estimator,), reps, alpha, workers, 200, 1000,
     )
     return statistics[estimator]
 
@@ -956,7 +926,6 @@ def reproduce_table(
     k_values=None,
     size_pairs=None,
     d_values=None,
-    moment_reps: int = 100_000,
     progress=None,
 ) -> TableResult:
     """Recompute one simulation table on its reference grid.
@@ -1019,9 +988,8 @@ def reproduce_table(
     # no more workers than the largest cell's blocks.
     blocks = [-(-reps // _block_size(spec)) for _, spec, _, _ in cells]
     workers = min(workers, max(blocks))
-    moment_notes: dict[str, list[str]] = {}
-    # exact oracle moments are the same for every k of a (d, n1, n2)
-    exact_moments: dict = {}
+    # oracle moments are the same for every k of a (d, n1, n2)
+    moments_cache: dict = {}
     pool = None
     try:
         for index, (row, spec, tests, collect_map) in enumerate(cells):
@@ -1033,12 +1001,10 @@ def reproduce_table(
             if pool is None and workers > 1 and blocks[index] > 1:
                 ctx = multiprocessing.get_context("fork")
                 pool = ctx.Pool(workers)
-            results, _, moments = _run_cell(
-                spec, tests, reps, alpha, workers, 200, 1000, "auto",
-                moment_reps, pool=pool, exact_moments=exact_moments,
+            results, _ = _run_cell(
+                spec, tests, reps, alpha, workers, 200, 1000,
+                pool=pool, moments_cache=moments_cache,
             )
-            for _, _, used in moments.values():
-                moment_notes[f"d={spec.d},n1={spec.n1},n2={spec.n2}"] = used
             for name, test in collect_map.items():
                 row[name] = results[test].rate
                 row[f"se_{name}"] = results[test].se
@@ -1066,7 +1032,6 @@ def reproduce_table(
                     "k_values": list(k_values),
                     "size_pairs": [list(s) for s in size_pairs],
                     "d_values": list(d_values),
-                    "moment_methods": moment_notes or None,
                     "grouphom_version": __version__,
                     "git_describe": _git_describe(),
                     "generated_utc": datetime.now(timezone.utc).isoformat(),

@@ -126,25 +126,23 @@ def test_02_naive_aggregate_breaks_down(capsys):
 
 
 def test_03_oracle_standardized_aggregate_is_level(capsys):
-    # Six cells of the d=5 column: both k extremes with the exactly
-    # enumerable moment pairs, plus the two larger size pairs at k=200
-    # where the Monte Carlo moment error is provably negligible.
+    # Six cells of the d=5 column, all standardized by exact moments:
+    # both k extremes at the two smaller size pairs, plus the two larger
+    # size pairs at k=200.
     cells = [
-        (200, 5, 10, "exact", 0),
-        (200, 10, 10, "exact", 0),
-        (750, 5, 10, "exact", 0),
-        (750, 10, 10, "exact", 0),
-        (200, 20, 30, "montecarlo", 2_000_000),
-        (200, 30, 30, "montecarlo", 2_000_000),
+        (200, 5, 10),
+        (200, 10, 10),
+        (750, 5, 10),
+        (750, 10, 10),
+        (200, 20, 30),
+        (200, 30, 30),
     ]
     rates = {}
-    for i, (k, n1, n2, method, mreps) in enumerate(cells):
+    for i, (k, n1, n2) in enumerate(cells):
         res = estimate_rejection_rate(
             SettingSpec(1, 5, k, n1, n2, master_seed=103_000 + i),
             ("wkprime",),
             reps=10_000,
-            moment_method=method,
-            moment_reps=mreps or 100_000,
         )
         rates[(k, n1, n2)] = res["wkprime"].rate
     ok = all(0.04 <= rate <= 0.06 for rate in rates.values())
@@ -166,7 +164,6 @@ def test_04_lrt_aggregates(capsys):
         SettingSpec(1, 5, 20, 5, 10, master_seed=104),
         ("vk", "vkprime"),
         reps=10_000,
-        moment_method="exact",
     )
     vk, vkp = res["vk"].rate, res["vkprime"].rate
     ok_vk = 0.70 <= vk <= 0.77
@@ -384,7 +381,6 @@ def test_10_worker_count_determinism(capsys):
             workers=workers,
             bootstrap_B=100,
             minp_B=60,
-            moment_method="exact",
         )
         counts.append(
             {t: (res[t].rejections, res[t].degenerate) for t in battery}

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import inspect
 import types
 from pathlib import Path
 
 import grouphom
-from grouphom import _batch, classical, cli, data, decision, simulate, ustat
+from grouphom import _batch, classical, cli, data, decision, errors, simulate, ustat
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -40,7 +41,6 @@ PUBLIC = [
     "chi_square_pooled",
     "chi_square_moments_oracle",
     "lrt_moments_oracle",
-    "exact_enumeration_feasible",
     # decisions
     "ESTIMATORS",
     "TestReport",
@@ -64,7 +64,6 @@ PUBLIC = [
     "DatasetError",
     "EstimatorPrecondition",
     "SampleTooSmall",
-    "TooManyOutcomes",
     "OutOfRange",
     "UnknownTable",
     "UnsupportedDimension",
@@ -73,7 +72,7 @@ PUBLIC = [
 
 def test_public_surface_is_pinned():
     assert grouphom.__all__ == PUBLIC
-    assert len(set(PUBLIC)) == len(PUBLIC) == 49
+    assert len(set(PUBLIC)) == len(PUBLIC) == 47
     for name in PUBLIC:
         assert getattr(grouphom, name) is not None, name
 
@@ -84,6 +83,21 @@ def test_retired_object_layer_is_gone():
         assert not hasattr(data, name) and not hasattr(simulate, name)
     for attr in ("from_counts", "counts_matrix", "group_ids", "groups", "__iter__"):
         assert not hasattr(grouphom.GroupedDataset, attr)
+
+
+def test_retired_moment_paths_are_gone():
+    # the oracles compute exact moments one way, for every cell
+    for name in ("exact_enumeration_feasible", "TooManyOutcomes"):
+        assert not hasattr(grouphom, name)
+    assert not hasattr(errors, "TooManyOutcomes")
+    for name in ("exact_enumeration_feasible", "EXACT_PAIR_LIMIT", "_PIECE_PAIRS",
+                 "_compositions"):
+        assert not hasattr(classical, name)
+    for fn in (classical.chi_square_moments_oracle, classical.lrt_moments_oracle):
+        assert list(inspect.signature(fn).parameters) == ["pi", "n1", "n2"]
+    for fn in (simulate.estimate_rejection_rate, simulate.reproduce_table):
+        params = inspect.signature(fn).parameters
+        assert "moment_method" not in params and "moment_reps" not in params
 
 
 def test_tracer_targets_resolve():

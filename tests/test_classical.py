@@ -15,7 +15,6 @@ from grouphom.classical import (
     MomentPair,
     chi_square_moments_oracle,
     chi_square_pooled,
-    exact_enumeration_feasible,
     lrt_moments_oracle,
     uit_statistic,
     vk_prime,
@@ -24,7 +23,7 @@ from grouphom.classical import (
     wk_statistic,
 )
 from grouphom.data import GroupedDataset, ProbVector
-from grouphom.errors import OutOfRange, TooManyOutcomes, ZeroVariance
+from grouphom.errors import OutOfRange, ZeroVariance
 
 
 def dataset(*pairs):
@@ -123,12 +122,18 @@ class TestMomentPair:
         with pytest.raises(ZeroVariance):
             MomentPair(1.0, -0.5)
 
+    @pytest.mark.parametrize("mean, variance", [
+        (math.nan, 1.0), (0.0, math.nan), (0.0, math.inf),
+        (math.inf, 1.0), (-math.inf, 1.0),
+    ])
+    def test_rejects_non_finite(self, mean, variance):
+        with pytest.raises(OutOfRange, match="moments must be finite"):
+            MomentPair(mean, variance)
 
-# float.hex of the oracle's mean and variance, recorded before the kernels
-# were called on pieces of the outcome-pair grid: (statistic, d,
-# non-uniform vector, n1, n2) for the exact path, plus (reps, seed) for
-# the Monte Carlo path.  (2, 300) has more outcomes in sample 2 than one
-# piece holds, so a row is split too.
+
+# float.hex of the null mean and variance of (statistic, d, non-uniform
+# vector, n1, n2), recorded from an enumeration of every outcome pair
+# weighted by its multinomial probability.
 _VECTORS = {3: [0.2, 0.3, 0.5], 5: [0.1, 0.15, 0.2, 0.25, 0.3],
             10: list(np.arange(1, 11) / 55)}
 _EXACT_GOLDEN = [
@@ -147,6 +152,11 @@ _EXACT_GOLDEN = [
     (("lrt", 10, False, 5, 5), "0x1.0d35b34a5cb74p+3", "0x1.0157db8ec3d40p+3"),
     (("lrt", 10, True, 5, 5), "0x1.e2961618a08fdp+2", "0x1.0ce4014e1eed0p+3"),
 ]
+# float.hex of the mean and sample variance of the statistic over reps
+# Monte Carlo draws of both samples (``np.random.default_rng(seed)``
+# drawing sample 1's reps count vectors, then sample 2's): (statistic, d,
+# non-uniform vector, n1, n2, reps, seed).  All but the first four cells
+# have more than 10**7 outcome pairs, too many to enumerate.
 _MONTECARLO_GOLDEN = [
     (("chi2", 3, False, 5, 10, 100000, 1),
      "0x1.105365908c959p+1", "0x1.c4c639a41f450p+1"),
@@ -160,6 +170,26 @@ _MONTECARLO_GOLDEN = [
      "0x1.dcb4b945308bcp+2", "0x1.b57c296de60dcp+2"),
     (("lrt", 10, True, 5, 10, 100000, 6),
      "0x1.0d2aa1e676e9ap+3", "0x1.569ae3a9bf093p+3"),
+    (("chi2", 5, True, 20, 30, 100000, 7),
+     "0x1.050612aa66309p+2", "0x1.d2794bcb3120dp+2"),
+    (("lrt", 5, False, 30, 30, 100000, 8),
+     "0x1.1027c845c8a55p+2", "0x1.2963f8b70b5d9p+3"),
+    (("chi2", 10, False, 10, 10, 100000, 9),
+     "0x1.06ac5fac56af8p+3", "0x1.04fc310ff8e8fp+3"),
+    (("lrt", 10, True, 10, 10, 100000, 10),
+     "0x1.31b9899de6aa3p+3", "0x1.dcb8f958ced12p+3"),
+    (("chi2", 20, False, 30, 30, 100000, 11),
+     "0x1.25eabd87f8e11p+4", "0x1.61e4cf043ec81p+4"),
+    (("lrt", 20, False, 5, 10, 100000, 12),
+     "0x1.aca9753c5cb46p+3", "0x1.36eba2dd3bd0bp+3"),
+]
+# float.hex of the null mean and variance, enumerating every outcome pair
+# in 40-digit arithmetic (mpmath) at the float probabilities of the vector.
+_PRECISE = [
+    (("lrt", 3, False, 2, 300), "0x1.45e62a0f68f17p+1", "0x1.bcaf5c00135d0p+0"),
+    (("chi2", 3, True, 2, 300), "0x1.00d9ba4256c03p+1", "0x1.5d6f11c094eb7p+1"),
+    (("lrt", 3, True, 10, 10), "0x1.32115cc4f3e25p+1", "0x1.5a08fe73b12a6p+2"),
+    (("lrt", 10, False, 5, 5), "0x1.0d35b34a5cb66p+3", "0x1.0157db8ec3d8dp+3"),
 ]
 
 
@@ -182,7 +212,7 @@ class TestMomentOracle:
             mean += w * t
         for (a, b), (w, t) in values.items():
             var += w * (t - mean) ** 2
-        mom = chi_square_moments_oracle(piv, 2, 2, method="exact")
+        mom = chi_square_moments_oracle(piv, 2, 2)
         assert mom.mean == pytest.approx(mean, abs=1e-12)
         assert mom.variance == pytest.approx(var, abs=1e-12)
 
@@ -195,74 +225,41 @@ class TestMomentOracle:
             t = lrt_group([a, 3 - a], [b, 2 - b], 3, 2)
             mean += w * t
             second += w * t * t
-        mom = lrt_moments_oracle(piv, 3, 2, method="exact")
+        mom = lrt_moments_oracle(piv, 3, 2)
         assert mom.mean == pytest.approx(mean, abs=1e-12)
         assert mom.variance == pytest.approx(second - mean**2, abs=1e-12)
-
-    def test_montecarlo_agrees_with_exact(self):
-        piv = ProbVector([0.2, 0.3, 0.5])
-        exact = chi_square_moments_oracle(piv, 4, 4, method="exact")
-        reps = 200_000
-        mc = chi_square_moments_oracle(
-            piv, 4, 4, method="montecarlo", reps=reps, seed=42
-        )
-        se_mean = math.sqrt(exact.variance / reps)
-        assert mc.mean == pytest.approx(exact.mean, abs=4 * se_mean)
-        assert mc.variance == pytest.approx(exact.variance, rel=0.05)
-
-    def test_auto_picks_exact_when_feasible(self):
-        piv = ProbVector([0.5, 0.5])
-        auto = chi_square_moments_oracle(piv, 5, 5, method="auto")
-        exact = chi_square_moments_oracle(piv, 5, 5, method="exact")
-        assert auto.mean == exact.mean
-        assert auto.variance == exact.variance
-
-    def test_exact_infeasible_raises(self):
-        piv = ProbVector(np.full(20, 0.05))
-        assert not exact_enumeration_feasible(20, 30, 30)
-        with pytest.raises(TooManyOutcomes):
-            chi_square_moments_oracle(piv, 30, 30, method="exact")
-
-    def test_feasibility_boundary(self):
-        assert exact_enumeration_feasible(2, 10, 10)
-        assert exact_enumeration_feasible(5, 10, 10)
-
-    def test_montecarlo_needs_reps(self):
-        with pytest.raises(OutOfRange):
-            chi_square_moments_oracle(
-                ProbVector([0.5, 0.5]), 4, 4, method="montecarlo", reps=1
-            )
-
-    def test_montecarlo_deterministic_given_seed(self):
-        piv = ProbVector([0.4, 0.6])
-        a = lrt_moments_oracle(piv, 5, 6, method="montecarlo",
-                               reps=5000, seed=7)
-        b = lrt_moments_oracle(piv, 5, 6, method="montecarlo",
-                               reps=5000, seed=7)
-        assert a == b
 
     @pytest.mark.parametrize("case, mean, variance", _EXACT_GOLDEN)
     def test_exact_golden(self, case, mean, variance):
         statistic, d, nonuniform, n1, n2 = case
         vector, fn = _oracle(statistic, d, nonuniform)
-        mom = fn(vector, n1, n2, method="exact")
-        assert (mom.mean.hex(), mom.variance.hex()) == (mean, variance)
+        mom = fn(vector, n1, n2)
+        assert mom.mean == pytest.approx(float.fromhex(mean), rel=1e-12)
+        assert mom.variance == pytest.approx(float.fromhex(variance), rel=1e-12)
+
+    @pytest.mark.parametrize("case, mean, variance", _PRECISE)
+    def test_matches_high_precision_reference(self, case, mean, variance):
+        vector, fn = _oracle(*case[:3])
+        mom = fn(vector, *case[3:])
+        assert mom.mean == pytest.approx(float.fromhex(mean), rel=2e-13)
+        assert mom.variance == pytest.approx(float.fromhex(variance), rel=2e-13)
 
     @pytest.mark.parametrize("case, mean, variance", _MONTECARLO_GOLDEN)
     def test_montecarlo_golden(self, case, mean, variance):
-        statistic, d, nonuniform, n1, n2, reps, seed = case
+        # the Monte Carlo mean lies within 4 standard errors of the exact
+        # mean, and the sample variance within 5% of the exact variance
+        # (the recorded ones lie within 1.6%)
+        statistic, d, nonuniform, n1, n2, reps, _ = case
         vector, fn = _oracle(statistic, d, nonuniform)
-        mom = fn(vector, n1, n2, method="montecarlo", reps=reps, seed=seed)
-        assert (mom.mean.hex(), mom.variance.hex()) == (mean, variance)
+        mom = fn(vector, n1, n2)
+        se = math.sqrt(mom.variance / reps)
+        assert abs(float.fromhex(mean) - mom.mean) <= 4 * se
+        assert float.fromhex(variance) == pytest.approx(mom.variance, rel=0.05)
 
     def test_exact_memory_bounded(self):
-        # one call on the whole million-pair grid peaked at 168 MiB; in
-        # pieces the summation's own arrays (8 MB each) dominate
         tracemalloc.start()
         try:
-            chi_square_moments_oracle(
-                ProbVector(np.full(5, 0.2)), 10, 10, method="exact"
-            )
+            chi_square_moments_oracle(ProbVector(np.full(5, 0.2)), 10, 10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -272,8 +269,6 @@ class TestMomentOracle:
         # for large equal sizes the chi-square statistic approaches its
         # chi-square(d-1) limit: mean d-1, variance 2(d-1)
         piv = ProbVector([0.25, 0.25, 0.25, 0.25])
-        mom = chi_square_moments_oracle(
-            piv, 500, 500, method="montecarlo", reps=100_000, seed=11
-        )
+        mom = chi_square_moments_oracle(piv, 500, 500)
         assert mom.mean == pytest.approx(3.0, rel=0.03)
         assert mom.variance == pytest.approx(6.0, rel=0.08)

@@ -328,14 +328,21 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("flag, value", [
         ("--d", "5"), ("--k", "20"), ("--n1", "5"), ("--n2", "10"),
-        ("--pi0", "2"), ("--tests", "test2"), ("--moment-reps", "10"),
-        ("--out", "x.csv"),
+        ("--pi0", "2"), ("--tests", "test2"), ("--out", "x.csv"),
     ])
     def test_table_form_rejects_setting_flags(self, flag, value, capsys):
         assert main(["simulate", "--table", "tab2", "--reps", "2",
                      "--k-values", "20", "--sizes", "5,10", flag, value]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {flag}: not used by the --table form\n"
+
+    @pytest.mark.parametrize("form", [["--table", "tab88"], ["--setting", "1"]])
+    def test_moment_reps_flag_is_gone(self, form, capsys):
+        # the oracle moments are exact, so there is no draw count to set
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", *form, "--moment-reps", "10"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --moment-reps 10" in capsys.readouterr().err
 
     def test_export_needs_out(self):
         assert main([

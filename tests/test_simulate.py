@@ -370,7 +370,7 @@ def _setting_probabilities():
         for d in (5, 10):
             values.update(np.ravel(simulate._setting_probs(setting, d, pi0)))
     for d in (2, 20):
-        values.update(simulate._setting_probs(1, d, None))
+        values.update(np.ravel(simulate._setting_probs(1, d, None)))
     return sorted(float(v) for v in values)
 
 
@@ -506,7 +506,7 @@ class TestBlockDraw:
         # where numpy draws by BTPE, not inversion, every replicate goes
         # through _draw_replicate, and no table sized by n is built
         spec = SettingSpec(1, 5, 4, n1, n2, master_seed=6)
-        cond = np.array(simulate._setting_probs(1, 5, None)).reshape(4, 1)
+        cond = simulate._setting_probs(1, 5, None)
         assert simulate._inversion_tables(cond, max(n1, n2)) is None
         _assert_block_draw_exact(spec, 16)
         assert len(replicate_draws) == 16
@@ -603,8 +603,8 @@ class TestRejectionRateEngine:
             reps=reps,
         )
         uniform = ProbVector(np.full(5, 0.2))
-        mom_w = classical.chi_square_moments_oracle(uniform, 10, 10, method="exact")
-        mom_v = classical.lrt_moments_oracle(uniform, 10, 10, method="exact")
+        mom_w = classical.chi_square_moments_oracle(uniform, 10, 10)
+        mom_v = classical.lrt_moments_oracle(uniform, 10, 10)
         z95 = ndtri(0.95)
         counts = dict.fromkeys(res, 0)
         for r in range(reps):
@@ -743,9 +743,7 @@ class TestOracleStandardization:
         spec = SettingSpec(2, 5, 100, 5, 10, master_seed=55)
         lib = pi_library(5)
         moments = {
-            i: classical.chi_square_moments_oracle(
-                lib.vector(i + 1), 5, 10, method="exact"
-            )
+            i: classical.chi_square_moments_oracle(lib.vector(i + 1), 5, 10)
             for i in range(5)
         }
         values = []
@@ -766,8 +764,8 @@ class TestOracleStandardization:
         spec = SettingSpec(1, 5, 30, 5, 10, master_seed=41)
         res = estimate_rejection_rate(spec, ("wkprime", "vkprime"), reps=25)
         piv = ProbVector(np.full(5, 0.2))
-        mom_w = classical.chi_square_moments_oracle(piv, 5, 10, method="exact")
-        mom_v = classical.lrt_moments_oracle(piv, 5, 10, method="exact")
+        mom_w = classical.chi_square_moments_oracle(piv, 5, 10)
+        mom_v = classical.lrt_moments_oracle(piv, 5, 10)
         z95 = ndtri(0.95)
         count_w = count_v = 0
         for r in range(25):
@@ -792,21 +790,21 @@ class TestReproduceTable:
             reproduce_table("tab99", reps=2)
 
     def test_exact_moments_once_per_call(self, monkeypatch):
-        # exact oracle moments depend on neither k nor the cell seed: one
-        # enumeration serves every k row of a call, and none the next call
+        # oracle moments depend on neither k nor the cell seed: one
+        # computation serves every k row of a call, and none the next call
         calls = []
         oracle = classical.lrt_moments_oracle
 
-        def counting(pi, n1, n2, **kwargs):
-            calls.append((n1, n2, kwargs["method"]))
-            return oracle(pi, n1, n2, **kwargs)
+        def counting(pi, n1, n2):
+            calls.append((n1, n2))
+            return oracle(pi, n1, n2)
 
         monkeypatch.setattr(classical, "lrt_moments_oracle", counting)
         for _ in range(2):
             res = reproduce_table("trv2", reps=5, size_pairs=[(5, 10)],
                                   d_values=[5], workers=1)
             assert len(res.rows) == len(simulate._K_LEVEL)
-        assert calls == [(5, 10, "exact")] * 2
+        assert calls == [(5, 10)] * 2
 
     def test_level_table_layout(self, tmp_path):
         res = reproduce_table(
@@ -1124,8 +1122,8 @@ class TestWorkerPools:
 
 def _bootstrap_statistics(spec, reps, B):
     """Each replicate's ``test7`` z-score and smallest ``minp`` p-value."""
-    _, stats, _ = simulate._run_cell(
-        spec, ("test7", "minp"), reps, 0.05, 1, B, B, "auto", 100_000,
+    _, stats = simulate._run_cell(
+        spec, ("test7", "minp"), reps, 0.05, 1, B, B,
     )
     return stats["test7"], stats["minp"]
 

@@ -508,8 +508,8 @@ class TestCountDtype:
         spec = SettingSpec(2, 5, 6, 150, n2, master_seed=25)
 
         def statistics():
-            _, stats, _ = simulate._run_cell(
-                spec, ("test7", "minp"), 3, 0.05, 1, 40, 40, "auto", 100_000,
+            _, stats = simulate._run_cell(
+                spec, ("test7", "minp"), 3, 0.05, 1, 40, 40,
             )
             return stats["test7"], stats["minp"]
 

@@ -216,7 +216,11 @@ def _null_moments(pi: ProbVector, n1: int, n2: int, stat_fn) -> MomentPair:
     centered = h - means[:, None, None]
     variance = float(np.einsum("ja,jab,jb->", b1, centered * centered, b2))
     for j, (p1, p2) in enumerate(zip(t1, t2)):
-        cross = centered[j] @ p2 @ centered[j + 1:].transpose(0, 2, 1)
+        # by einsum, not BLAS: nothing else the engine runs calls BLAS,
+        # and its first call in a process adds up to about 0.5 MB to the
+        # resident set
+        left = np.einsum("ab,lbc->lac", centered[j], p2)
+        cross = np.einsum("lac,ldc->lad", left, centered[j + 1:])
         variance += 2.0 * float(np.sum(p1 * cross))
     return MomentPair(float(means.sum()) + float(g[0, 0]), max(0.0, variance))
 

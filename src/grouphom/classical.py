@@ -15,6 +15,7 @@ the -2 log likelihood-ratio:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,6 +206,9 @@ def _null_moments(pi: ProbVector, n1: int, n2: int, stat_fn) -> MomentPair:
     which is ``E[T^2] - E[T]^2`` taken about each category's mean, so
     that it does not cancel.
     """
+    for name, n in (("n1", n1), ("n2", n2)):
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise OutOfRange(f"{name} must be an integer >= 1, got {n!r}")
     p = pi.probs
     a = np.arange(n1 + 1, dtype=np.float64)[:, None, None]
     b = np.arange(n2 + 1, dtype=np.float64)[None, :, None]
@@ -222,7 +226,8 @@ def _null_moments(pi: ProbVector, n1: int, n2: int, stat_fn) -> MomentPair:
         left = np.einsum("ab,lbc->lac", centered[j], p2)
         cross = np.einsum("lac,ldc->lad", left, centered[j + 1:])
         variance += 2.0 * float(np.sum(p1 * cross))
-    return MomentPair(float(means.sum()) + float(g[0, 0]), max(0.0, variance))
+    # max(nan, 0.0) is nan, which MomentPair rejects; max(0.0, nan) is 0.0
+    return MomentPair(float(means.sum()) + float(g[0, 0]), max(variance, 0.0))
 
 
 def chi_square_moments_oracle(pi: ProbVector, n1: int, n2: int) -> MomentPair:

@@ -94,11 +94,15 @@ class _Stack:
         self.null_variance, self.null_pvalues = null_variance, null_pvalues
         self.moments = moments
         self.z_crit = ndtri(1.0 - alpha)
-        p1 = c1 / np.asarray(n1)[..., None]
-        p2 = c2 / np.asarray(n2)[..., None]
-        self.tu_r = _batch.tu_group(p1, p2, n1, n2)
+        self._p = c1 / np.asarray(n1)[..., None], c2 / np.asarray(n2)[..., None]
+        self._s12 = _batch._catsum(self._p[0] * self._p[1])
+        self.tu_r = _batch.tu_group(*self._p, n1, n2, self._s12)
         self.tu = self.tu_r.sum(axis=-1) / math.sqrt(self.tu_r.shape[-1])
         self._variances = {}
+
+    @functools.cached_property
+    def cross(self):
+        return _batch.trace_cross(*self._p, ab=self._s12)
 
     @functools.cached_property
     def chi_r(self):
@@ -111,10 +115,11 @@ class _Stack:
     def variance(self, estimator: str):
         """Each dataset's null-variance estimate, computed once."""
         if estimator not in self._variances:
+            cross = self.cross if estimator in _batch.CROSS_ESTIMATORS else None
             self._variances[estimator] = (
                 self.null_variance(self) if estimator == "test7"
                 else _batch.var_group(estimator, self.c1, self.c2, self.n1,
-                                      self.n2).mean(axis=-1))
+                                      self.n2, cross).mean(axis=-1))
         return self._variances[estimator]
 
 

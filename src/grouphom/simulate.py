@@ -275,6 +275,14 @@ def _setting_probs(setting: int, d: int, pi0: int | None):
     return cond
 
 
+@functools.lru_cache(maxsize=16)
+def _null_picks(k: int):
+    """All-0 picks and all-True null flags of ``k`` groups, read-only."""
+    zeros, ones = np.zeros(k, dtype=np.int64), np.ones(k, dtype=bool)
+    zeros.flags.writeable = ones.flags.writeable = False
+    return zeros, ones
+
+
 def _setting_picks(spec: SettingSpec, rng):
     """One replicate's mixture picks, the first draws of its stream.
 
@@ -282,15 +290,15 @@ def _setting_picks(spec: SettingSpec, rng):
     per-group library index of the shared (null) vector, or -1 on
     alternative groups, and ``rows1``, ``rows2`` index each sample's
     groups into the columns of :func:`_setting_probs`.  Setting 1 draws
-    nothing: its picks and rows are all 0.
+    nothing: it returns the read-only arrays of :func:`_null_picks`.
     """
     k = spec.k
     if spec.setting == 1:
-        picks = rows1 = rows2 = np.zeros(k, dtype=np.int64)
-        null_flags = np.ones(k, dtype=bool)
+        picks, null_flags = _null_picks(k)
+        rows1 = rows2 = picks
     elif spec.setting == 2:
         picks = rows1 = rows2 = rng.integers(0, 5, size=k)
-        null_flags = np.ones(k, dtype=bool)
+        null_flags = _null_picks(k)[1]
     elif spec.setting == 3:
         raw = rng.integers(0, 5, size=k)
         null_flags = raw < 4
@@ -341,7 +349,7 @@ def generate_replicate(
     counts1, counts2, _, null_flags = _draw_replicate(spec, rng)
     width = max(3, len(str(spec.k)))
     ids = [f"g{r + 1:0{width}d}" for r in range(spec.k)]
-    return GroupedDataset(counts1, counts2, ids), null_flags
+    return GroupedDataset(counts1, counts2, ids), null_flags.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -526,15 +534,15 @@ def _inverse_binomial(tables, j: int, col, n, u):
     width = cum.shape[-1]
     flat = cum.reshape(-1)
     base = ((j * cum.shape[1] + col) * cum.shape[2] + n) * width
-    x = np.zeros(len(u), dtype=np.int64)
-    half = width // 2
+    at, half = base, width // 2
     while half:
-        x += half * (flat[base + x + (half - 1)] < u)
+        at = at + half * (flat[half - 1:].take(at) < u)
         half //= 2
-    below = flat[base + np.maximum(x - 1, 0)]
-    above = flat[base + x]
+    below = flat.take(np.maximum(at - 1, base))
+    above = flat.take(at)
     unsure = (above == np.inf) | (above - u <= _TIE_MARGIN)
     unsure |= np.abs(u - below) <= _TIE_MARGIN
+    x = at - base
     return np.where(flip[j, col], n - x, x), unsure
 
 

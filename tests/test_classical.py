@@ -13,6 +13,7 @@ from scipy.stats import chi2 as chi2_dist
 from grouphom._batch import chi2_group, lrt_group
 from grouphom.classical import (
     MomentPair,
+    _null_moments,
     chi_square_moments_oracle,
     chi_square_pooled,
     lrt_moments_oracle,
@@ -60,6 +61,22 @@ class TestGroupStatistics:
 
     def test_lrt_zero_under_equality(self):
         assert lrt_group([1, 4], [1, 4], 5, 5) == pytest.approx(0.0, abs=1e-12)
+
+    # replicate 0 of SettingSpec(1, 10, 4, 5, 10, master_seed=17), and
+    # float.hex of each group's statistic: numpy sums ten categories in
+    # eight running sums, so these pin that order
+    _C1 = [[1, 0, 1, 1, 0, 0, 0, 2, 0, 0], [1, 0, 0, 0, 1, 0, 0, 2, 0, 1],
+           [0, 2, 0, 0, 0, 1, 0, 1, 1, 0], [2, 0, 0, 0, 1, 1, 0, 0, 0, 1]]
+    _C2 = [[1, 1, 0, 2, 0, 0, 1, 1, 3, 1], [1, 2, 2, 0, 2, 1, 1, 0, 0, 1],
+           [2, 0, 0, 1, 3, 0, 1, 1, 1, 1], [0, 0, 0, 0, 1, 2, 2, 2, 1, 2]]
+
+    def test_golden_d10(self):
+        assert [v.hex() for v in chi2_group(self._C1, self._C2, 5, 10)] == [
+            "0x1.b000000000002p+2", "0x1.e000000000000p+2",
+            "0x1.5000000000002p+3", "0x1.b000000000002p+2"]
+        assert [v.hex() for v in lrt_group(self._C1, self._C2, 5, 10)] == [
+            "0x1.15e8c950b0ce8p+3", "0x1.3765af18fb238p+3",
+            "0x1.b19ba0dd2e600p+3", "0x1.15e8c950b0ce8p+3"]
 
 
 class TestAggregates:
@@ -264,6 +281,30 @@ class TestMomentOracle:
         finally:
             tracemalloc.stop()
         assert peak < 48 * 2**20
+
+    @pytest.mark.parametrize("fn", [chi_square_moments_oracle, lrt_moments_oracle])
+    @pytest.mark.parametrize("n1, n2, name", [
+        (0, 5, "n1"), (-1, 5, "n1"), (2.5, 5, "n1"), (True, 5, "n1"),
+        ("3", 5, "n1"), (5, 0, "n2"), (5, False, "n2"), (5, np.int64(-2), "n2"),
+    ])
+    def test_rejects_sizes_below_one_or_not_integers(self, fn, n1, n2, name):
+        with pytest.raises(OutOfRange, match=f"^{name} must be an integer"):
+            fn(ProbVector(np.full(5, 0.2)), n1, n2)
+
+    def test_accepts_numpy_integer_sizes(self):
+        piv = ProbVector(np.full(5, 0.2))
+        assert (chi_square_moments_oracle(piv, np.int64(5), np.int32(10))
+                == chi_square_moments_oracle(piv, 5, 10))
+
+    def test_nan_variance_is_rejected_not_clamped(self):
+        # squared deviations of 1e200 overflow, and the cross terms then
+        # give inf - inf: the variance is NaN, which must not read as 0.0
+        def stat_fn(a, b, n1, n2):
+            return 1e200 * (a - b)[..., 0]
+
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(OutOfRange, match="finite"):
+            _null_moments(ProbVector([0.5, 0.5]), 2, 2, stat_fn)
 
     def test_asymptotic_sanity_large_n(self):
         # for large equal sizes the chi-square statistic approaches its

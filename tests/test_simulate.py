@@ -219,6 +219,21 @@ class TestGenerateReplicate:
         with pytest.raises(OutOfRange):
             generate_replicate(SettingSpec(1, 5, 5, 5, 5), -1)
 
+    def test_setting_one_picks_are_shared_and_read_only(self):
+        # setting 1 draws no picks: every replicate gets the same arrays
+        spec = SettingSpec(1, 5, 7, 5, 10)
+        first = simulate._setting_picks(spec, None)
+        for a, b in zip(first, simulate._setting_picks(spec, None)):
+            assert a is b
+            assert not a.flags.writeable
+        picks, flags, rows1, rows2 = first
+        assert picks.tolist() == rows1.tolist() == rows2.tolist() == [0] * 7
+        assert flags.tolist() == [True] * 7
+        # the caller's flags are its own
+        _, mine = generate_replicate(spec, 0)
+        mine[:] = False
+        assert generate_replicate(spec, 0)[1].all()
+
     def test_counts_bit_identical(self):
         # exact seeded counts, so that no change shifts the replicate stream
         spec = SettingSpec(3, 5, 6, 5, 10, pi0=4, master_seed=7)
@@ -729,6 +744,30 @@ class TestRejectionRateEngine:
         assert np.all(np.isfinite(z))
         assert abs(np.mean(z)) < 0.2
         assert 0.7 < np.var(z) < 1.3
+
+    # float.hex of null_z_scores(SettingSpec(1, d, 30, 5, 10,
+    # master_seed=17), test, reps=3, workers=1): at d = 10 and 20 numpy
+    # sums the categories in eight running sums, so these pin that order
+    Z_GOLDEN = {
+        (10, "test1"): ["0x1.61cb362c356edp+0", "-0x1.59b7a9b2fe4e6p-1",
+                        "0x1.e6715d70f7c15p-2"],
+        (10, "test2"): ["0x1.63347f0254eb2p+0", "-0x1.4a596de419b26p-1",
+                        "0x1.fec3b300b5d05p-2"],
+        (10, "test3"): ["0x1.586e592fde480p+0", "-0x1.50960927f136ep-1",
+                        "0x1.eeeed7c4664a6p-2"],
+        (20, "test1"): ["-0x1.c9d590b331f2fp-2", "-0x1.eb417e5f7053bp+0",
+                        "0x1.ef22988eb5472p-2"],
+        (20, "test2"): ["-0x1.a586a1c2abc81p-2", "-0x1.b0513526c82a5p+0",
+                        "0x1.0794c97aa3257p-1"],
+        (20, "test3"): ["-0x1.a8dd047532560p-2", "-0x1.d737fd37f5080p+0",
+                        "0x1.065f48883088cp-1"],
+    }
+
+    @pytest.mark.parametrize("d, test", sorted(Z_GOLDEN))
+    def test_null_z_scores_golden(self, d, test):
+        spec = SettingSpec(1, d, 30, 5, 10, master_seed=17)
+        z = null_z_scores(spec, test, reps=3, workers=1)
+        assert [float(v).hex() for v in z] == self.Z_GOLDEN[(d, test)]
 
     def test_null_z_scores_only_for_variance_tests(self):
         with pytest.raises(OutOfRange):

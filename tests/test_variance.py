@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from grouphom import _batch, simulate, variance
 from grouphom.data import GroupedDataset, ProbVector
-from grouphom.decision import pergroup_bootstrap_pvalues, run_global_test
+from grouphom.decision import _Stack, pergroup_bootstrap_pvalues, run_global_test
 from grouphom.errors import (
     DimensionMismatch,
     InvalidB,
@@ -168,6 +168,36 @@ class TestTraceEstimators:
         assert 0.0 <= tr <= 2.0
 
 
+class TestCategorySum:
+    """``_batch._catsum`` is numpy's ``np.sum(x, axis=-1)``, bit for bit.
+    If a numpy release changes its summation order, this fails first."""
+
+    @pytest.mark.parametrize("lead", [(), (7,), (3, 4)])
+    def test_matches_numpy_sum(self, lead):
+        rng = np.random.default_rng(17)
+        for d in range(1, 301):
+            shape = lead + (d,)
+            # signs, and magnitudes from 1e-150 to 1e150, make the sum
+            # depend on the order of every addition
+            x = rng.standard_normal(shape) * 10.0 ** rng.integers(
+                -150, 151, size=shape)
+            got, want = _batch._catsum(x), np.sum(x, axis=-1)
+            assert np.shape(got) == np.shape(want), d
+            assert np.array_equal(got, want), d
+            assert np.array_equal(np.signbit(got), np.signbit(want)), d
+
+    def test_negative_zero_rows_sum_to_positive_zero(self):
+        # numpy's reduce starts from 0.0, and 0.0 + -0.0 is +0.0; a sum
+        # started from the first slice would return -0.0
+        for d in range(1, 301):
+            for lead in ((), (3,), (2, 2)):
+                x = np.full(lead + (d,), -0.0)
+                want = np.sum(x, axis=-1)
+                assert not np.signbit(want).any()
+                assert np.array_equal(np.signbit(_batch._catsum(x)),
+                                      np.signbit(want)), (d, lead)
+
+
 # ---------------------------------------------------------------------------
 # per-group estimators
 # ---------------------------------------------------------------------------
@@ -246,6 +276,22 @@ class TestGroupEstimators:
                 assert var_group(which, c1, c2) == pytest.approx(
                     reference_var(which, c1, c2), abs=1e-12
                 ), which
+
+    @pytest.mark.parametrize("d", [3, 5, 10])
+    def test_stack_shared_terms_are_bit_identical(self, d):
+        # the stack shares p1, p2, sum(p1 p2) and trace_cross(p1, p2)
+        # between the statistic and the estimators; each must give the
+        # bits of the kernel computing them itself
+        rng = np.random.default_rng(d)
+        n1, n2 = 6, 11
+        c1 = rng.multinomial(n1, np.full(d, 1.0 / d), size=(4, 9)).astype(float)
+        c2 = rng.multinomial(n2, np.full(d, 1.0 / d), size=(4, 9)).astype(float)
+        s = _Stack(c1, c2, n1, n2, 0.05)
+        assert np.array_equal(
+            s.tu_r, _batch.tu_group(c1 / n1, c2 / n2, n1, n2))
+        for which in ("test1", "test2", "test3", "test4", "test5", "test6"):
+            alone = _batch.var_group(which, c1, c2, n1, n2).mean(axis=-1)
+            assert np.array_equal(s.variance(which), alone), which
 
     def test_estimators_agree_for_large_samples(self):
         # all six closed-form estimators are ratio-consistent for the same

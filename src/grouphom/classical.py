@@ -72,21 +72,17 @@ def _naive_standardized(values: np.ndarray, d: int):
     return (values.sum(axis=-1) - k * (d - 1)) / math.sqrt(k * 2.0 * (d - 1))
 
 
-def wk_statistic(ds: GroupedDataset, d: int | None = None) -> float:
+def wk_statistic(ds: GroupedDataset) -> float:
     """Chi-square aggregate standardized by the limiting moments.
 
     ``sum_r (T_r - (d-1)) / sqrt(2(d-1)) / sqrt(k)``.
     """
-    return float(_naive_standardized(
-        _group_values(ds, _batch.chi2_group), ds.d if d is None else d
-    ))
+    return float(_naive_standardized(_group_values(ds, _batch.chi2_group), ds.d))
 
 
-def vk_statistic(ds: GroupedDataset, d: int | None = None) -> float:
+def vk_statistic(ds: GroupedDataset) -> float:
     """Likelihood-ratio aggregate standardized by the limiting moments."""
-    return float(_naive_standardized(
-        _group_values(ds, _batch.lrt_group), ds.d if d is None else d
-    ))
+    return float(_naive_standardized(_group_values(ds, _batch.lrt_group), ds.d))
 
 
 def _moments_arrays(moments, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -37,16 +37,17 @@ numpy's inversion would read (:func:`_draw_block`).  The counts are
 bit-identical; the few draws the search cannot settle, and cells numpy
 draws by BTPE, go through the per-replicate binomial calls.
 
-:func:`reproduce_table` forks one worker pool per table, at the first
-cell with more than one block of replicates, with no more workers than
-blocks.  Within a process, the ``test7`` and ``minp`` bootstraps draw a
-block's replicates ahead on ``max(1, CPUs // processes)`` threads, at
-most one per replicate (see :func:`_replicate_null_draws`); they hold
-``2 B k d`` counts per thread plus one more replicate's, as int16 while
-both sample totals are at most 181 (else int64), but at most ``2 d``
-MiB in a process (``8 d`` MiB as int64) unless one replicate needs more
-(fewer threads then), and no thread outlives a block, so a pool never
-forks a process with bootstrap threads running.
+Each public call runs its cells through :func:`_run_cells`, which forks
+at most one worker pool, at the first cell with more than one block of
+replicates, with no more workers than blocks.  Within a process, the
+``test7`` and ``minp`` bootstraps draw a block's replicates ahead on
+``max(1, CPUs // processes)`` threads, at most one per replicate (see
+:func:`_replicate_null_draws`); they hold ``2 B k d`` counts per thread
+plus one more replicate's, as int16 while both sample totals are at
+most 181 (else int64), but at most ``2 d`` MiB in a process (``8 d``
+MiB as int64) unless one replicate needs more (fewer threads then), and
+no thread outlives a block, so a pool never forks a process with
+bootstrap threads running.
 """
 
 from __future__ import annotations
@@ -162,15 +163,18 @@ def pi_library(d: int) -> PiLibrary:
 # ---------------------------------------------------------------------------
 
 
-def _check_seed(seed) -> None:
-    """An engine seed is a non-negative integer (numpy's too, not a
-    bool): it keys every replicate's stream."""
+def _check_integer(value, name: str, minimum: int = 0, error=OutOfRange) -> int:
+    """``value`` as an ``int`` if it is an integer (numpy's too, not a
+    bool) of at least ``minimum``; else raises ``error``."""
     try:
-        value = operator.index(seed)
+        number = operator.index(value)
     except TypeError:
-        value = -1
-    if value < 0 or isinstance(seed, bool):
-        raise OutOfRange(f"seed must be a non-negative integer, got {seed!r}")
+        number = minimum - 1
+    if number < minimum or isinstance(value, bool):
+        bound = ("a non-negative integer" if minimum == 0
+                 else f"an integer >= {minimum}")
+        raise error(f"{name} must be {bound}, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -187,24 +191,20 @@ class SettingSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        _check_seed(self.master_seed)
-        if self.setting not in (1, 2, 3, 4, 5):
+        _check_integer(self.master_seed, "seed")
+        for name, minimum in (("setting", 1), ("d", 2), ("k", 1), ("n1", 1),
+                              ("n2", 1)):
+            _check_integer(getattr(self, name), name, minimum)
+        if self.setting > 5:
             raise OutOfRange(f"setting must be 1..5, got {self.setting}")
-        if self.d < 2:
-            raise OutOfRange(f"need d >= 2, got {self.d}")
         if self.setting != 1 and self.d not in _VECTORS:
             raise UnsupportedDimension(
                 f"setting {self.setting} is defined for d in (5, 10), "
                 f"got d={self.d}"
             )
-        if self.k < 1:
-            raise OutOfRange(f"need k >= 1, got {self.k}")
-        if self.n1 < 1 or self.n2 < 1:
-            raise OutOfRange(
-                f"sample sizes must be >= 1, got ({self.n1}, {self.n2})"
-            )
         if self.setting in (3, 4):
-            if self.pi0 not in (2, 4):
+            if (self.pi0 is None
+                    or _check_integer(self.pi0, "pi0", 2) not in (2, 4)):
                 raise OutOfRange(
                     f"setting {self.setting} needs pi0 in (2, 4), "
                     f"got {self.pi0}"
@@ -343,8 +343,7 @@ def generate_replicate(
     populations share a vector).  Bit-identical to what the rejection-rate
     engine consumes for the same spec and index.
     """
-    if replicate_index < 0:
-        raise OutOfRange(f"replicate index must be >= 0, got {replicate_index}")
+    _check_integer(replicate_index, "replicate index")
     rng = _replicate_rng(spec, replicate_index)
     counts1, counts2, _, null_flags = _draw_replicate(spec, rng)
     width = max(3, len(str(spec.k)))
@@ -658,7 +657,7 @@ def _oracle_moments(
     Only settings 1 and 2 generate purely null groups with known vectors,
     which is what the oracle standardizations need.  The moments do not
     depend on the cell's seed: a dict ``cache`` keeps them by statistic,
-    setting, ``d`` and sizes, for the cells of one table.
+    setting, ``d`` and sizes, for the cells of one call.
     """
     if spec.setting not in (1, 2):
         raise OutOfRange(
@@ -692,81 +691,25 @@ def _resolve_workers(workers) -> int:
     if workers is None:
         source, workers = "MH_WORKERS", os.environ.get("MH_WORKERS", "1")
     try:
-        count = (int(workers, 10) if isinstance(workers, str)
-                 else operator.index(workers))
-    except (TypeError, ValueError):
-        count = 0
-    if count < 1 or isinstance(workers, bool):
-        raise OutOfRange(f"{source} must be an integer >= 1, got {workers!r}")
-    return count
+        workers = int(workers, 10) if isinstance(workers, str) else workers
+    except ValueError:
+        pass  # not a decimal string: rejected as given
+    return _check_integer(workers, source, 1)
 
 
-def _run_cell(
-    spec: SettingSpec,
-    tests,
-    reps: int,
-    alpha: float,
-    workers,
-    bootstrap_B: int,
-    minp_B: int,
-    pool=None,
-    moments_cache=None,
-):
-    """Run one cell in blocks of replicates: in this process at one worker
-    or one block, else on ``min(workers, blocks)`` processes, of ``pool``
-    (which has at least that many) or of a pool of its own.  Returns the
-    results and each test's per-replicate statistics.  The oracle moments
-    of ``wkprime``/``vkprime`` are kept in ``moments_cache`` if given (see
-    :func:`_oracle_moments`)."""
-    if reps < 1:
-        raise InvalidReps(f"need reps >= 1, got {reps}")
-    _check_alpha(alpha)
-    tests = tuple(tests)
-    if not tests:
-        raise OutOfRange("no tests requested")
-    for test, (minimum, _) in _lookup(tests).items():
-        if spec.n1 < minimum or spec.n2 < minimum:
-            raise SampleTooSmall(
-                f"test {test!r} needs per-population totals >= {minimum}; "
-                f"cell has ({spec.n1}, {spec.n2})"
-            )
-    for test, B in (("test7", bootstrap_B), ("minp", minp_B)):
-        if test in tests:
-            _check_bootstrap_size(B)
-    workers = _resolve_workers(workers)
-    moments = {
-        test: _oracle_moments(spec, test, moments_cache)
-        for test in ("wkprime", "vkprime") if test in tests
-    }
-    size = _block_size(spec)
-    blocks = -(-reps // size)
-    processes = 1 if workers == 1 or blocks == 1 else min(workers, blocks)
-    tasks = [
-        _CellTask(
-            spec=spec,
-            tests=tests,
-            start=start,
-            stop=min(start + size, reps),
-            alpha=alpha,
-            bootstrap_B=bootstrap_B,
-            minp_B=minp_B,
-            moments=moments,
-            processes=processes,
-        )
-        for start in range(0, reps, size)
-    ]
+def _run_cell(cell: _CellTask, run):
+    """Run a checked cell, ``cell`` spanning all its replicates, in blocks
+    of replicates that ``run(_run_block, blocks)`` maps (``map``, or a
+    worker pool's).  Returns the results and each test's per-replicate
+    statistics."""
+    reps, size = cell.stop, _block_size(cell.spec)
+    tasks = [replace(cell, start=start, stop=min(start + size, reps))
+             for start in range(0, reps, size)]
     t0 = time.perf_counter()
-    if processes == 1:
-        outs = [_run_block(t) for t in tasks]
-    elif pool is not None:
-        outs = pool.map(_run_block, tasks)
-    else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes) as own:
-            outs = own.map(_run_block, tasks)
+    outs = list(run(_run_block, tasks))
     elapsed = time.perf_counter() - t0
     results = {}
-    for t in tests:
+    for t in cell.tests:
         rejections = sum(out[t][0] for out in outs)
         rate = rejections / reps
         results[t] = MCResult(
@@ -778,8 +721,64 @@ def _run_cell(
             degenerate=sum(out[t][1] for out in outs),
             seconds=elapsed,
         )
-    statistics = {t: np.concatenate([out[t][2] for out in outs]) for t in tests}
+    statistics = {t: np.concatenate([out[t][2] for out in outs])
+                  for t in cell.tests}
     return results, statistics
+
+
+def _run_cells(cells, reps, alpha, workers, bootstrap_B, minp_B,
+               progress=None):
+    """Run each ``(spec, tests)`` of ``cells`` in order; returns each
+    cell's :func:`_run_cell` output.
+
+    Every argument and every cell is checked, and the oracle moments of
+    ``wkprime``/``vkprime`` computed (kept by statistic, setting, ``d``
+    and sizes, as they do not depend on ``k`` or the seed), before any
+    cell runs.  The call's one worker pool is forked at the first cell
+    with more than one block, with ``min(workers, the most blocks of a
+    cell)`` processes; a cell runs on ``min(workers, its blocks)``
+    processes, in this one if that is one.  ``progress(index, spec)`` is
+    called before each cell runs.
+    """
+    reps = _check_integer(reps, "reps", 1, InvalidReps)
+    _check_alpha(alpha)
+    workers = _resolve_workers(workers)
+    moments_cache: dict = {}
+    tasks = []
+    for spec, tests in cells:
+        tests = tuple(tests)
+        if not tests:
+            raise OutOfRange("no tests requested")
+        for test, (minimum, _) in _lookup(tests).items():
+            if spec.n1 < minimum or spec.n2 < minimum:
+                raise SampleTooSmall(
+                    f"test {test!r} needs per-population totals >= {minimum}; "
+                    f"cell has ({spec.n1}, {spec.n2})"
+                )
+        for test, B in (("test7", bootstrap_B), ("minp", minp_B)):
+            if test in tests:
+                _check_bootstrap_size(B)
+        moments = {
+            test: _oracle_moments(spec, test, moments_cache)
+            for test in ("wkprime", "vkprime") if test in tests
+        }
+        blocks = -(-reps // _block_size(spec))
+        tasks.append(_CellTask(spec, tests, 0, reps, alpha, bootstrap_B,
+                               minp_B, moments, min(workers, blocks)))
+    pool = None
+    outs = []
+    try:
+        for index, task in enumerate(tasks):
+            if progress is not None:
+                progress(index, task.spec)
+            if pool is None and task.processes > 1:
+                ctx = multiprocessing.get_context("fork")
+                pool = ctx.Pool(max(t.processes for t in tasks))
+            outs.append(_run_cell(task, pool.map if task.processes > 1 else map))
+    finally:
+        if pool is not None:
+            pool.terminate()
+    return outs
 
 
 def estimate_rejection_rate(
@@ -812,8 +811,8 @@ def estimate_rejection_rate(
     ``workers`` value (an integer of at least 1, default from
     ``MH_WORKERS``, else 1) and any thread count.
     """
-    results, _ = _run_cell(
-        spec, tests, reps, alpha, workers, bootstrap_B, minp_B,
+    [(results, _)] = _run_cells(
+        [(spec, tests)], reps, alpha, workers, bootstrap_B, minp_B,
     )
     return results
 
@@ -822,7 +821,6 @@ def null_z_scores(
     spec: SettingSpec,
     estimator: str = "test1",
     reps: int = 2000,
-    alpha: float = 0.05,
     workers=None,
 ) -> np.ndarray:
     """Per-replicate z-scores of one variance-estimator test.
@@ -830,8 +828,8 @@ def null_z_scores(
     Degenerate-variance replicates yield NaN.
     """
     _lookup((estimator,), ESTIMATORS)
-    _, statistics = _run_cell(
-        spec, (estimator,), reps, alpha, workers, 200, 1000,
+    [(_, statistics)] = _run_cells(
+        [(spec, (estimator,))], reps, 0.05, workers, 200, 1000,
     )
     return statistics[estimator]
 
@@ -956,15 +954,13 @@ def reproduce_table(
         For a ``seed`` that is not a non-negative integer, or a
         restriction value outside the table's grid, or repeated.
     """
-    _check_seed(seed)
+    _check_integer(seed, "seed")
     if table_id not in _TABLES:
         raise UnknownTable(
             f"unknown table {table_id!r}; expected one of {sorted(_TABLES)}"
         )
     table = _TABLES[table_id]
     reps = table.reps if reps is None else reps
-    if reps < 1:
-        raise InvalidReps(f"need reps >= 1, got {reps}")
     grid = []
     for axis, values, full in (
         ("k", k_values, table.k_values),
@@ -984,7 +980,6 @@ def reproduce_table(
         grid.append(values)
     k_values, size_pairs, d_values = grid
 
-    workers = _resolve_workers(workers)
     columns, rows, cells = _table_cells(table, k_values, size_pairs, d_values)
     # Each cell is seeded from its index in the full grid, so a restricted
     # grid reproduces its cells of the full table.
@@ -992,33 +987,22 @@ def reproduce_table(
         spec: i for i, (_, spec, _, _) in enumerate(_table_cells(
             table, table.k_values, table.sizes, table.d_values)[2])
     }
-    # One pool serves every cell, started at the first with two blocks;
-    # no more workers than the largest cell's blocks.
-    blocks = [-(-reps // _block_size(spec)) for _, spec, _, _ in cells]
-    workers = min(workers, max(blocks))
-    # oracle moments are the same for every k of a (d, n1, n2)
-    moments_cache: dict = {}
-    pool = None
-    try:
-        for index, (row, spec, tests, collect_map) in enumerate(cells):
-            spec = replace(spec, master_seed=_cell_seed(seed, grid_index[spec]))
-            if progress is not None:
-                progress(f"{table_id}: cell {index + 1} "
-                         f"(setting {spec.setting}, d={spec.d}, k={spec.k}, "
-                         f"sizes=({spec.n1},{spec.n2}))")
-            if pool is None and workers > 1 and blocks[index] > 1:
-                ctx = multiprocessing.get_context("fork")
-                pool = ctx.Pool(workers)
-            results, _ = _run_cell(
-                spec, tests, reps, alpha, workers, 200, 1000,
-                pool=pool, moments_cache=moments_cache,
-            )
-            for name, test in collect_map.items():
-                row[name] = results[test].rate
-                row[f"se_{name}"] = results[test].se
-    finally:
-        if pool is not None:
-            pool.terminate()
+
+    def announce(index, spec):
+        progress(f"{table_id}: cell {index + 1} "
+                 f"(setting {spec.setting}, d={spec.d}, k={spec.k}, "
+                 f"sizes=({spec.n1},{spec.n2}))")
+
+    outs = _run_cells(
+        [(replace(spec, master_seed=_cell_seed(seed, grid_index[spec])), tests)
+         for _, spec, tests, _ in cells],
+        reps, alpha, workers, 200, 1000,
+        None if progress is None else announce,
+    )
+    for (row, _, _, collect_map), (results, _) in zip(cells, outs):
+        for name, test in collect_map.items():
+            row[name] = results[test].rate
+            row[f"se_{name}"] = results[test].se
 
     csv_path = sidecar_path = None
     if outdir is not None:
@@ -1046,6 +1030,7 @@ def reproduce_table(
                 },
                 fh,
                 indent=2,
+                default=int,  # numpy integers among the arguments
             )
             fh.write("\n")
     return TableResult(table_id, tuple(columns), rows, csv_path, sidecar_path)

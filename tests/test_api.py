@@ -77,6 +77,25 @@ def test_public_surface_is_pinned():
         assert getattr(grouphom, name) is not None, name
 
 
+# Adding or removing an option shows up as a change to these lists.
+SIGNATURES = {
+    simulate.estimate_rejection_rate: ["spec", "tests", "reps", "alpha",
+                                       "workers", "bootstrap_B", "minp_B"],
+    simulate.null_z_scores: ["spec", "estimator", "reps", "workers"],
+    simulate.reproduce_table: ["table_id", "reps", "seed", "alpha", "workers",
+                               "outdir", "k_values", "size_pairs", "d_values",
+                               "progress"],
+    simulate.generate_replicate: ["spec", "replicate_index"],
+    classical.wk_statistic: ["ds"],
+    classical.vk_statistic: ["ds"],
+}
+
+
+def test_parameter_names_are_pinned():
+    for fn, names in SIGNATURES.items():
+        assert list(inspect.signature(fn).parameters) == names, fn.__name__
+
+
 def test_retired_object_layer_is_gone():
     for name in ("CountVector", "GroupPair", "sample_multinomial"):
         assert not hasattr(grouphom, name)

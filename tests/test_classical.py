@@ -88,7 +88,6 @@ class TestAggregates:
         # sum T_r = 10, k = 2, d = 2: (10 - 2) / sqrt(2 * 1 * 2) = 4
         ds = dataset(([3, 1], [1, 3]), ([4, 0], [0, 4]))
         assert wk_statistic(ds) == pytest.approx(4.0)
-        assert wk_statistic(ds, d=2) == pytest.approx(wk_statistic(ds))
 
     def test_vk_uses_lrt_values(self):
         ds = dataset(([4, 0], [0, 4]))

@@ -233,6 +233,17 @@ class TestSimulateCommand:
         assert lines[0].startswith("k,n1,n2,test1")
         assert len(lines) == 2
 
+    def test_table_progress_on_stderr(self, capsys):
+        argv = ["simulate", "--table", "tab2", "--reps", "4",
+                "--k-values", "20", "--sizes", "5,10;10,10"]
+        quiet = _run(argv, capsys)
+        loud = _run(argv + ["--progress"], capsys)
+        assert loud.out == quiet.out and quiet.err == ""
+        assert loud.err == (
+            "tab2: cell 1 (setting 1, d=5, k=20, sizes=(5,10))\n"
+            "tab2: cell 2 (setting 1, d=5, k=20, sizes=(10,10))\n"
+        )
+
     def test_table_formats(self, tmp_path, capsys):
         argv = ["simulate", "--table", "tab2", "--reps", "4",
                 "--k-values", "20", "--sizes", "5,10;10,10"]

@@ -124,6 +124,21 @@ class TestSettingSpec:
         big = SettingSpec(1, 5, 10, 5, 5, master_seed=2**64 - 1)
         assert ds == generate_replicate(big, 1)[0]
 
+    @pytest.mark.parametrize("name", ["setting", "d", "k", "n1", "n2", "pi0"])
+    @pytest.mark.parametrize("bad", [0.5, 1.0, True, "3", None])
+    def test_integer_fields_reject_other_types(self, name, bad):
+        # 5.5 or 20.0 failed later in the engine with a bare TypeError;
+        # setting=1.0 and pi0=2.0 ran
+        kwargs = dict(setting=3, d=5, k=20, n1=5, n2=10, pi0=2)
+        kwargs[name] = float(kwargs[name]) if bad == 1.0 else bad
+        with pytest.raises(OutOfRange, match=name):
+            SettingSpec(**kwargs)
+
+    def test_numpy_integer_fields_accepted(self):
+        spec = SettingSpec(*map(np.int64, (3, 5, 20, 5, 10)), pi0=np.int16(4))
+        ds, _ = generate_replicate(spec, 0)
+        assert ds == generate_replicate(SettingSpec(3, 5, 20, 5, 10, pi0=4), 0)[0]
+
 
 def sample_multinomial(n, pi, rng):
     """One multinomial draw by the engine's conditional-binomial method."""
@@ -171,6 +186,13 @@ class TestSampling:
 
 
 class TestGenerateReplicate:
+    @pytest.mark.parametrize("index", [-1, 1.5, 1.0, True, "1", None])
+    def test_index_must_be_a_non_negative_integer(self, index):
+        spec = SettingSpec(1, 5, 10, 5, 5)
+        with pytest.raises(OutOfRange, match="replicate index must be a "
+                                             "non-negative integer"):
+            generate_replicate(spec, index)
+
     def test_reproducible(self):
         spec = SettingSpec(2, 5, 25, 8, 12, master_seed=99)
         a, fa = generate_replicate(spec, 4)
@@ -731,6 +753,21 @@ class TestRejectionRateEngine:
         with pytest.raises(InvalidReps):
             estimate_rejection_rate(self.SPEC, ("test1",), reps=0)
 
+    @pytest.mark.parametrize("reps", [True, 2.5, 5.0, "5"])
+    def test_reps_must_be_an_integer(self, reps):
+        # reps=True returned MCResult(reps=True); 2.5 raised a bare TypeError
+        with pytest.raises(InvalidReps, match="reps must be an integer >= 1"):
+            estimate_rejection_rate(self.SPEC, ("test1",), reps=reps)
+        with pytest.raises(InvalidReps, match="reps must be an integer >= 1"):
+            null_z_scores(self.SPEC, "test1", reps=reps)
+        with pytest.raises(InvalidReps, match="reps must be an integer >= 1"):
+            reproduce_table("tab2", reps=reps, k_values=[20],
+                            size_pairs=[(5, 10)])
+
+    def test_numpy_reps_accepted(self):
+        res = estimate_rejection_rate(self.SPEC, ("test1",), reps=np.int64(7))
+        assert res["test1"].reps == 7 and type(res["test1"].reps) is int
+
     def test_degenerate_replicates_counted(self):
         # n1 = n2 = 2 with d = 5 produces many zero-variance replicates
         spec = SettingSpec(1, 5, 3, 2, 2, master_seed=8)
@@ -845,6 +882,27 @@ class TestReproduceTable:
             assert len(res.rows) == len(simulate._K_LEVEL)
         assert calls == [(5, 10)] * 2
 
+    def test_progress_reports_each_cell_before_it_runs(self, monkeypatch):
+        events = []
+        run_cell = simulate._run_cell
+
+        def recording(cell, run):
+            events.append(("run", cell.spec.k, cell.spec.n1, cell.spec.n2))
+            return run_cell(cell, run)
+
+        monkeypatch.setattr(simulate, "_run_cell", recording)
+        res = reproduce_table("tab2", reps=4, k_values=[50, 20],
+                              size_pairs=[(10, 10), (5, 10)],
+                              progress=events.append)
+        grid = [(50, 10, 10), (50, 5, 10), (20, 10, 10), (20, 5, 10)]
+        assert [(r["k"], r["n1"], r["n2"]) for r in res.rows] == grid
+        assert events == [
+            event
+            for i, (k, n1, n2) in enumerate(grid)
+            for event in (f"tab2: cell {i + 1} (setting 1, d=5, k={k}, "
+                          f"sizes=({n1},{n2}))", ("run", k, n1, n2))
+        ]
+
     def test_level_table_layout(self, tmp_path):
         res = reproduce_table(
             "tab2", reps=5, seed=3, outdir=tmp_path,
@@ -866,6 +924,18 @@ class TestReproduceTable:
         assert sidecar["reps"] == 5
         assert sidecar["k_values"] == [20]
         assert "generated_utc" in sidecar
+
+    def test_numpy_integer_arguments_written_as_integers(self, tmp_path):
+        # the sidecar write raised TypeError on numpy integers, after the run
+        args = dict(reps=np.int64(5), seed=np.uint64(3),
+                    k_values=[np.int64(20)], size_pairs=[(np.int16(5), 10)])
+        res = reproduce_table("tab2", outdir=tmp_path, **args)
+        sidecar = json.loads((tmp_path / "tab2.json").read_text())
+        assert (sidecar["reps"], sidecar["seed"]) == (5, 3)
+        assert sidecar["k_values"] == [20]
+        assert sidecar["size_pairs"] == [[5, 10]]
+        assert res.rows == reproduce_table("tab2", reps=5, seed=3, k_values=[20],
+                                           size_pairs=[(5, 10)]).rows
 
     def test_csv_file_bytes(self, tmp_path):
         reproduce_table("tab2", reps=40, seed=3, outdir=tmp_path,
@@ -1145,6 +1215,36 @@ class TestWorkerPools:
             reproduce_table("tab2", reps=5, k_values=[20], workers=value)
         assert counter.sizes == []
 
+    @pytest.mark.parametrize("bad", [
+        dict(alpha=1.5), dict(reps=0), dict(tests=("test2", "nope")),
+        dict(tests=("minp",), minp_B=1),
+    ])
+    def test_bad_arguments_raise_before_any_pool(self, pools, bad):
+        # reproduce_table forked its pool before the cells' checks ran
+        counter = pools()
+        spec = SettingSpec(1, 5, 20, 5, 10)
+        kwargs = {"reps": 2000, "alpha": 0.05, **bad}
+        tests = kwargs.pop("tests", ("test2",))
+        error = (InvalidReps if "reps" in bad else InvalidB if "minp_B" in bad
+                 else OutOfRange)
+        with pytest.raises(error):
+            estimate_rejection_rate(spec, tests, workers=2, **kwargs)
+        if "tests" not in bad:
+            with pytest.raises(error):
+                reproduce_table("tab2", workers=2, k_values=[20],
+                                size_pairs=[(5, 10)], **kwargs)
+        assert counter.sizes == []
+
+    def test_every_cell_checked_before_any_runs(self, pools, monkeypatch):
+        counter = pools()
+        ran = []
+        monkeypatch.setattr(simulate, "_run_block", ran.append)
+        cells = [(SettingSpec(1, 5, 20, 5, 10), ("test2",)),
+                 (SettingSpec(1, 5, 20, 3, 10), ("test1",))]
+        with pytest.raises(SampleTooSmall):
+            simulate._run_cells(cells, 2000, 0.05, 2, 200, 1000)
+        assert counter.sizes == [] and ran == []
+
     def test_numpy_and_decimal_worker_counts_accepted(self, monkeypatch, pools):
         counter = pools(inline=True)
         monkeypatch.setattr(simulate, "_block_size", lambda spec: 3)
@@ -1161,8 +1261,8 @@ class TestWorkerPools:
 
 def _bootstrap_statistics(spec, reps, B):
     """Each replicate's ``test7`` z-score and smallest ``minp`` p-value."""
-    _, stats = simulate._run_cell(
-        spec, ("test7", "minp"), reps, 0.05, 1, B, B,
+    [(_, stats)] = simulate._run_cells(
+        [(spec, ("test7", "minp"))], reps, 0.05, 1, B, B,
     )
     return stats["test7"], stats["minp"]
 

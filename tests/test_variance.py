@@ -554,8 +554,8 @@ class TestCountDtype:
         spec = SettingSpec(2, 5, 6, 150, n2, master_seed=25)
 
         def statistics():
-            _, stats = simulate._run_cell(
-                spec, ("test7", "minp"), 3, 0.05, 1, 40, 40,
+            [(_, stats)] = simulate._run_cells(
+                [(spec, ("test7", "minp"))], 3, 0.05, 1, 40, 40,
             )
             return stats["test7"], stats["minp"]
 

@@ -15,7 +15,6 @@ the -2 log likelihood-ratio:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ from scipy.stats import chi2 as _chi2_dist
 
 from . import _batch
 from .data import GroupedDataset, ProbVector
-from .errors import OutOfRange, ZeroVariance
+from .errors import OutOfRange, ZeroVariance, _check_integer
 
 __all__ = [
     "MomentPair",
@@ -89,6 +88,9 @@ def _moments_arrays(moments, k: int) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(moments, MomentPair):
         moments = [moments] * k
     moments = list(moments)
+    for i, m in enumerate(moments):
+        if not isinstance(m, MomentPair):
+            raise OutOfRange(f"moments[{i}] must be a MomentPair, got {m!r}")
     if len(moments) != k:
         raise OutOfRange(
             f"need one moment pair per group: got {len(moments)} for k={k}"
@@ -203,8 +205,7 @@ def _null_moments(pi: ProbVector, n1: int, n2: int, stat_fn) -> MomentPair:
     that it does not cancel.
     """
     for name, n in (("n1", n1), ("n2", n2)):
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-            raise OutOfRange(f"{name} must be an integer >= 1, got {n!r}")
+        _check_integer(n, name, 1)
     p = pi.probs
     a = np.arange(n1 + 1, dtype=np.float64)[:, None, None]
     b = np.arange(n2 + 1, dtype=np.float64)[None, :, None]

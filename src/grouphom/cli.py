@@ -27,6 +27,7 @@ from .errors import (
     EstimatorPrecondition,
     GrouphomError,
     OutOfRange,
+    _check_alpha,
 )
 
 _FORMATS = ("human", "json", "csv")
@@ -147,7 +148,7 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_pergroup(args) -> int:
-    decision._check_alpha(args.alpha)  # before the bootstrap, not after
+    _check_alpha(args.alpha)  # before the bootstrap, not after
     ds = load_dataset(args.data)
     seed = _resolve_seed(args.seed)
     results = decision.pergroup_bootstrap_pvalues(

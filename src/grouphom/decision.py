@@ -25,18 +25,12 @@ from scipy.special import erfc, ndtri
 
 from . import _batch, classical
 from .data import GroupedDataset
-from .errors import OutOfRange
+from .errors import InvalidB, OutOfRange, _check_alpha, _check_integer
 
 # Unused here, but the benchmark's tracer wraps them under this module's name.
 from .ustat import aggregate_statistic, group_ustat  # noqa: F401
 from .ustat import group_statistics
-from .variance import (
-    VarianceEstimate,
-    _check_bootstrap_size,
-    _check_seed,
-    null_draws,
-    var0_bootstrap,
-)
+from .variance import VarianceEstimate, null_draws, var0_bootstrap
 
 __all__ = [
     "ESTIMATORS",
@@ -73,11 +67,6 @@ class PerGroupResult:
     p_bh: float
     p_bonferroni: float
     degenerate: bool
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise OutOfRange(f"alpha must be in (0, 1), got {alpha}")
 
 
 class _Stack:
@@ -175,10 +164,10 @@ ESTIMATORS = {f"test{i}": _TESTS[f"test{i}"][0] for i in range(1, 8)}
 
 
 def _lookup(ids, known=_TESTS) -> dict[str, tuple]:
-    """Entries of ``ids``; an unknown or repeated id raises OutOfRange."""
+    """Entries of ``ids``; an unknown, repeated or non-string id raises OutOfRange."""
     entries = {}
     for test in ids:
-        if test not in known:
+        if not isinstance(test, str) or test not in known:
             raise OutOfRange(
                 f"unknown test id {test!r}; expected one of {sorted(known)}"
             )
@@ -204,7 +193,8 @@ def run_global_test(
     alpha : float
         Level of the one-sided test, in (0, 1).
     seed, B
-        Used only by the ``test7`` bootstrap.
+        Used only by the ``test7`` bootstrap, but checked for every
+        estimator.
 
     Raises
     ------
@@ -212,7 +202,10 @@ def run_global_test(
         If any group's totals are below the estimator's minimum.
     """
     minimum, run = _lookup((estimator,), ESTIMATORS)[estimator]
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
+    _check_integer(B, "B", 2, InvalidB)
+    if seed is not None:
+        _check_integer(seed, "seed")
     ds.require_totals(minimum, f"estimator {estimator}")
     stack = _Stack(
         ds.c1, ds.c2, ds.sizes(1), ds.sizes(2), alpha,
@@ -287,7 +280,7 @@ def global_minp_rule(pvalues, alpha: float = 0.05):
     the leading shape.  No p-values, or a value outside [0, 1] or NaN,
     raises OutOfRange.
     """
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     p = _check_pvalues(pvalues)
     reject = p.min(axis=-1) <= alpha / p.shape[-1]
     return bool(reject) if p.ndim == 1 else reject
@@ -351,12 +344,13 @@ def pergroup_bootstrap_pvalues(
     InvalidB
         If ``B`` is not an integer, or below 2.
     OutOfRange
-        If ``seed`` is a negative integer.
+        If ``seed`` is neither ``None`` nor a non-negative integer.
     SampleTooSmall
         If any sample total is below 2.
     """
-    _check_bootstrap_size(B)
-    _check_seed(seed)
+    _check_integer(B, "B", 2, InvalidB)
+    if seed is not None:
+        _check_integer(seed, "seed")
     ds.require_totals(2, "the per-group bootstrap")
     stats = group_statistics(ds)
     n1, n2 = ds.sizes(1), ds.sizes(2)

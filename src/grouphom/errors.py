@@ -3,9 +3,15 @@
 All library errors derive from :class:`GrouphomError` so callers can catch
 one base class.  Input/validation problems additionally derive from
 ``ValueError`` where that is the natural builtin.
+Every integer argument goes through :func:`_check_integer` and every
+level through :func:`_check_alpha`, which raise :class:`OutOfRange` (or
+a subclass) for a value of the wrong type or out of range.
 """
 
 from __future__ import annotations
+
+import numbers
+import operator
 
 
 class GrouphomError(Exception):
@@ -71,3 +77,26 @@ class UnknownTable(GrouphomError, KeyError):
 class UnsupportedDimension(GrouphomError, ValueError):
     """A simulation setting does not define probability vectors for this d."""
 
+
+
+def _check_integer(value, name: str, minimum: int = 0, error=OutOfRange) -> int:
+    """``value`` as an ``int`` if it is an integer (numpy's too, not a
+    bool) of at least ``minimum``; else raises ``error``."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = minimum - 1
+    if number < minimum or isinstance(value, bool):
+        bound = ("a non-negative integer" if minimum == 0
+                 else f"an integer >= {minimum}")
+        raise error(f"{name} must be {bound}, got {value!r}")
+    return number
+
+
+def _check_alpha(alpha) -> float:
+    """``alpha`` as a ``float`` if it is a real number (numpy's too, not a
+    bool) in (0, 1); else raises OutOfRange."""
+    if (isinstance(alpha, bool) or not isinstance(alpha, numbers.Real)
+            or not 0.0 < alpha < 1.0):
+        raise OutOfRange(f"alpha must be a number in (0, 1), got {alpha!r}")
+    return float(alpha)

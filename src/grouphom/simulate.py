@@ -56,7 +56,6 @@ import functools
 import json
 import math
 import multiprocessing
-import operator
 import os
 import subprocess
 import time
@@ -67,22 +66,18 @@ import numpy as np
 
 from . import __version__, _batch, classical, variance
 from .data import GroupedDataset, ProbVector
-from .decision import (
-    ESTIMATORS,
-    _check_alpha,
-    _exceedances,
-    _lookup,
-    _Stack,
-    _TESTS,
-)
+from .decision import ESTIMATORS, _exceedances, _lookup, _Stack, _TESTS
 from .errors import (
+    InvalidB,
     InvalidReps,
     OutOfRange,
     SampleTooSmall,
     UnknownTable,
     UnsupportedDimension,
+    _check_alpha,
+    _check_integer,
 )
-from .variance import _check_bootstrap_size, _pooled_null_draw
+from .variance import _pooled_null_draw
 
 __all__ = [
     "PiLibrary",
@@ -136,7 +131,7 @@ class PiLibrary:
 
     def vector(self, i: int) -> ProbVector:
         """Library vector ``i`` in 1..5 as a validated probability vector."""
-        if not 1 <= i <= 5:
+        if _check_integer(i, "library index", 1) > 5:
             raise OutOfRange(f"library index must be in 1..5, got {i}")
         return ProbVector(self.vectors[i - 1])
 
@@ -149,6 +144,7 @@ def pi_library(d: int) -> PiLibrary:
     UnsupportedDimension
         For any other ``d``.
     """
+    d = _check_integer(d, "d", 2)
     if d not in _VECTORS:
         raise UnsupportedDimension(
             f"the vector library is defined for d in (5, 10), got d={d}"
@@ -161,20 +157,6 @@ def pi_library(d: int) -> PiLibrary:
 # ---------------------------------------------------------------------------
 # Setting specification and sampling primitives.
 # ---------------------------------------------------------------------------
-
-
-def _check_integer(value, name: str, minimum: int = 0, error=OutOfRange) -> int:
-    """``value`` as an ``int`` if it is an integer (numpy's too, not a
-    bool) of at least ``minimum``; else raises ``error``."""
-    try:
-        number = operator.index(value)
-    except TypeError:
-        number = minimum - 1
-    if number < minimum or isinstance(value, bool):
-        bound = ("a non-negative integer" if minimum == 0
-                 else f"an integer >= {minimum}")
-        raise error(f"{name} must be {bound}, got {value!r}")
-    return number
 
 
 @dataclass(frozen=True)
@@ -741,7 +723,7 @@ def _run_cells(cells, reps, alpha, workers, bootstrap_B, minp_B,
     called before each cell runs.
     """
     reps = _check_integer(reps, "reps", 1, InvalidReps)
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     workers = _resolve_workers(workers)
     moments_cache: dict = {}
     tasks = []
@@ -755,9 +737,10 @@ def _run_cells(cells, reps, alpha, workers, bootstrap_B, minp_B,
                     f"test {test!r} needs per-population totals >= {minimum}; "
                     f"cell has ({spec.n1}, {spec.n2})"
                 )
-        for test, B in (("test7", bootstrap_B), ("minp", minp_B)):
+        for test, name, B in (("test7", "bootstrap_B", bootstrap_B),
+                              ("minp", "minp_B", minp_B)):
             if test in tests:
-                _check_bootstrap_size(B)
+                _check_integer(B, name, 2, InvalidB)
         moments = {
             test: _oracle_moments(spec, test, moments_cache)
             for test in ("wkprime", "vkprime") if test in tests
@@ -954,8 +937,8 @@ def reproduce_table(
         For a ``seed`` that is not a non-negative integer, or a
         restriction value outside the table's grid, or repeated.
     """
-    _check_integer(seed, "seed")
-    if table_id not in _TABLES:
+    seed = _check_integer(seed, "seed")
+    if not isinstance(table_id, str) or table_id not in _TABLES:
         raise UnknownTable(
             f"unknown table {table_id!r}; expected one of {sorted(_TABLES)}"
         )
@@ -964,10 +947,10 @@ def reproduce_table(
     grid = []
     for axis, values, full in (
         ("k", k_values, table.k_values),
-        ("sizes", size_pairs and [tuple(s) for s in size_pairs], table.sizes),
+        ("sizes", size_pairs, table.sizes),
         ("d", d_values, table.d_values),
     ):
-        values = tuple(values) if values else full
+        values = tuple(_grid_point(axis, v) for v in values) if values else full
         bad = set(values) - set(full)
         if bad:
             raise OutOfRange(
@@ -1019,8 +1002,8 @@ def reproduce_table(
                 {
                     "table": table_id,
                     "seed": seed,
-                    "reps": reps,
-                    "alpha": alpha,
+                    "reps": int(reps),  # checked by the run
+                    "alpha": float(alpha),
                     "k_values": list(k_values),
                     "size_pairs": [list(s) for s in size_pairs],
                     "d_values": list(d_values),
@@ -1030,10 +1013,21 @@ def reproduce_table(
                 },
                 fh,
                 indent=2,
-                default=int,  # numpy integers among the arguments
             )
             fh.write("\n")
     return TableResult(table_id, tuple(columns), rows, csv_path, sidecar_path)
+
+
+def _grid_point(axis: str, value):
+    """A restriction value as the grid holds it: an ``int`` for ``k`` and
+    ``d``, a pair of them for ``sizes``; else OutOfRange."""
+    if axis != "sizes":
+        return _check_integer(value, axis)
+    try:
+        n1, n2 = value
+    except (TypeError, ValueError):
+        raise OutOfRange(f"a size pair must be (n1, n2), got {value!r}") from None
+    return _check_integer(n1, "n1"), _check_integer(n2, "n2")
 
 
 def _table_cells(table: _TableDef, k_values, size_pairs, d_values):

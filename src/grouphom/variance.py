@@ -38,7 +38,7 @@ import numpy as np
 
 from . import _batch
 from .data import GroupedDataset, ProbVector
-from .errors import DimensionMismatch, InvalidB, OutOfRange, SampleTooSmall
+from .errors import DimensionMismatch, InvalidB, SampleTooSmall, _check_integer
 
 __all__ = [
     "VarianceEstimate",
@@ -81,29 +81,6 @@ def trace_product(a: np.ndarray, b: np.ndarray) -> float:
 #: flight as ``B`` grows, so memory grows neither with k nor with the
 #: number of CPUs.
 CHUNK_DRAWS = 1 << 14
-
-
-def _check_bootstrap_size(B: int) -> None:
-    """Every bootstrap here needs an integral ``B >= 2``: one draw has no
-    variance."""
-    try:
-        B = operator.index(B)
-    except TypeError:
-        raise InvalidB(f"bootstrap size must be an integer, got {B!r}") from None
-    if B < 2:
-        raise InvalidB(f"bootstrap needs B >= 2, got {B}")
-
-
-def _check_seed(seed) -> None:
-    """A negative integer seed raises OutOfRange before any draw; other
-    non-integers are left to :func:`_stream_keys`, which raises
-    TypeError."""
-    try:
-        value = operator.index(seed)
-    except TypeError:
-        return
-    if value < 0:
-        raise OutOfRange(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def _count_buffers(shape, max_total: int):
@@ -361,12 +338,15 @@ def var0_bootstrap(
     Raises
     ------
     InvalidB
-        If ``B`` is not an integer, or below 2.
+        If ``B`` is not an integer, or below 2 (one draw has no variance).
+    OutOfRange
+        If ``seed`` is neither ``None`` nor a non-negative integer.
     SampleTooSmall
         If any sample total is below 2.
     """
-    _check_bootstrap_size(B)
-    _check_seed(seed)
+    _check_integer(B, "B", 2, InvalidB)
+    if seed is not None:
+        _check_integer(seed, "seed")
     ds.require_totals(2, "estimator test7")
     n1 = ds.sizes(1).astype(np.float64)[:, None]
     n2 = ds.sizes(2).astype(np.float64)[:, None]
@@ -383,7 +363,7 @@ def var0_bootstrap(
 
 def var0_true(pi: ProbVector, n1: int, n2: int) -> float:
     """Exact per-group null variance at a known shared probability vector."""
-    if n1 < 2 or n2 < 2:
+    if min(_check_integer(n1, "n1"), _check_integer(n2, "n2")) < 2:
         raise SampleTooSmall(f"null variance needs n1, n2 >= 2, got ({n1}, {n2})")
     sigma = centered_outer(pi)
     return float(_batch._bracket(n1, n2) * trace_product(sigma, sigma))
@@ -399,7 +379,7 @@ def var_true_full(pi1: ProbVector, pi2: ProbVector, n1: int, n2: int) -> float:
         raise DimensionMismatch(
             f"probability vectors have dimensions {pi1.d} and {pi2.d}"
         )
-    if n1 < 2 or n2 < 2:
+    if min(_check_integer(n1, "n1"), _check_integer(n2, "n2")) < 2:
         raise SampleTooSmall(f"variance needs n1, n2 >= 2, got ({n1}, {n2})")
     delta = pi1.probs - pi2.probs
     s1 = centered_outer(pi1)

@@ -7,7 +7,17 @@ import types
 from pathlib import Path
 
 import grouphom
-from grouphom import _batch, classical, cli, data, decision, errors, simulate, ustat
+from grouphom import (
+    _batch,
+    classical,
+    cli,
+    data,
+    decision,
+    errors,
+    simulate,
+    ustat,
+    variance,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -88,6 +98,11 @@ SIGNATURES = {
     simulate.generate_replicate: ["spec", "replicate_index"],
     classical.wk_statistic: ["ds"],
     classical.vk_statistic: ["ds"],
+    decision.run_global_test: ["ds", "estimator", "alpha", "seed", "B"],
+    decision.run_all_tests: ["ds", "alpha", "seed", "B"],
+    decision.pergroup_bootstrap_pvalues: ["ds", "B", "seed", "smoothed"],
+    decision.global_minp_rule: ["pvalues", "alpha"],
+    variance.var0_bootstrap: ["ds", "B", "seed"],
 }
 
 
@@ -117,6 +132,16 @@ def test_retired_moment_paths_are_gone():
     for fn in (simulate.estimate_rejection_rate, simulate.reproduce_table):
         params = inspect.signature(fn).parameters
         assert "moment_method" not in params and "moment_reps" not in params
+
+
+def test_retired_argument_checks_are_gone():
+    # errors._check_integer and errors._check_alpha are the only checks
+    for name in ("_check_seed", "_check_bootstrap_size"):
+        assert not hasattr(variance, name)
+    for module in (decision, simulate, classical, cli, variance):
+        for name in ("_check_integer", "_check_alpha"):
+            assert getattr(module, name, getattr(errors, name)) is getattr(errors, name)
+    assert not hasattr(classical, "numbers") and not hasattr(simulate, "operator")
 
 
 def test_tracer_targets_resolve():

@@ -111,6 +111,15 @@ class TestAggregates:
         with pytest.raises(OutOfRange):
             wk_prime(ds, [MomentPair(1.0, 1.0), MomentPair(1.0, 1.0)])
 
+    @pytest.mark.parametrize("fn", [wk_prime, vk_prime])
+    def test_moments_must_be_moment_pairs(self, fn):
+        # a tuple raised AttributeError: 'tuple' object has no attribute 'mean'
+        ds = dataset(([3, 1], [1, 3]))
+        with pytest.raises(OutOfRange, match=r"^moments\[0\] must be a MomentPair"):
+            fn(ds, [(1.0, 2.0)])
+        with pytest.raises(OutOfRange, match=r"^moments\[1\] must be a MomentPair"):
+            fn(dataset(([3, 1], [1, 3]), ([2, 2], [2, 2])), [MomentPair(1.0, 1.0), 1.0])
+
     def test_wk_prime_zero_variance(self):
         ds = dataset(([3, 1], [1, 3]))
         with pytest.raises(ZeroVariance):

@@ -131,6 +131,7 @@ class TestTestCommand:
         ["test", "--estimator", "test7"],
         ["test", "--estimator", "all"],
         ["pergroup"],
+        ["test", "--estimator", "test1"],  # ran, the seed unused
     ])
     def test_negative_seed_exits_2(self, argv, data_csv, capsys):
         # it failed inside numpy, with a traceback and exit 1

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 from scipy.stats import norm
 
-from grouphom import _batch, variance
+from grouphom import _batch, decision, variance
 from grouphom.decision import (
     ESTIMATORS,
     adjust_pvalues,
@@ -85,13 +85,38 @@ class TestRunGlobalTest:
         assert len(stats) == 1
 
     def test_unknown_estimator(self):
-        with pytest.raises(OutOfRange):
-            run_global_test(null_dataset(), "test8")
+        # a list raised a bare TypeError (unhashable)
+        for estimator in ("test8", ["test1"]):
+            with pytest.raises(OutOfRange, match="unknown test id"):
+                run_global_test(null_dataset(), estimator)
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 2.0])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 2.0, "0.05", None, True,
+                                       float("nan")])
     def test_bad_alpha(self, alpha):
-        with pytest.raises(OutOfRange):
+        # a string or None raised a bare TypeError
+        with pytest.raises(OutOfRange, match="alpha"):
             run_global_test(null_dataset(), "test1", alpha=alpha)
+
+    def test_numpy_alpha_reported_as_float(self):
+        report = run_global_test(null_dataset(), "test1", alpha=np.float32(0.25))
+        assert type(report.alpha) is float and report.alpha == float(np.float32(0.25))
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(seed=-1), dict(seed=1.5), dict(seed="7"), dict(seed=True),
+        dict(B=1), dict(B=2.5), dict(B=2.5, seed=1.5),
+    ])
+    def test_seed_and_b_checked_before_any_statistic(self, kwargs, monkeypatch):
+        # test1 ignored them and returned a report; run_all_tests ran
+        # test1 .. test6 before test7 raised
+        def no_statistic(*args, **kw):
+            raise AssertionError("a statistic ran before the arguments were checked")
+
+        monkeypatch.setattr(decision, "_Stack", no_statistic)
+        ds = null_dataset()
+        with pytest.raises(OutOfRange):
+            run_global_test(ds, "test1", **kwargs)
+        with pytest.raises(OutOfRange):
+            run_all_tests(ds, **kwargs)
 
     def test_test1_minimum_sample_size(self):
         ds = dataset(pair([2, 1], [2, 2]))
@@ -233,7 +258,7 @@ class TestGlobalMinp:
     def test_validation(self):
         with pytest.raises(OutOfRange):
             global_minp_rule([])
-        for alpha in (0.0, 1.0, 1.5, -0.2):
+        for alpha in (0.0, 1.0, 1.5, -0.2, "x", None):
             with pytest.raises(OutOfRange, match="alpha"):
                 global_minp_rule([0.01, 0.8], alpha=alpha)
 

@@ -66,12 +66,19 @@ class TestPiLibrary:
         v = pi_library(5).vector(2)
         assert isinstance(v, ProbVector)
         assert v.probs[0] == pytest.approx(0.1)
-        with pytest.raises(OutOfRange):
-            pi_library(5).vector(0)
+        for i in (0, 6, -1, "1", 1.0, True):
+            # "1" raised a bare TypeError, 1.0 an IndexError
+            with pytest.raises(OutOfRange, match="library index"):
+                pi_library(5).vector(i)
 
     def test_unsupported_dimension(self):
         with pytest.raises(UnsupportedDimension):
             pi_library(7)
+        # 5.0 returned PiLibrary(d=5.0)
+        for d in (5.0, "5", True):
+            with pytest.raises(OutOfRange, match="^d must be an integer >= 2"):
+                pi_library(d)
+        assert pi_library(np.int64(5)).d == 5
 
 
 class TestSettingSpec:
@@ -722,8 +729,12 @@ class TestRejectionRateEngine:
             estimate_rejection_rate(spec1, ("test2",), reps=5)
 
     def test_unknown_test_id(self):
-        with pytest.raises(OutOfRange):
-            estimate_rejection_rate(self.SPEC, ("test9",), reps=5)
+        # a list raised a bare TypeError (unhashable)
+        for test in ("test9", ["test1"]):
+            with pytest.raises(OutOfRange, match="unknown test id"):
+                estimate_rejection_rate(self.SPEC, (test,), reps=5)
+            with pytest.raises(OutOfRange, match="unknown test id"):
+                null_z_scores(self.SPEC, test, reps=5)
 
     def test_repeated_test_id(self):
         # a repeated id would count its rejections twice
@@ -862,8 +873,10 @@ class TestReproduceTable:
         }
 
     def test_unknown_table(self):
-        with pytest.raises(UnknownTable):
-            reproduce_table("tab99", reps=2)
+        # a list raised a bare TypeError (unhashable)
+        for table_id in ("tab99", ["tab2"]):
+            with pytest.raises(UnknownTable):
+                reproduce_table(table_id, reps=2)
 
     def test_exact_moments_once_per_call(self, monkeypatch):
         # oracle moments depend on neither k nor the cell seed: one
@@ -937,6 +950,15 @@ class TestReproduceTable:
         assert res.rows == reproduce_table("tab2", reps=5, seed=3, k_values=[20],
                                            size_pairs=[(5, 10)]).rows
 
+    def test_sidecar_records_the_alpha_the_run_used(self, tmp_path):
+        # json.dump(default=int) wrote a float32 alpha as 0
+        res = reproduce_table("tab2", reps=5, alpha=np.float32(0.25),
+                              outdir=tmp_path, k_values=[20], size_pairs=[(5, 10)])
+        sidecar = json.loads((tmp_path / "tab2.json").read_text())
+        assert sidecar["alpha"] == float(np.float32(0.25))
+        assert res.rows == reproduce_table("tab2", reps=5, alpha=0.25, k_values=[20],
+                                           size_pairs=[(5, 10)]).rows
+
     def test_csv_file_bytes(self, tmp_path):
         reproduce_table("tab2", reps=40, seed=3, outdir=tmp_path,
                         k_values=[20], size_pairs=[(5, 10), (10, 10)])
@@ -1000,6 +1022,11 @@ class TestReproduceTable:
         (dict(k_values=[50, 33, 20, 50]),
          r"outside the table grid: k=\[33\]$"),
         (dict(k_values=[50, 20, 50]), r"repeats a value: k=\[50, 20, 50\]$"),
+        # these raised a bare TypeError
+        (dict(k_values=[[20]]), r"^k must be a non-negative integer, got \[20\]$"),
+        (dict(size_pairs=[5]), r"^a size pair must be \(n1, n2\), got 5$"),
+        (dict(size_pairs=[([5], 10)]), r"^n1 must be a non-negative integer"),
+        (dict(d_values=[5.0]), r"^d must be a non-negative integer, got 5.0$"),
     ])
     def test_restriction_error_names_the_axis(self, kwargs, message):
         with pytest.raises(OutOfRange, match=message):
@@ -1218,6 +1245,8 @@ class TestWorkerPools:
     @pytest.mark.parametrize("bad", [
         dict(alpha=1.5), dict(reps=0), dict(tests=("test2", "nope")),
         dict(tests=("minp",), minp_B=1),
+        # these raised a bare TypeError
+        dict(alpha="0.05"), dict(alpha=None), dict(tests=(["test2"],)),
     ])
     def test_bad_arguments_raise_before_any_pool(self, pools, bad):
         # reproduce_table forked its pool before the cells' checks ran

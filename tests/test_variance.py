@@ -228,6 +228,19 @@ class TestGroupEstimators:
             var0_true(p, 6, 9), abs=1e-15
         )
 
+    @pytest.mark.parametrize("n1, n2", [(5.5, 5), (5, 2.5), ("6", 9), (True, 5),
+                                         (6, np.int64(-2))])
+    def test_exact_variance_sizes_must_be_integers(self, n1, n2):
+        # 5.5 and 2.5 returned numbers
+        p = ProbVector([0.2, 0.3, 0.5])
+        with pytest.raises(OutOfRange, match="must be a non-negative integer"):
+            var0_true(p, n1, n2)
+        with pytest.raises(OutOfRange, match="must be a non-negative integer"):
+            var_true_full(p, p, n1, n2)
+        with pytest.raises(SampleTooSmall):
+            var0_true(p, 1, 5)
+        assert var0_true(p, np.int64(6), 9) == var0_true(p, 6, 9)
+
     def test_test1_needs_four_per_sample(self):
         ds = dataset(([2, 1], [2, 2]))
         with pytest.raises(SampleTooSmall):
@@ -403,7 +416,7 @@ class TestBootstrap:
         with pytest.raises(InvalidB):
             var0_bootstrap(self.dataset(), B=1)
 
-    @pytest.mark.parametrize("B", [200.0, 2.5, "200", None])
+    @pytest.mark.parametrize("B", [200.0, 2.5, "200", None, True])
     def test_rejects_non_integral_b(self, B, monkeypatch):
         def no_sampling(*args, **kw):
             raise AssertionError("sampled before the bootstrap size was checked")
@@ -475,8 +488,12 @@ class TestBootstrap:
                 assert variance._stream_keys(seed, g, *salt).tolist() == [expected]
 
     def test_seed_must_be_an_integer(self):
-        with pytest.raises(TypeError):
-            var0_bootstrap(self.dataset(), B=10, seed=[1, 2])
+        # these raised a bare TypeError from numpy, and True ran as seed 1
+        for seed in ([1, 2], 1.5, "7", 2.0, True):
+            with pytest.raises(OutOfRange, match="seed must be a non-negative integer"):
+                var0_bootstrap(self.dataset(), B=10, seed=seed)
+            with pytest.raises(OutOfRange, match="seed must be a non-negative integer"):
+                pergroup_bootstrap_pvalues(self.dataset(), B=10, seed=seed)
         with pytest.raises(ValueError):
             var0_bootstrap(self.dataset(), B=10, seed=-1)
 

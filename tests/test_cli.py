@@ -131,7 +131,6 @@ class TestTestCommand:
         ["test", "--estimator", "test7"],
         ["test", "--estimator", "all"],
         ["pergroup"],
-        ["test", "--estimator", "test1"],  # ran, the seed unused
     ])
     def test_negative_seed_exits_2(self, argv, data_csv, capsys):
         # it failed inside numpy, with a traceback and exit 1
@@ -142,6 +141,14 @@ class TestTestCommand:
             "error: seed must be a non-negative integer, got -1\n"
         )
         assert captured.out == ""
+
+    @pytest.mark.parametrize("flag", [["--seed", "-1"], ["--bootstrap-b", "1"]])
+    def test_bootstrap_arguments_checked_for_every_estimator(self, flag, data_csv,
+                                                             capsys):
+        # test1 ran, with the seed and B unused
+        assert main(["test", data_csv, "--estimator", "test1", *flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
 
 
 class TestPergroupCommand:

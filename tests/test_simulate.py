@@ -760,6 +760,14 @@ class TestRejectionRateEngine:
         with pytest.raises(InvalidB):
             estimate_rejection_rate(self.SPEC, ("test1", test), reps=5, **kwargs)
 
+    @pytest.mark.parametrize("alpha", [1.5, 0.0, "0.05", None, True])
+    def test_bad_alpha(self, alpha):
+        # a string or None raised a bare TypeError
+        with pytest.raises(OutOfRange, match="alpha"):
+            estimate_rejection_rate(self.SPEC, ("test1",), reps=5, alpha=alpha)
+        with pytest.raises(OutOfRange, match="alpha"):
+            reproduce_table("tab2", reps=5, alpha=alpha, k_values=[20])
+
     def test_zero_reps(self):
         with pytest.raises(InvalidReps):
             estimate_rejection_rate(self.SPEC, ("test1",), reps=0)
@@ -1245,8 +1253,6 @@ class TestWorkerPools:
     @pytest.mark.parametrize("bad", [
         dict(alpha=1.5), dict(reps=0), dict(tests=("test2", "nope")),
         dict(tests=("minp",), minp_B=1),
-        # these raised a bare TypeError
-        dict(alpha="0.05"), dict(alpha=None), dict(tests=(["test2"],)),
     ])
     def test_bad_arguments_raise_before_any_pool(self, pools, bad):
         # reproduce_table forked its pool before the cells' checks ran

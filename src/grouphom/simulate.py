@@ -31,9 +31,9 @@ replicate (setting one's state takes a few microseconds).  A block does
 not call numpy's binomial at all where numpy would draw by inversion
 (``min(p, 1 - p) n <= 30``, every cell of the published tables): each
 replicate sets its stream, draws its picks and one array of doubles,
-and the block's draws are then a search of numpy's cumulative
-probabilities per category, vectorized over the block, on the doubles
-numpy's inversion would read (:func:`_draw_block`).  The counts are
+and the block's draws are then a lookup by bin, or a search, of numpy's
+cumulative probabilities per category, vectorized over the block, on the
+doubles numpy's inversion would read (:func:`_draw_block`).  The counts are
 bit-identical; the few draws the search cannot settle, and cells numpy
 draws by BTPE, go through the per-replicate binomial calls.
 
@@ -504,17 +504,60 @@ def _inversion_tables(cond: np.ndarray, n_max: int):
     return flip, cum
 
 
-def _inverse_binomial(tables, j: int, col, n, u):
-    """numpy's draws of ``Binomial(n, cond[j, col])`` on the doubles
-    ``u``, one each (``n > 0``, ``cond[j, col] > 0``), by a binary search
-    of :func:`_inversion_tables`.  Returns the draws and a mask of those
-    it cannot settle: where numpy would restart, or ``u`` lies within
-    :data:`_TIE_MARGIN` of a cumulative probability, so that the rounding
-    of numpy's walk decides."""
+#: Bins of ``[0, 1)`` in the lookup; a power of two, so ``u * bins`` is exact.
+_BINS = 1024
+
+
+@functools.lru_cache(maxsize=8)
+def _block_tables(setting: int, d: int, pi0: int | None, n_max: int):
+    """A setting's :func:`_inversion_tables` at up to ``n_max`` trials and
+    their int16 ``lookup[j, c, n, b]``: the draw, flip applied, of every
+    double in bin ``b``, or -1 where a cumulative probability lies within
+    ``2 * _TIE_MARGIN`` of the bin or the bin reaches past the row's last
+    finite entry; or None where numpy draws by BTPE."""
+    tables = _inversion_tables(_setting_probs(setting, d, pi0), n_max)
+    if tables is None:
+        return None
     flip, cum = tables
+    rows = cum.reshape(-1, cum.shape[-1])
+    edges = np.arange(_BINS + 1) / _BINS
+    values = np.tile(np.arange(rows.shape[1] + 1, dtype=np.int16), len(rows))
+    # row r's entries below edge b less, and edge b + 1 plus, the margin
+    below = []
+    for margin, first in ((-2 * _TIE_MARGIN, 0), (2 * _TIE_MARGIN, 1)):
+        at = np.searchsorted(edges + margin, rows, side="right") - first
+        steps = np.diff(np.clip(at, 0, _BINS), prepend=0,
+                        append=_BINS, axis=1)
+        below.append(np.repeat(values, steps.ravel()).reshape(len(rows), -1))
+    x = below[0]
+    unsettled = (x != below[1]) | (x == np.isfinite(rows).sum(axis=1)[:, None])
+    lookup = x.reshape(cum.shape[:-1] + (_BINS,))
+    lookup[flip] = np.arange(n_max + 1, dtype=np.int16)[:, None] - lookup[flip]
+    np.copyto(lookup, -1, where=unsettled.reshape(lookup.shape))
+    flip.flags.writeable = cum.flags.writeable = lookup.flags.writeable = False
+    return tables, lookup
+
+
+def _inverse_binomial(tables, j: int, col, n, u, lookup=None):
+    """numpy's draws of ``Binomial(n, cond[j, col])`` on the doubles
+    ``u``, one each (``n > 0``, ``cond[j, col] > 0``, 1-D arrays): a gather
+    from ``lookup`` (:func:`_block_tables`) at bin ``floor(u * bins)``, and
+    a binary search of ``tables`` where it holds -1 or is not given.
+    Returns the draws and a mask of those it cannot settle: where numpy
+    would restart, or ``u`` lies within :data:`_TIE_MARGIN` of a cumulative
+    probability, so that the rounding of numpy's walk decides."""
+    flip, cum = tables
+    row = (j * cum.shape[1] + col) * cum.shape[2] + n
+    if lookup is not None:
+        x = lookup.reshape(-1).take(row * _BINS + (u * _BINS).astype(np.intp))
+        search = np.flatnonzero(x < 0)
+        unsure = np.zeros(len(x), dtype=bool)
+        x[search], unsure[search] = _inverse_binomial(
+            tables, j, col[search], n[search], u[search])
+        return x, unsure
     width = cum.shape[-1]
     flat = cum.reshape(-1)
-    base = ((j * cum.shape[1] + col) * cum.shape[2] + n) * width
+    base = row * width
     at, half = base, width // 2
     while half:
         at = at + half * (flat[half - 1:].take(at) < u)
@@ -527,11 +570,11 @@ def _inverse_binomial(tables, j: int, col, n, u):
     return np.where(flip[j, col], n - x, x), unsure
 
 
-def _draw_slice(spec: SettingSpec, cond, tables, bitgen, rng, keys, u,
-                c1, c2, picks):
+def _draw_slice(spec: SettingSpec, cond, tables, lookup, bitgen, rng, keys,
+                u, c1, c2, picks):
     """Draw the replicates of ``keys`` into ``c1``, ``c2`` and ``picks``
-    by :func:`_inverse_binomial`; returns the indices of those with a
-    draw it cannot settle (their counts are not valid).
+    by :func:`_inverse_binomial` with ``lookup``; returns the indices of
+    those with a draw it cannot settle (their counts are not valid).
 
     Each replicate's stream yields its picks (:func:`_setting_picks`) and
     then fills its row of ``u`` with doubles, as many as its binomials
@@ -539,7 +582,8 @@ def _draw_slice(spec: SettingSpec, cond, tables, bitgen, rng, keys, u,
     in order, one per draw with ``n > 0`` and ``p > 0``: sample 1's
     categories, then sample 2's, each over the groups in order.  Nothing
     else reads a replicate's stream, so the doubles left over are not
-    missed.
+    missed.  Each category step draws the whole slice, and then sets the
+    draws that read no double (``n = 0`` or ``p = 0``) to 0.
     """
     s, k = len(keys), spec.k
     rows = np.empty((2, s, k), dtype=np.int64)
@@ -548,26 +592,24 @@ def _draw_slice(spec: SettingSpec, cond, tables, bitgen, rng, keys, u,
         picks[i], _, rows[0, i], rows[1, i] = _setting_picks(spec, rng)
         rng.random(out=u[i])
     # where each replicate's next unused double sits in ``u.ravel()``
-    start = np.arange(s) * u.shape[1]
+    start = np.arange(s) * u.shape[1] - 1
     u = u.ravel()
     unsure = np.zeros(s * k, dtype=bool)
-    drawn = np.empty(s * k, dtype=np.int64)
     for n_total, cols, out in ((spec.n1, rows[0], c1), (spec.n2, rows[1], c2)):
         remaining = np.full(s * k, n_total, dtype=np.int64)
         cols = cols.ravel()
         for j in range(spec.d - 1):
-            active = (remaining != 0) & (cond[j, cols] != 0)
-            taken = np.cumsum(active.reshape(s, k), axis=1)
-            at = np.flatnonzero(active)
-            where = (start[:, None] + taken - 1).ravel()[at]
-            start += taken[:, -1]
-            x, unsettled = _inverse_binomial(tables, j, cols[at], remaining[at],
-                                             u[where])
-            drawn.fill(0)
-            drawn[at] = x
-            unsure[at[unsettled]] = True
-            out[:, :, j] = drawn.reshape(s, k)
-            remaining -= drawn
+            active = remaining != 0
+            if not cond[j].all():
+                active &= cond[j, cols] != 0
+            taken = np.cumsum(active.reshape(s, k), axis=1) + start[:, None]
+            start = taken[:, -1]
+            x, unsettled = _inverse_binomial(tables, j, cols, remaining,
+                                             u.take(taken.ravel()), lookup)
+            x *= active
+            unsure |= unsettled & active
+            out[:, :, j] = x.reshape(s, k)
+            remaining -= x
         out[:, :, -1] = remaining.reshape(s, k)
     return np.flatnonzero(unsure.reshape(s, k).any(axis=1))
 
@@ -577,22 +619,22 @@ def _draw_block(spec: SettingSpec, keys: np.ndarray):
     ``(c1, c2, picks)``, the counts as floats of shape ``(blen, k, d)``,
     bit-identical to :func:`_draw_replicate` on each replicate's stream.
 
-    The binomial draws of the whole block are one vectorized search per
-    category (:func:`_draw_slice`), which reads each replicate's doubles
-    as numpy's inversion would, in slices of replicates of at most
-    :data:`_BOOTSTRAP_DRAWS` doubles.  A replicate with a draw the search
-    cannot settle (about ``4e-12`` per draw), or every replicate of a cell
-    whose draws numpy makes by BTPE, is drawn by :func:`_draw_replicate`
-    instead, on a reused generator.
+    The binomial draws of the whole block are one vectorized step per
+    category (:func:`_draw_slice`) on each replicate's doubles as numpy's
+    inversion reads them, in slices of at most :data:`_BOOTSTRAP_DRAWS`
+    doubles: about 99% are one gather from the lookup of
+    :func:`_block_tables`, the rest a binary search.  A replicate with a
+    draw the search cannot settle (about ``4e-12`` per draw), or every
+    replicate of a cell whose draws numpy makes by BTPE, is drawn by
+    :func:`_draw_replicate` instead, on a reused generator.
     """
     k, d = spec.k, spec.d
     blen = len(keys)
-    c1 = np.empty((blen, k, d), dtype=np.float64)
-    c2 = np.empty((blen, k, d), dtype=np.float64)
+    c1, c2 = np.empty((2, blen, k, d))
     picks = np.empty((blen, k), dtype=np.int64)
     bitgen, rng = variance._stream_rng()
     cond = _setting_probs(spec.setting, d, spec.pi0)
-    tables = _inversion_tables(cond, max(spec.n1, spec.n2))
+    tables = _block_tables(spec.setting, d, spec.pi0, max(spec.n1, spec.n2))
     redraw = range(blen)
     if tables is not None:
         width = 2 * k * (d - 1)
@@ -601,16 +643,12 @@ def _draw_block(spec: SettingSpec, keys: np.ndarray):
         redraw = []
         for lo in range(0, blen, size):
             hi = min(lo + size, blen)
-            for i in _draw_slice(spec, cond, tables, bitgen, rng, keys[lo:hi],
-                                 u[: hi - lo], c1[lo:hi], c2[lo:hi],
-                                 picks[lo:hi]):
-                redraw.append(lo + i)
+            redraw.extend(lo + _draw_slice(
+                spec, cond, *tables, bitgen, rng, keys[lo:hi], u[: hi - lo],
+                c1[lo:hi], c2[lo:hi], picks[lo:hi]))
     for i in redraw:
         variance._start_stream(bitgen, keys[i])
-        a, b, p, _ = _draw_replicate(spec, rng)
-        c1[i] = a
-        c2[i] = b
-        picks[i] = p
+        c1[i], c2[i], picks[i], _ = _draw_replicate(spec, rng)
     return c1, c2, picks
 
 
@@ -728,6 +766,8 @@ def _run_cells(cells, reps, alpha, workers, bootstrap_B, minp_B,
     moments_cache: dict = {}
     tasks = []
     for spec, tests in cells:
+        if not isinstance(spec, SettingSpec):
+            raise OutOfRange(f"spec must be a SettingSpec, got {spec!r}")
         tests = tuple(tests)
         if not tests:
             raise OutOfRange("no tests requested")

@@ -455,6 +455,19 @@ def replicate_draws(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def fresh_tables():
+    """Clears the block draw's cached tables before and after a test that
+    patches what they are built from."""
+    simulate._block_tables.cache_clear()
+    yield
+    simulate._block_tables.cache_clear()
+
+
+_LOOKUP_SETTINGS = [(1, None, d) for d in (5, 10, 20)] + [
+    (setting, pi0, d) for setting, pi0 in _SETTINGS[1:] for d in (5, 10)]
+
+
 class TestBlockDraw:
     def test_inverse_binomial_matches_numpy(self):
         # n = 0..60, 20 draws each, on two copies of one stream: the search
@@ -478,6 +491,51 @@ class TestBlockDraw:
             drawn[active] = x
             assert drawn.tolist() == expected.tolist(), p
             assert rng_a.random() == rng_b.random(), p
+
+    @pytest.mark.parametrize("setting, pi0, d", _LOOKUP_SETTINGS)
+    def test_lookup_matches_search(self, setting, pi0, d):
+        # the lookup gives the search's draws and flags, n = 1..30, on
+        # random doubles, on both sides of every bin edge and near every
+        # cumulative probability
+        tables, lookup = simulate._block_tables(setting, d, pi0, 30)
+        cum, bins = tables[1], lookup.shape[-1]
+        edges = np.arange(1, bins) / bins
+        edges = np.concatenate([[0.0, np.nextafter(0, 1)], edges,
+                                np.nextafter(edges, 0), np.nextafter(edges, 1)])
+        rng = np.random.default_rng(100 * setting + d)
+        cond = simulate._setting_probs(setting, d, pi0)
+        for j, col in zip(*np.nonzero(cond)):
+            for n in range(1, 31):
+                c = cum[j, col, n][np.isfinite(cum[j, col, n])]
+                u = np.concatenate([edges, rng.random(256),
+                                    c - 2.0**-42, c + 2.0**-42])
+                u = u[(u >= 0) & (u < 1)]
+                at = (np.full(len(u), col), np.full(len(u), n), u)
+                x, unsure = simulate._inverse_binomial(tables, j, *at, lookup)
+                x0, unsure0 = simulate._inverse_binomial(tables, j, *at)
+                assert x.tolist() == x0.tolist(), (j, col, n)
+                assert unsure.tolist() == unsure0.tolist(), (j, col, n)
+                assert (lookup[j, col, n] >= 0).mean() > 0.9, (j, col, n)
+
+    def test_lookup_leaves_restarts_to_search(self, monkeypatch, fresh_tables):
+        # with the bound forced down to 1, numpy restarts on a draw of 2 or
+        # more: the lookup leaves those doubles to the search, which flags them
+        tables = simulate._inversion_tables
+
+        def bound_one(cond, n_max):
+            flip, cum = tables(cond, n_max)
+            cum[..., 2:] = np.inf
+            return flip, cum
+
+        monkeypatch.setattr(simulate, "_inversion_tables", bound_one)
+        tables, lookup = simulate._block_tables(1, 5, None, 10)
+        u = (np.arange(1024) + 0.5) / 1024
+        for n in range(2, 11):
+            at = (np.zeros(len(u), dtype=np.int64), np.full(len(u), n), u)
+            x, unsure = simulate._inverse_binomial(tables, 0, *at, lookup)
+            x0, unsure0 = simulate._inverse_binomial(tables, 0, *at)
+            assert x.tolist() == x0.tolist() and unsure.tolist() == unsure0.tolist()
+            assert unsure[u > tables[1][0, 0, n, 1]].all(), n
 
     @pytest.mark.parametrize("blen", [1, 16, 1024])
     @pytest.mark.parametrize("index", range(len(_SETTINGS)))
@@ -523,14 +581,15 @@ class TestBlockDraw:
         assert not unsure[2 * len(edges):].any()
         assert x[2 * len(edges):].tolist() == list(range(1, len(edges)))
 
-    def test_unsettled_draws_redrawn(self, monkeypatch, replicate_draws):
+    def test_unsettled_draws_redrawn(self, monkeypatch, replicate_draws,
+                                     fresh_tables):
         # a double near a cumulative probability is left to numpy
         monkeypatch.setattr(simulate, "_TIE_MARGIN", 1.0)
         spec = SettingSpec(3, 5, 20, 5, 10, pi0=2, master_seed=4)
         _assert_block_draw_exact(spec, 40)
         assert len(replicate_draws) == 40
 
-    def test_restart_redrawn(self, monkeypatch, replicate_draws):
+    def test_restart_redrawn(self, monkeypatch, replicate_draws, fresh_tables):
         # with the bound forced down to 1, a draw of 2 or more is one that
         # numpy restarts: its replicate is redrawn, the others are not
         tables = simulate._inversion_tables
@@ -1252,19 +1311,23 @@ class TestWorkerPools:
 
     @pytest.mark.parametrize("bad", [
         dict(alpha=1.5), dict(reps=0), dict(tests=("test2", "nope")),
-        dict(tests=("minp",), minp_B=1),
+        dict(tests=("minp",), minp_B=1), dict(spec="x"), dict(spec=None),
     ])
     def test_bad_arguments_raise_before_any_pool(self, pools, bad):
-        # reproduce_table forked its pool before the cells' checks ran
+        # reproduce_table forked its pool before the cells' checks ran; a
+        # spec that is not a SettingSpec raised a bare AttributeError
         counter = pools()
-        spec = SettingSpec(1, 5, 20, 5, 10)
         kwargs = {"reps": 2000, "alpha": 0.05, **bad}
+        spec = kwargs.pop("spec", SettingSpec(1, 5, 20, 5, 10))
         tests = kwargs.pop("tests", ("test2",))
         error = (InvalidReps if "reps" in bad else InvalidB if "minp_B" in bad
                  else OutOfRange)
         with pytest.raises(error):
             estimate_rejection_rate(spec, tests, workers=2, **kwargs)
-        if "tests" not in bad:
+        if "spec" in bad:
+            with pytest.raises(error, match="SettingSpec"):
+                null_z_scores(spec, reps=kwargs["reps"], workers=2)
+        elif "tests" not in bad:
             with pytest.raises(error):
                 reproduce_table("tab2", workers=2, k_values=[20],
                                 size_pairs=[(5, 10)], **kwargs)

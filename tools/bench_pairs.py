@@ -9,12 +9,15 @@ both sides run committed files only.  For every workload and seed it runs
 ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``
 once per side, the parent first on even pair indices and the change first
 on odd ones, and keeps each run's last output line (a JSON object) tagged
-with its side, commit, workload and seed.  ``--traced-seed`` adds one
-``--trace 1`` run per side and workload.  The file records the host (CPU
-count and model, Python, numpy and scipy versions) and, per workload and
-end-to-end metric, each side's quartiles, the relative change of the
-median, the pairs in which the change is lower and the parent's
-interquartile range.  Standard library only.
+with its side, commit, workload and seed.  ``--traced-seed S1 S2 ...``
+adds one ``--trace 1`` run per side, workload and seed, in the same
+alternating order, and records each side's median of every per-layer
+metric over those seeds (one traced run's layers swing too much to
+compare).  The file records the host (CPU count and model, Python, numpy
+and scipy versions) and, per workload and end-to-end metric, each side's
+quartiles, the relative change of the median, the pairs in which the
+change is lower and the parent's interquartile range.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -126,6 +129,22 @@ def summarize(runs: list[dict], workload: str) -> dict:
     return out
 
 
+def layer_medians(traced: list[dict], workload: str) -> dict:
+    """Each side's median, over the traced seeds, of every per-layer
+    metric of ``workload``."""
+    runs = [r for r in traced if r["workload"] == workload]
+    out: dict = {"seeds": sorted({r["seed"] for r in runs})}
+    for side in ("parent", "change"):
+        values: dict[str, list[float]] = {}
+        for r in runs:
+            if r["side"] == side:
+                for metric, m in r.get("metrics", {}).items():
+                    if metric not in END_TO_END:
+                        values.setdefault(metric, []).append(m["value"])
+        out[side] = {metric: statistics.median(v) for metric, v in values.items()}
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="base revision")
@@ -135,8 +154,9 @@ def main(argv=None) -> int:
     parser.add_argument("--first-seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=18.0)
-    parser.add_argument("--traced-seed", type=int,
-                        help="also one --trace 1 run per side and workload")
+    parser.add_argument("--traced-seed", type=int, nargs="+", default=[],
+                        help="also one --trace 1 run per side, workload and "
+                             "seed, with per-layer medians per side")
     parser.add_argument("--out", type=Path,
                         help="output file (default BENCH_<tag>.json at the root)")
     args = parser.parse_args(argv)
@@ -173,15 +193,21 @@ def main(argv=None) -> int:
                           flush=True)
             result["summary"][workload] = summarize(result["runs"], workload)
             out.write_text(json.dumps(result, indent=1) + "\n")
-        if args.traced_seed is not None:
+        if args.traced_seed:
             result["traced_command"] = (
-                f"python3 perfbench/run.py --workload W --seed "
-                f"{args.traced_seed} --seconds {args.seconds:g} --trace 1")
+                f"python3 perfbench/run.py --workload W --seed S "
+                f"--seconds {args.seconds:g} --trace 1")
             result["traced_runs"] = [
                 {"side": side, "commit": commits[side], "workload": workload,
-                 "seed": args.traced_seed,
-                 **run(trees[side], workload, args.traced_seed, args.seconds, 1)}
-                for workload in args.workloads for side in commits]
+                 "seed": seed,
+                 **run(trees[side], workload, seed, args.seconds, 1)}
+                for workload in args.workloads
+                for i, seed in enumerate(args.traced_seed)
+                for side in (("parent", "change") if i % 2 == 0
+                             else ("change", "parent"))]
+            result["traced_summary"] = {
+                workload: layer_medians(result["traced_runs"], workload)
+                for workload in args.workloads}
     out.write_text(json.dumps(result, indent=1) + "\n")
 
     for workload, summary in result["summary"].items():
@@ -204,8 +230,17 @@ def main(argv=None) -> int:
                   f"{sum(f or 0 for f, _ in failed)} of "
                   f"{sum(a or 0 for _, a in failed)} operations")
     for r in result.get("traced_runs", []):
-        print(f"traced {r['workload']} {r['side']}: correct={r.get('correct')} "
+        print(f"traced {r['workload']} seed {r['seed']} {r['side']}: "
+              f"correct={r.get('correct')} "
               f"failed={r.get('failed')}/{r.get('attempted')}")
+    for workload, layers in result.get("traced_summary", {}).items():
+        print(f"\n{workload}: per-layer medians over traced seeds "
+              f"{layers['seeds']} (parent -> change)")
+        for metric, value in layers["parent"].items():
+            change = layers["change"].get(metric)
+            if value or change:
+                print(f"  {metric:45s} {value:.4g} -> "
+                      + ("n/a" if change is None else f"{change:.4g}"))
     print(f"wrote {out}")
     return 0
 

@@ -23,7 +23,8 @@ side keys ``(r, 1)`` and ``(r, 2)``.  A block of replicates derives
 these streams' Philox keys at once, equal to the keys numpy derives from
 each SeedSequence (:func:`grouphom.variance._stream_keys`), and sets a
 reused generator to each in turn.  Results are therefore independent of
-block sizes and of the worker count.
+block sizes and of the worker count, and :func:`generate_replicate` is
+the block draw of one key: the same code, not a copy of it.
 
 Cost: the conditional-binomial probabilities of the (at most six) vectors
 a setting draws are computed once, and no generator is built per
@@ -179,6 +180,9 @@ class SettingSpec:
             _check_integer(getattr(self, name), name, minimum)
         if self.setting > 5:
             raise OutOfRange(f"setting must be 1..5, got {self.setting}")
+        if max(self.n1, self.n2) > 2**53:  # the block draw's float64 counts
+            raise OutOfRange(f"n1 and n2 must be at most 2**53, got "
+                             f"n1={self.n1}, n2={self.n2}")
         if self.setting != 1 and self.d not in _VECTORS:
             raise UnsupportedDimension(
                 f"setting {self.setting} is defined for d in (5, 10), "
@@ -232,12 +236,11 @@ def _conditional_binomial(rng, n, cond, k: int) -> np.ndarray:
     return out
 
 
-def _replicate_rng(spec: SettingSpec, r: int, salt: int | None = None):
-    """A new generator on replicate ``r``'s stream, or on its ``salt``
-    stream; the engine itself sets reused generators to these streams
-    (:func:`_run_block`, :func:`_replicate_null_draws`)."""
-    salts = () if salt is None else (salt,)
-    key = variance._stream_keys(spec.master_seed, r, *salts)[0]
+def _replicate_rng(spec: SettingSpec, r: int):
+    """A new generator on replicate ``r``'s stream.  Nothing in the package
+    calls it (:func:`_draw_block` draws every replicate); it is kept only
+    as a name the benchmark's tracer wraps."""
+    key = variance._stream_keys(spec.master_seed, r)[0]
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -259,61 +262,54 @@ def _setting_probs(setting: int, d: int, pi0: int | None):
 
 @functools.lru_cache(maxsize=16)
 def _null_picks(k: int):
-    """All-0 picks and all-True null flags of ``k`` groups, read-only."""
-    zeros, ones = np.zeros(k, dtype=np.int64), np.ones(k, dtype=bool)
-    zeros.flags.writeable = ones.flags.writeable = False
-    return zeros, ones
+    """All-0 picks of ``k`` groups, a read-only view."""
+    return np.broadcast_to(np.int64(0), k)
 
 
 def _setting_picks(spec: SettingSpec, rng):
     """One replicate's mixture picks, the first draws of its stream.
 
-    Returns ``(picks, null_flags, rows1, rows2)`` where ``picks`` is the
-    per-group library index of the shared (null) vector, or -1 on
-    alternative groups, and ``rows1``, ``rows2`` index each sample's
-    groups into the columns of :func:`_setting_probs`.  Setting 1 draws
-    nothing: it returns the read-only arrays of :func:`_null_picks`.
+    Returns ``(picks, rows1, rows2)``: ``picks`` is the per-group library
+    index of the shared vector on null groups and -1 on alternative ones
+    (the only record of which groups are null); ``rows1``, ``rows2`` index
+    each sample's groups into the columns of :func:`_setting_probs`.
+    Setting 1 draws nothing: all three are :func:`_null_picks`' array.
     """
     k = spec.k
     if spec.setting == 1:
-        picks, null_flags = _null_picks(k)
-        rows1 = rows2 = picks
+        picks = rows1 = rows2 = _null_picks(k)
     elif spec.setting == 2:
         picks = rows1 = rows2 = rng.integers(0, 5, size=k)
-        null_flags = _null_picks(k)[1]
     elif spec.setting == 3:
         raw = rng.integers(0, 5, size=k)
-        null_flags = raw < 4
-        picks = np.where(null_flags, raw, -1)
+        picks = np.where(raw < 4, raw, -1)
         rows1 = raw % 4
-        rows2 = np.where(null_flags, raw, spec.pi0 - 1)
+        rows2 = np.where(raw < 4, raw, spec.pi0 - 1)
     elif spec.setting == 4:
         raw = rng.integers(0, 10, size=k)
-        null_flags = raw < 8
-        picks = np.where(null_flags, raw // 2, -1)
+        picks = np.where(raw < 8, raw // 2, -1)
         rows1 = (raw // 2) % 4
-        rows2 = np.where(null_flags, raw // 2, np.where(raw == 8, spec.pi0 - 1, 5))
+        rows2 = np.where(raw < 8, raw // 2, np.where(raw == 8, spec.pi0 - 1, 5))
     else:
         rows1 = rng.integers(0, 5, size=k)
         rows2 = rng.integers(0, 5, size=k)
-        null_flags = rows1 == rows2
-        picks = np.where(null_flags, rows1, -1)
-    return picks, null_flags, rows1, rows2
+        picks = np.where(rows1 == rows2, rows1, -1)
+    return picks, rows1, rows2
 
 
 def _draw_replicate(spec: SettingSpec, rng):
-    """Draw one replicate's counts.
+    """Draw one replicate's counts by numpy's binomials on ``rng``.
 
-    Returns ``(counts1, counts2, picks, null_flags)`` as
-    :func:`_setting_picks` describes them.  Each sample's groups index the
-    columns of :func:`_setting_probs`.
+    Returns ``(counts1, counts2, picks)``, the int64 counts of shape
+    ``(k, d)`` and the picks of :func:`_setting_picks`.  Each sample's
+    groups index the columns of :func:`_setting_probs`.
     """
     k = spec.k
     cond = _setting_probs(spec.setting, spec.d, spec.pi0)
-    picks, null_flags, rows1, rows2 = _setting_picks(spec, rng)
+    picks, rows1, rows2 = _setting_picks(spec, rng)
     counts1 = _conditional_binomial(rng, spec.n1, np.take(cond, rows1, axis=1), k)
     counts2 = _conditional_binomial(rng, spec.n2, np.take(cond, rows2, axis=1), k)
-    return counts1, counts2, picks, null_flags
+    return counts1, counts2, picks
 
 
 def generate_replicate(
@@ -322,15 +318,16 @@ def generate_replicate(
     """Materialize replicate ``replicate_index`` as a dataset.
 
     Returns the dataset and the per-group truth flags (True where the two
-    populations share a vector).  Bit-identical to what the rejection-rate
-    engine consumes for the same spec and index.
+    populations share a vector).  The counts are the engine's own draw:
+    :func:`_draw_block` on the replicate's one stream key, the code every
+    block of the rejection-rate engine runs.
     """
-    _check_integer(replicate_index, "replicate index")
-    rng = _replicate_rng(spec, replicate_index)
-    counts1, counts2, _, null_flags = _draw_replicate(spec, rng)
+    r = _check_integer(replicate_index, "replicate index")
+    (counts1,), (counts2,), (picks,) = _draw_block(
+        spec, variance._stream_keys(spec.master_seed, r))
     width = max(3, len(str(spec.k)))
-    ids = [f"g{r + 1:0{width}d}" for r in range(spec.k)]
-    return GroupedDataset(counts1, counts2, ids), null_flags.copy()
+    ids = [f"g{i + 1:0{width}d}" for i in range(spec.k)]
+    return GroupedDataset(counts1, counts2, ids), picks >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +586,7 @@ def _draw_slice(spec: SettingSpec, cond, tables, lookup, bitgen, rng, keys,
     rows = np.empty((2, s, k), dtype=np.int64)
     for i, key in enumerate(keys):
         variance._start_stream(bitgen, key)
-        picks[i], _, rows[0, i], rows[1, i] = _setting_picks(spec, rng)
+        picks[i], rows[0, i], rows[1, i] = _setting_picks(spec, rng)
         rng.random(out=u[i])
     # where each replicate's next unused double sits in ``u.ravel()``
     start = np.arange(s) * u.shape[1] - 1
@@ -648,7 +645,7 @@ def _draw_block(spec: SettingSpec, keys: np.ndarray):
                 c1[lo:hi], c2[lo:hi], picks[lo:hi]))
     for i in redraw:
         variance._start_stream(bitgen, keys[i])
-        c1[i], c2[i], picks[i], _ = _draw_replicate(spec, rng)
+        c1[i], c2[i], picks[i] = _draw_replicate(spec, rng)
     return c1, c2, picks
 
 

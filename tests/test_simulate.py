@@ -109,6 +109,8 @@ class TestSettingSpec:
             dict(setting=1, d=1, k=10, n1=5, n2=5),
             dict(setting=1, d=5, k=0, n1=5, n2=5),
             dict(setting=1, d=5, k=10, n1=0, n2=5),
+            # the block draw's float64 counts summed to 2**54 per group
+            dict(setting=1, d=2, k=2, n1=2**54 + 1, n2=2**54 + 1),
         ],
     )
     def test_range_checks(self, kwargs):
@@ -255,11 +257,11 @@ class TestGenerateReplicate:
         for a, b in zip(first, simulate._setting_picks(spec, None)):
             assert a is b
             assert not a.flags.writeable
-        picks, flags, rows1, rows2 = first
+        picks, rows1, rows2 = first
         assert picks.tolist() == rows1.tolist() == rows2.tolist() == [0] * 7
-        assert flags.tolist() == [True] * 7
         # the caller's flags are its own
         _, mine = generate_replicate(spec, 0)
+        assert mine.tolist() == [True] * 7
         mine[:] = False
         assert generate_replicate(spec, 0)[1].all()
 
@@ -280,12 +282,30 @@ class TestGenerateReplicate:
 
     @pytest.mark.parametrize("r", [0, 2**32 - 1, 2**32, 2**32 + 5, 2**64 + 1])
     def test_matches_seed_sequence_reference(self, r):
-        # numpy reads an index from 2**32 as two or more 32-bit words
-        spec = SettingSpec(3, 5, 9, 5, 10, pi0=2, master_seed=2**64 - 1)
-        ds, _ = generate_replicate(spec, r)
-        c1, c2 = _reference_counts(spec, r)
-        assert ds.c1.tolist() == c1.tolist()
-        assert ds.c2.tolist() == c2.tolist()
+        # numpy reads an index from 2**32 as two or more 32-bit words; the
+        # sizes (200, 300) are drawn by BTPE, so through the block draw's
+        # per-replicate fallback
+        for spec in (SettingSpec(3, 5, 9, 5, 10, pi0=2, master_seed=2**64 - 1),
+                     SettingSpec(1, 5, 9, 200, 300, master_seed=2**64 - 1),
+                     SettingSpec(5, 10, 9, 20, 30, master_seed=2**64 - 1)):
+            ds, _ = generate_replicate(spec, r)
+            c1, c2 = _reference_counts(spec, r)
+            assert ds.c1.tolist() == c1.tolist(), spec
+            assert ds.c2.tolist() == c2.tolist(), spec
+
+    def test_drawn_by_the_block_draw_alone(self, monkeypatch):
+        # the one draw entry: a separate generator per replicate is not used
+        spec = SettingSpec(4, 10, 30, 20, 30, pi0=2, master_seed=11)
+        expected = [generate_replicate(spec, r) for r in (0, 2**40)]
+
+        def no_generator(*args):
+            raise AssertionError("generate_replicate built its own generator")
+
+        monkeypatch.setattr(simulate, "_replicate_rng", no_generator)
+        for r, (ds, flags) in zip((0, 2**40), expected):
+            again, again_flags = generate_replicate(spec, r)
+            assert again == ds
+            assert again_flags.tolist() == flags.tolist()
 
     # Replicate 2 of SettingSpec(setting, d, 6, 5, 10, pi0, master_seed=7):
     # sample-1 and sample-2 counts (groups separated by ';') and null flags.

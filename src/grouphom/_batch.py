@@ -11,7 +11,8 @@ Sample sizes ``n1``/``n2`` may be scalars or arrays broadcastable against
 the leading shape.
 
 Every sum over categories goes through :func:`_catsum`: the bits of
-numpy's own sum, at a third of its cost below 8 categories.
+numpy's own sum over a contiguous category axis, whatever the axis's
+stride, at a third of its cost below 8 categories.
 """
 
 from __future__ import annotations
@@ -31,14 +32,25 @@ __all__ = [
 
 
 def _catsum(x):
-    """``np.sum(x, axis=-1)`` of a float64 array, bit for bit.  Below 8
-    terms numpy adds a row in order from 0.0, at a call per row, and
-    adding whole slices in that order is faster; from 8 terms numpy's
-    eight running sums beat the same order taken by slices."""
-    if x.shape[-1] >= 8:
-        return np.sum(x, axis=-1)
-    s = x[..., 0] + 0.0
-    for j in range(1, x.shape[-1]):
+    """``np.sum(x, axis=-1)`` of a float64 array, bit for bit: below 8
+    terms, the terms in order from 0.0, added by slices; from 8 to 128,
+    numpy's eight running sums, taken by slices where the category axis
+    is strided (the engine's category-major planes), as ``np.sum`` would
+    not add them in its order there; else ``np.sum`` itself, on a copy
+    with a contiguous category axis."""
+    d = x.shape[-1]
+    if d < 8:
+        s, done = x[..., 0] + 0.0, 1
+    elif x.strides[-1] == x.itemsize or d > 128:
+        return np.sum(np.ascontiguousarray(x), axis=-1)
+    else:
+        r, done = x[..., :8] + 0.0, d - d % 8
+        for i in range(8, done, 8):
+            r += x[..., i:i + 8]
+        while r.shape[-1] > 1:  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + ...
+            r = r[..., 0::2] + r[..., 1::2]
+        s = r[..., 0]
+    for j in range(done, d):
         s += x[..., j]
     return s
 

@@ -38,8 +38,8 @@ __all__ = [
 
 
 def _frozen_array(values, dtype, ndim: int = 1) -> np.ndarray:
-    """Read-only ``ndim``-d copy of ``values``; an integer ``dtype`` also
-    requires integer values that fit it."""
+    """Read-only C-ordered ``ndim``-d copy of ``values``; an integer
+    ``dtype`` also requires integer values that fit it."""
     try:
         arr = np.asarray(values)
     except ValueError:  # numpy refuses ragged nested sequences
@@ -52,7 +52,7 @@ def _frozen_array(values, dtype, ndim: int = 1) -> np.ndarray:
         # float, unsigned and object input cast without an overflow check
         if np.any(np.abs(arr) >= 2**63):
             raise DatasetError("counts must fit in 64-bit integers")
-    arr = arr.astype(dtype)
+    arr = arr.astype(dtype, order="C")
     if arr.ndim != ndim:
         raise DatasetError(f"expected a {ndim}-d array, got shape {arr.shape}")
     arr.flags.writeable = False

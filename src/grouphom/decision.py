@@ -75,7 +75,8 @@ class _Stack:
     tests share.  ``null_variance(stack)`` and ``null_pvalues(stack)``
     give each dataset's ``test7`` variance and per-group bootstrap
     p-values in the caller's stream layout; ``moments`` maps
-    ``wkprime``/``vkprime`` to per-group null means and variances."""
+    ``wkprime``/``vkprime`` to per-group null means and variances.  Each
+    shared quantity is computed when a test first reads it."""
 
     def __init__(self, c1, c2, n1, n2, alpha, null_variance=None,
                  null_pvalues=None, moments=None):
@@ -83,15 +84,26 @@ class _Stack:
         self.null_variance, self.null_pvalues = null_variance, null_pvalues
         self.moments = moments
         self.z_crit = ndtri(1.0 - alpha)
-        self._p = c1 / np.asarray(n1)[..., None], c2 / np.asarray(n2)[..., None]
-        self._s12 = _batch._catsum(self._p[0] * self._p[1])
-        self.tu_r = _batch.tu_group(*self._p, n1, n2, self._s12)
-        self.tu = self.tu_r.sum(axis=-1) / math.sqrt(self.tu_r.shape[-1])
         self._variances = {}
 
     @functools.cached_property
+    def _p(self):
+        """Both samples' proportions and ``_catsum`` of their product."""
+        p1 = self.c1 / np.asarray(self.n1)[..., None]
+        p2 = self.c2 / np.asarray(self.n2)[..., None]
+        return p1, p2, _batch._catsum(p1 * p2)
+
+    @functools.cached_property
+    def tu_r(self):
+        return _batch.tu_group(*self._p[:2], self.n1, self.n2, self._p[2])
+
+    @functools.cached_property
+    def tu(self):
+        return self.tu_r.sum(axis=-1) / math.sqrt(self.tu_r.shape[-1])
+
+    @functools.cached_property
     def cross(self):
-        return _batch.trace_cross(*self._p, ab=self._s12)
+        return _batch.trace_cross(*self._p)
 
     @functools.cached_property
     def chi_r(self):

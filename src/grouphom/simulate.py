@@ -572,6 +572,7 @@ def _draw_slice(spec: SettingSpec, cond, tables, lookup, bitgen, rng, keys,
     """Draw the replicates of ``keys`` into ``c1``, ``c2`` and ``picks``
     by :func:`_inverse_binomial` with ``lookup``; returns the indices of
     those with a draw it cannot settle (their counts are not valid).
+    ``c1`` and ``c2`` are category-major planes, ``(d, len(keys), k)``.
 
     Each replicate's stream yields its picks (:func:`_setting_picks`) and
     then fills its row of ``u`` with doubles, as many as its binomials
@@ -579,8 +580,9 @@ def _draw_slice(spec: SettingSpec, cond, tables, lookup, bitgen, rng, keys,
     in order, one per draw with ``n > 0`` and ``p > 0``: sample 1's
     categories, then sample 2's, each over the groups in order.  Nothing
     else reads a replicate's stream, so the doubles left over are not
-    missed.  Each category step draws the whole slice, and then sets the
-    draws that read no double (``n = 0`` or ``p = 0``) to 0.
+    missed.  Each category step draws the whole slice into its own
+    contiguous plane, and sets the draws that read no double (``n = 0``
+    or ``p = 0``) to 0.
     """
     s, k = len(keys), spec.k
     rows = np.empty((2, s, k), dtype=np.int64)
@@ -605,44 +607,50 @@ def _draw_slice(spec: SettingSpec, cond, tables, lookup, bitgen, rng, keys,
                                              u.take(taken.ravel()), lookup)
             x *= active
             unsure |= unsettled & active
-            out[:, :, j] = x.reshape(s, k)
+            out[j] = x.reshape(s, k)
             remaining -= x
-        out[:, :, -1] = remaining.reshape(s, k)
+        out[-1] = remaining.reshape(s, k)
     return np.flatnonzero(unsure.reshape(s, k).any(axis=1))
 
 
-def _draw_block(spec: SettingSpec, keys: np.ndarray):
-    """Draw the block's replicates, one per row of ``keys``: returns
-    ``(c1, c2, picks)``, the counts as floats of shape ``(blen, k, d)``,
-    bit-identical to :func:`_draw_replicate` on each replicate's stream.
+#: Groups per chunk of :func:`_run_block`, whose arrays then stay in cache.
+_CHUNK_GROUPS = 8192
 
-    The binomial draws of the whole block are one vectorized step per
-    category (:func:`_draw_slice`) on each replicate's doubles as numpy's
-    inversion reads them, in slices of at most :data:`_BOOTSTRAP_DRAWS`
-    doubles: about 99% are one gather from the lookup of
+
+def _block_buffers(spec: SettingSpec, rows: int):
+    """:func:`_draw_block`'s buffers for up to ``rows`` replicates: the
+    planes ``(2, d, rows, k)``, the picks and :func:`_draw_slice`'s doubles."""
+    k, d = spec.k, spec.d
+    return (np.empty((2, d, rows, k)), np.empty((rows, k), dtype=np.int64),
+            np.empty((rows, 2 * k * (d - 1))))
+
+
+def _draw_block(spec: SettingSpec, keys: np.ndarray, buffers=None):
+    """Draw the replicates of ``keys``, one per row: returns ``(c1, c2,
+    picks)``, the counts as floats of shape ``(blen, k, d)``, bit-identical
+    to :func:`_draw_replicate` on each replicate's stream.  The counts are
+    views of category-major planes ``(d, blen, k)``, and all three are
+    views of ``buffers`` (:func:`_block_buffers`, with at least ``blen``
+    rows), which a later call overwrites, or of new ones.
+
+    The binomial draws are one vectorized step per category
+    (:func:`_draw_slice`) on each replicate's doubles as numpy's
+    inversion reads them: about 99% are one gather from the lookup of
     :func:`_block_tables`, the rest a binary search.  A replicate with a
     draw the search cannot settle (about ``4e-12`` per draw), or every
     replicate of a cell whose draws numpy makes by BTPE, is drawn by
     :func:`_draw_replicate` instead, on a reused generator.
     """
-    k, d = spec.k, spec.d
     blen = len(keys)
-    c1, c2 = np.empty((2, blen, k, d))
-    picks = np.empty((blen, k), dtype=np.int64)
+    planes, picks, u = buffers or _block_buffers(spec, blen)
+    planes, picks, u = planes[:, :, :blen], picks[:blen], u[:blen]
+    c1, c2 = np.moveaxis(planes, 1, -1)
     bitgen, rng = variance._stream_rng()
-    cond = _setting_probs(spec.setting, d, spec.pi0)
-    tables = _block_tables(spec.setting, d, spec.pi0, max(spec.n1, spec.n2))
+    tables = _block_tables(spec.setting, spec.d, spec.pi0, max(spec.n1, spec.n2))
     redraw = range(blen)
     if tables is not None:
-        width = 2 * k * (d - 1)
-        size = max(1, _BOOTSTRAP_DRAWS // width)
-        u = np.empty((min(size, blen), width))
-        redraw = []
-        for lo in range(0, blen, size):
-            hi = min(lo + size, blen)
-            redraw.extend(lo + _draw_slice(
-                spec, cond, *tables, bitgen, rng, keys[lo:hi], u[: hi - lo],
-                c1[lo:hi], c2[lo:hi], picks[lo:hi]))
+        redraw = _draw_slice(spec, _setting_probs(spec.setting, spec.d, spec.pi0),
+                             *tables, bitgen, rng, keys, u, *planes, picks)
     for i in redraw:
         variance._start_stream(bitgen, keys[i])
         c1[i], c2[i], picks[i] = _draw_replicate(spec, rng)
@@ -650,30 +658,35 @@ def _draw_block(spec: SettingSpec, keys: np.ndarray):
 
 
 def _run_block(task: _CellTask):
+    """Each test's rejections, degenerate replicates and statistics on the
+    block's replicates, drawn and scored in chunks of ``s = max(1,
+    _CHUNK_GROUPS // k)`` replicates on buffers allocated once per block,
+    so that every array a chunk makes stays small.  The tests see a
+    chunk's counts as ``(s, k, d)`` views of its category-major planes."""
     spec = task.spec
-    c1, c2, picks = _draw_block(spec, _block_keys(task))
-    stack = _Stack(
-        c1, c2, spec.n1, spec.n2, task.alpha,
-        null_variance=functools.partial(_null_variances, task),
-        null_pvalues=functools.partial(_null_pvalues, task),
-        moments={t: (m[picks], v[picks]) for t, (m, v) in task.moments.items()},
-    )
-    out = {}
-    for test in task.tests:
-        statistic, reject, degen = _TESTS[test][1](stack)
-        out[test] = int(np.sum(reject)), int(np.sum(degen)), statistic
-    return out
+    size = max(1, _CHUNK_GROUPS // spec.k)
+    buffers = _block_buffers(spec, min(size, task.stop - task.start))
+    parts = {test: [] for test in task.tests}
+    for start in range(task.start, task.stop, size):
+        chunk = replace(task, start=start, stop=min(start + size, task.stop))
+        c1, c2, picks = _draw_block(spec, _block_keys(chunk), buffers)
+        moments = {t: (m[picks], v[picks]) for t, (m, v) in task.moments.items()}
+        stack = _Stack(c1, c2, spec.n1, spec.n2, task.alpha, moments=moments,
+                       null_variance=functools.partial(_null_variances, chunk),
+                       null_pvalues=functools.partial(_null_pvalues, chunk))
+        for test in task.tests:
+            parts[test].append(_TESTS[test][1](stack))
+    return {t: (int(sum(np.sum(r) for _, r, _ in p)), int(sum(np.sum(g) for *_, g in p)),
+                np.concatenate([z for z, *_ in p])) for t, p in parts.items()}
 
 
-def _oracle_moments(
-    spec: SettingSpec, statistic: str, cache=None
-) -> tuple[np.ndarray, np.ndarray]:
+def _oracle_moments(spec: SettingSpec, statistic: str, cache: dict):
     """Null means and variances for every library vector the setting can
     draw.
 
     Only settings 1 and 2 generate purely null groups with known vectors,
     which is what the oracle standardizations need.  The moments do not
-    depend on the cell's seed: a dict ``cache`` keeps them by statistic,
+    depend on the cell's seed: the dict ``cache`` keeps them by statistic,
     setting, ``d`` and sizes, for the cells of one call.
     """
     if spec.setting not in (1, 2):
@@ -681,25 +694,18 @@ def _oracle_moments(
             "oracle-standardized tests (wkprime/vkprime) are defined for "
             f"the null settings 1 and 2, not setting {spec.setting}"
         )
-    oracle = (
-        classical.chi_square_moments_oracle
-        if statistic == "wkprime"
-        else classical.lrt_moments_oracle
-    )
-    if spec.setting == 1:
-        pis = [ProbVector(np.full(spec.d, 1.0 / spec.d))]
-    else:
-        lib = pi_library(spec.d)
-        pis = [lib.vector(i) for i in range(1, 6)]
     key = (statistic, spec.setting, spec.d, spec.n1, spec.n2)
-    if cache is not None and key in cache:
-        return cache[key]
-    pairs = [oracle(pv, spec.n1, spec.n2) for pv in pis]
-    moments = (np.array([m.mean for m in pairs]),
-               np.array([m.variance for m in pairs]))
-    if cache is not None:
-        cache[key] = moments
-    return moments
+    if key not in cache:
+        oracle = (classical.chi_square_moments_oracle if statistic == "wkprime"
+                  else classical.lrt_moments_oracle)
+        if spec.setting == 1:
+            pis = [ProbVector(np.full(spec.d, 1.0 / spec.d))]
+        else:
+            pis = [pi_library(spec.d).vector(i) for i in range(1, 6)]
+        pairs = [oracle(pv, spec.n1, spec.n2) for pv in pis]
+        cache[key] = (np.array([m.mean for m in pairs]),
+                      np.array([m.variance for m in pairs]))
+    return cache[key]
 
 
 def _resolve_workers(workers) -> int:

@@ -682,6 +682,87 @@ def _test7_z(spec, reps, B):
     return np.array(z)
 
 
+def _block_results(task):
+    """``_run_block``'s output with each statistic as its bytes, so that
+    NaN and signed zeros compare bit for bit."""
+    return {t: (rej, degen, stat.tobytes())
+            for t, (rej, degen, stat) in simulate._run_block(task).items()}
+
+
+class TestChunks:
+    """``_run_block`` draws and scores a block in chunks of ``max(1,
+    _CHUNK_GROUPS // k)`` replicates; nothing may depend on the chunk
+    size."""
+
+    @pytest.mark.parametrize("setting, pi0", [
+        (1, None), (2, None), (3, 2), (4, 4), (5, None)])
+    def test_results_do_not_depend_on_the_chunk_size(self, setting, pi0,
+                                                     monkeypatch):
+        # every test id the setting allows (all 13 in the null settings),
+        # on a block that starts at replicate 3
+        spec = SettingSpec(setting, 5, 6, 5, 10, pi0=pi0,
+                           master_seed=simulate._cell_seed(22, setting))
+        tests = tuple(t for t in simulate._TESTS
+                      if setting in (1, 2) or t not in ("wkprime", "vkprime"))
+        moments = {t: simulate._oracle_moments(spec, t, {})
+                   for t in ("wkprime", "vkprime") if t in tests}
+        task = simulate._CellTask(spec, tests, 3, 23, 0.3, 20, 30, moments, 1)
+        whole = _block_results(task)
+        assert simulate._CHUNK_GROUPS // spec.k >= 20  # one chunk by default
+        assert len(whole) == len(tests)
+        for rows in (1, 7):
+            monkeypatch.setattr(simulate, "_CHUNK_GROUPS", rows * spec.k)
+            assert _block_results(task) == whole, rows
+
+    def test_redrawn_replicates_in_later_chunks(self, monkeypatch,
+                                                replicate_draws, fresh_tables):
+        # with the bound forced down to 1, numpy restarts on a draw of 2 or
+        # more, and the block leaves such replicates to _draw_replicate:
+        # more of them than fit in the first chunk of 7, so some are in
+        # later chunks, and each must land on its own replicate
+        spec = SettingSpec(1, 5, 1, 4, 4, master_seed=5)
+        task = simulate._CellTask(spec, ("test1", "test3", "chi2", "vk"), 2,
+                                  22, 0.3, 20, 30, {}, 1)
+        whole = _block_results(task)
+        assert not replicate_draws
+        tables = simulate._inversion_tables
+
+        def bound_one(cond, n_max):
+            flip, cum = tables(cond, n_max)
+            cum[..., 2:] = np.inf
+            return flip, cum
+
+        simulate._block_tables.cache_clear()
+        monkeypatch.setattr(simulate, "_inversion_tables", bound_one)
+        monkeypatch.setattr(simulate, "_CHUNK_GROUPS", 7 * spec.k)
+        assert _block_results(task) == whole
+        assert 7 < len(replicate_draws) < 20
+
+    def test_replicate_counts_are_c_ordered_int64(self):
+        # the engine's counts are views of category-major planes; a
+        # replicate's dataset holds its own C-ordered copy
+        spec = SettingSpec(4, 10, 30, 20, 30, pi0=2, master_seed=7)
+        ds, _ = generate_replicate(spec, 5)
+        for c in (ds.c1, ds.c2):
+            assert c.dtype == np.int64 and c.shape == (30, 10)
+            assert c.flags.c_contiguous and not c.flags.writeable
+
+    def test_classical_tests_skip_the_statistic(self, monkeypatch):
+        # tu_r is computed when a test first reads it; chi2, wk, vk,
+        # wkprime and vkprime never do
+        spec = SettingSpec(2, 5, 20, 5, 10, master_seed=3)
+        tests = ("chi2", "wk", "vk", "wkprime", "vkprime")
+        moments = {t: simulate._oracle_moments(spec, t, {}) for t in tests[3:]}
+        task = simulate._CellTask(spec, tests, 0, 40, 0.3, 20, 30, moments, 1)
+        expected = _block_results(task)
+
+        def no_statistic(*args, **kwargs):
+            raise AssertionError("the statistic was computed")
+
+        monkeypatch.setattr(_batch, "tu_group", no_statistic)
+        assert _block_results(task) == expected
+
+
 class TestRejectionRateEngine:
     SPEC = SettingSpec(1, 5, 20, 10, 10, master_seed=31)
 
@@ -1525,7 +1606,8 @@ class TestThreadedBootstraps:
         monkeypatch.setattr(variance, "_draw_ahead", recording)
         spec = SettingSpec(1, 2, k, 5, 10, master_seed=8)
         estimate_rejection_rate(spec, ("minp",), reps=reps, minp_B=B)
-        assert calls == [drawn]
+        # one call per chunk of replicates (two for k = 2700: 3 and 1)
+        assert calls == [drawn] * -(-reps // max(1, simulate._CHUNK_GROUPS // k))
 
     def test_no_thread_alive_when_the_pool_forks(self, executors, pools,
                                                  monkeypatch):

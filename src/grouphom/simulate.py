@@ -569,10 +569,9 @@ def _inverse_binomial(tables, j: int, col, n, u, lookup=None):
 
 def _draw_slice(spec: SettingSpec, cond, tables, lookup, bitgen, rng, keys,
                 u, c1, c2, picks):
-    """Draw the replicates of ``keys`` into ``c1``, ``c2`` and ``picks``
-    by :func:`_inverse_binomial` with ``lookup``; returns the indices of
-    those with a draw it cannot settle (their counts are not valid).
-    ``c1`` and ``c2`` are category-major planes, ``(d, len(keys), k)``.
+    """Draw the replicates of ``keys`` into the planes ``c1``, ``c2`` (``(d,
+    len(keys), k)``) and ``picks`` by :func:`_inverse_binomial` with
+    ``lookup``; returns the indices of those with a draw it cannot settle.
 
     Each replicate's stream yields its picks (:func:`_setting_picks`) and
     then fills its row of ``u`` with doubles, as many as its binomials
@@ -585,16 +584,17 @@ def _draw_slice(spec: SettingSpec, cond, tables, lookup, bitgen, rng, keys,
     or ``p = 0``) to 0.
     """
     s, k = len(keys), spec.k
-    rows = np.empty((2, s, k), dtype=np.int64)
-    for i, key in enumerate(keys):
+    drawn = []
+    for row, key in zip(u, keys.tolist()):
         variance._start_stream(bitgen, key)
-        picks[i], rows[0, i], rows[1, i] = _setting_picks(spec, rng)
-        rng.random(out=u[i])
+        drawn.append(_setting_picks(spec, rng))
+        rng.random(out=row)
+    picks[:], rows1, rows2 = map(np.array, zip(*drawn))
     # where each replicate's next unused double sits in ``u.ravel()``
     start = np.arange(s) * u.shape[1] - 1
     u = u.ravel()
     unsure = np.zeros(s * k, dtype=bool)
-    for n_total, cols, out in ((spec.n1, rows[0], c1), (spec.n2, rows[1], c2)):
+    for n_total, cols, out in ((spec.n1, rows1, c1), (spec.n2, rows2, c2)):
         remaining = np.full(s * k, n_total, dtype=np.int64)
         cols = cols.ravel()
         for j in range(spec.d - 1):
@@ -613,7 +613,7 @@ def _draw_slice(spec: SettingSpec, cond, tables, lookup, bitgen, rng, keys,
     return np.flatnonzero(unsure.reshape(s, k).any(axis=1))
 
 
-#: Groups per chunk of :func:`_run_block`, whose arrays then stay in cache.
+#: Groups per chunk of :func:`_run_block`; of 2048 to 16384, the fastest at d = 5-20.
 _CHUNK_GROUPS = 8192
 
 
@@ -628,10 +628,10 @@ def _block_buffers(spec: SettingSpec, rows: int):
 def _draw_block(spec: SettingSpec, keys: np.ndarray, buffers=None):
     """Draw the replicates of ``keys``, one per row: returns ``(c1, c2,
     picks)``, the counts as floats of shape ``(blen, k, d)``, bit-identical
-    to :func:`_draw_replicate` on each replicate's stream.  The counts are
-    views of category-major planes ``(d, blen, k)``, and all three are
-    views of ``buffers`` (:func:`_block_buffers`, with at least ``blen``
-    rows), which a later call overwrites, or of new ones.
+    to :func:`_draw_replicate` on each replicate's stream, as views of
+    category-major planes ``(d, blen, k)``.  All three are views of new
+    arrays or of ``buffers`` (:func:`_block_buffers`, of ``blen`` rows or
+    more), which the next call given them overwrites.
 
     The binomial draws are one vectorized step per category
     (:func:`_draw_slice`) on each replicate's doubles as numpy's
@@ -663,13 +663,13 @@ def _run_block(task: _CellTask):
     _CHUNK_GROUPS // k)`` replicates on buffers allocated once per block,
     so that every array a chunk makes stays small.  The tests see a
     chunk's counts as ``(s, k, d)`` views of its category-major planes."""
-    spec = task.spec
+    spec, keys = task.spec, _block_keys(task)
     size = max(1, _CHUNK_GROUPS // spec.k)
-    buffers = _block_buffers(spec, min(size, task.stop - task.start))
+    buffers = _block_buffers(spec, min(size, len(keys)))
     parts = {test: [] for test in task.tests}
-    for start in range(task.start, task.stop, size):
-        chunk = replace(task, start=start, stop=min(start + size, task.stop))
-        c1, c2, picks = _draw_block(spec, _block_keys(chunk), buffers)
+    for lo in range(0, len(keys), size):
+        c1, c2, picks = _draw_block(spec, keys[lo:lo + size], buffers)
+        chunk = replace(task, start=task.start + lo, stop=task.start + lo + len(c1))
         moments = {t: (m[picks], v[picks]) for t, (m, v) in task.moments.items()}
         stack = _Stack(c1, c2, spec.n1, spec.n2, task.alpha, moments=moments,
                        null_variance=functools.partial(_null_variances, chunk),

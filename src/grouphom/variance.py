@@ -241,8 +241,7 @@ def _stream_keys(seed: int, first, *rest: int) -> np.ndarray:
     return keys
 
 
-_ZEROS = np.zeros(4, dtype=np.uint64)
-_ZEROS.flags.writeable = False
+_ZEROS = (0, 0, 0, 0)
 
 
 def _stream_rng():
@@ -255,8 +254,9 @@ def _stream_rng():
 def _start_stream(bitgen, key) -> None:
     """Set the Philox ``bitgen`` to the state ``Philox(key=key)`` starts
     in, the start of the stream keyed ``key`` (a row of
-    :func:`_stream_keys`): a few microseconds, where building a new
-    generator takes tens."""
+    :func:`_stream_keys`, or that row as a list, which the setter indexes
+    faster): about a microsecond, where building a new generator takes
+    tens."""
     bitgen.state = {
         "bit_generator": "Philox",
         "state": {"counter": _ZEROS, "key": key},

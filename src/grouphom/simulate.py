@@ -32,8 +32,8 @@ replicate (setting one's state takes a few microseconds).  A block does
 not call numpy's binomial at all where numpy would draw by inversion
 (``min(p, 1 - p) n <= 30``, every cell of the published tables): each
 replicate sets its stream, draws its picks and one array of doubles,
-and the block's draws are then a lookup by bin, or a search, of numpy's
-cumulative probabilities per category, vectorized over the block, on the
+and the draws are then a lookup by bin, or a search, of numpy's cumulative
+probabilities per category, vectorized over a chunk of the block, on the
 doubles numpy's inversion would read (:func:`_draw_block`).  The counts are
 bit-identical; the few draws the search cannot settle, and cells numpy
 draws by BTPE, go through the per-replicate binomial calls.

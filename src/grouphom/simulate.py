@@ -39,8 +39,9 @@ bit-identical; the few draws the search cannot settle, and cells numpy
 draws by BTPE, go through the per-replicate binomial calls.
 
 Each public call runs its cells through :func:`_run_cells`, which forks
-at most one worker pool, at the first cell with more than one block of
-replicates, with no more workers than blocks.  Within a process, the
+at most one worker pool, with no more workers than a cell has blocks of
+replicates, sends it every cell's blocks as one stream, and lets its
+workers keep their freed heap (:func:`_keep_heap`).  Within a process, the
 ``test7`` and ``minp`` bootstraps draw a block's replicates ahead on
 ``max(1, CPUs // processes)`` threads, at most one per replicate (see
 :func:`_replicate_null_draws`); they hold ``2 B k d`` counts per thread
@@ -53,7 +54,9 @@ bootstrap threads running.
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import itertools
 import json
 import math
 import multiprocessing
@@ -344,7 +347,7 @@ class MCResult:
     se: float
     rejections: int
     degenerate: int = 0
-    seconds: float = 0.0
+    seconds: float = 0.0  # the sum of the cell's block times
 
 
 @dataclass(frozen=True)
@@ -357,7 +360,7 @@ class _CellTask:
     bootstrap_B: int
     minp_B: int
     moments: dict
-    processes: int  # the processes that run the cell
+    processes: int  # the call's processes: its pool's size, else 1
 
 
 def _block_size(spec: SettingSpec) -> int:
@@ -720,17 +723,40 @@ def _resolve_workers(workers) -> int:
     return _check_integer(workers, source, 1)
 
 
-def _run_cell(cell: _CellTask, run):
-    """Run a checked cell, ``cell`` spanning all its replicates, in blocks
-    of replicates that ``run(_run_block, blocks)`` maps (``map``, or a
-    worker pool's).  Returns the results and each test's per-replicate
-    statistics."""
+def _cell_blocks(cell: _CellTask) -> list[_CellTask]:
     reps, size = cell.stop, _block_size(cell.spec)
-    tasks = [replace(cell, start=start, stop=min(start + size, reps))
-             for start in range(0, reps, size)]
+    return [replace(cell, start=start, stop=min(start + size, reps))
+            for start in range(0, reps, size)]
+
+
+def _timed_block(task: _CellTask):
+    """:func:`_run_block`'s output and its wall time."""
     t0 = time.perf_counter()
-    outs = list(run(_run_block, tasks))
-    elapsed = time.perf_counter() - t0
+    return _run_block(task), time.perf_counter() - t0
+
+
+#: ``mallopt`` settings of a pool worker: glibc's ``M_TRIM_THRESHOLD`` at
+#: 256 MiB and ``M_MMAP_THRESHOLD`` at 32 MiB, the most it takes.
+_MALLOPT = ((-1, 256 << 20), (-3, 32 << 20))
+
+
+def _keep_heap():
+    """Pool initializer: keep freed heap resident in the worker, so that a
+    chunk's temporaries reuse its pages; a no-op without ``mallopt``."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        for param, value in _MALLOPT:
+            mallopt(param, value)
+
+
+def _run_cell(cell: _CellTask, run):
+    """Reduce a checked cell, ``cell`` spanning all its replicates, from
+    its blocks' :func:`_timed_block` outputs, which ``run(_timed_block,
+    blocks)`` yields in order (``map``, or the call's pool stream).
+    Returns the results and each test's per-replicate statistics."""
+    reps = cell.stop
+    outs, times = zip(*run(_timed_block, _cell_blocks(cell)))
     results = {}
     for t in cell.tests:
         rejections = sum(out[t][0] for out in outs)
@@ -742,7 +768,7 @@ def _run_cell(cell: _CellTask, run):
             se=math.sqrt(rate * (1.0 - rate) / reps),
             rejections=rejections,
             degenerate=sum(out[t][1] for out in outs),
-            seconds=elapsed,
+            seconds=sum(times),
         )
     statistics = {t: np.concatenate([out[t][2] for out in outs])
                   for t in cell.tests}
@@ -757,11 +783,11 @@ def _run_cells(cells, reps, alpha, workers, bootstrap_B, minp_B,
     Every argument and every cell is checked, and the oracle moments of
     ``wkprime``/``vkprime`` computed (kept by statistic, setting, ``d``
     and sizes, as they do not depend on ``k`` or the seed), before any
-    cell runs.  The call's one worker pool is forked at the first cell
-    with more than one block, with ``min(workers, the most blocks of a
-    cell)`` processes; a cell runs on ``min(workers, its blocks)``
-    processes, in this one if that is one.  ``progress(index, spec)`` is
-    called before each cell runs.
+    cell runs.  With ``min(workers, the most blocks of a cell)`` above
+    one, a pool of that size is forked and sent every cell's blocks as
+    one ordered stream, so no worker waits at a cell boundary; each cell
+    is reduced as its outputs arrive.  ``progress(index, spec)`` is
+    called just before each cell is reduced.
     """
     reps = _check_integer(reps, "reps", 1, InvalidReps)
     alpha = _check_alpha(alpha)
@@ -788,23 +814,25 @@ def _run_cells(cells, reps, alpha, workers, bootstrap_B, minp_B,
             test: _oracle_moments(spec, test, moments_cache)
             for test in ("wkprime", "vkprime") if test in tests
         }
-        blocks = -(-reps // _block_size(spec))
         tasks.append(_CellTask(spec, tests, 0, reps, alpha, bootstrap_B,
-                               minp_B, moments, min(workers, blocks)))
-    pool = None
-    outs = []
-    try:
+                               minp_B, moments, 1))
+    processes = min(workers, max((len(_cell_blocks(t)) for t in tasks), default=1))
+
+    def reduce(run):
+        outs = []
         for index, task in enumerate(tasks):
             if progress is not None:
                 progress(index, task.spec)
-            if pool is None and task.processes > 1:
-                ctx = multiprocessing.get_context("fork")
-                pool = ctx.Pool(max(t.processes for t in tasks))
-            outs.append(_run_cell(task, pool.map if task.processes > 1 else map))
-    finally:
-        if pool is not None:
-            pool.terminate()
-    return outs
+            outs.append(_run_cell(task, run))
+        return outs
+
+    if processes == 1:
+        return reduce(map)
+    blocks = [replace(b, processes=processes) for t in tasks for b in _cell_blocks(t)]
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(processes, initializer=_keep_heap) as pool:
+        stream = pool.imap(_timed_block, blocks, chunksize=1)
+        return reduce(lambda _, cell: itertools.islice(stream, len(cell)))
 
 
 def estimate_rejection_rate(
@@ -936,6 +964,7 @@ def _cell_seed(seed: int, index: int) -> int:
     return int(state[0]) << 32 | int(state[1])
 
 
+@functools.cache
 def _git_describe() -> str | None:
     try:
         out = subprocess.run(

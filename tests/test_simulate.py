@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 import multiprocessing
+import subprocess
 import sys
 import threading
 
@@ -1106,6 +1107,25 @@ class TestReproduceTable:
         assert sidecar["k_values"] == [20]
         assert "generated_utc" in sidecar
 
+    def test_git_described_once_per_process(self, tmp_path, monkeypatch):
+        # the sidecar records the revision of the code the process imported
+        calls = []
+        run = subprocess.run
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return run(*args, **kwargs)
+
+        simulate._git_describe.cache_clear()
+        monkeypatch.setattr(subprocess, "run", counting)
+        try:
+            for _ in range(2):
+                reproduce_table("tab2", reps=5, outdir=tmp_path,
+                                k_values=[20], size_pairs=[(5, 10)])
+        finally:
+            simulate._git_describe.cache_clear()
+        assert len(calls) == 1
+
     def test_numpy_integer_arguments_written_as_integers(self, tmp_path):
         # the sidecar write raised TypeError on numpy integers, after the run
         args = dict(reps=np.int64(5), seed=np.uint64(3),
@@ -1310,23 +1330,29 @@ class _PoolCounter:
     def __init__(self, inline):
         self.sizes = []
         self.threads_at_fork = []
+        self.initializers = []
         self.inline = inline
 
     def get_context(self, method):
         assert method == "fork"
         return self
 
-    def Pool(self, processes):
+    def Pool(self, processes, initializer=None):
         self.sizes.append(processes)
         self.threads_at_fork.append(threading.active_count())
+        self.initializers.append(initializer)
         if self.inline:
             return _InlinePool()
-        return multiprocessing.get_context("fork").Pool(processes)
+        return multiprocessing.get_context("fork").Pool(
+            processes, initializer=initializer)
 
 
 class _InlinePool:
     def map(self, fn, items):
         return [fn(item) for item in items]
+
+    def imap(self, fn, items, chunksize=1):
+        return map(fn, items)
 
     def terminate(self):
         pass
@@ -1458,6 +1484,99 @@ class TestWorkerPools:
             assert res["test2"].rejections == one["test2"].rejections
 
 
+def _one_two_three_blocks(*ks):
+    """A ``_block_size`` that splits 30 replicates of the cells of ``ks``
+    into 1, 2, 3, 1, 2, 3 ... blocks."""
+    sizes = {k: 30 // (1 + i % 3) for i, k in enumerate(ks)}
+    return lambda spec: sizes[spec.k]
+
+
+class TestBlockStream:
+    """A pool runs every cell's blocks as one stream; each cell is
+    reduced from its own blocks, in cell order, to the one-process bits."""
+
+    TABLE = dict(reps=30, seed=13, k_values=[20, 50, 100],
+                 size_pairs=[(5, 10), (10, 10)])
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_pool_equals_one_process(self, pools, monkeypatch, workers):
+        monkeypatch.setattr(simulate, "_block_size",
+                            _one_two_three_blocks(20, 50, 100, 2, 3, 4))
+        counter = pools()
+        one = reproduce_table("tab2", workers=1, **self.TABLE)
+        assert reproduce_table("tab2", workers=workers, **self.TABLE).rows == one.rows
+        spec = SettingSpec(1, 5, 4, 2, 2, master_seed=8)
+        z = null_z_scores(spec, "test2", reps=30, workers=workers)
+        assert z.tobytes() == null_z_scores(spec, "test2", reps=30, workers=1).tobytes()
+        # n1 = n2 = 2: every cell has zero-variance replicates
+        cells = [(SettingSpec(1, 5, k, 2, 2, master_seed=8), ("test2", "test5"))
+                 for k in (2, 3, 4)]
+        pooled, serial = (simulate._run_cells(cells, 30, 0.05, w, 200, 1000)
+                          for w in (workers, 1))
+        for (res, stats), (res1, stats1) in zip(pooled, serial):
+            for t in ("test2", "test5"):
+                assert res[t].degenerate == res1[t].degenerate > 0
+                assert res[t].rejections == res1[t].rejections
+                assert stats[t].tobytes() == stats1[t].tobytes()
+        assert counter.sizes == [workers] * 3
+        assert counter.initializers == [simulate._keep_heap] * 3
+
+    def test_each_block_runs_once(self, pools, monkeypatch):
+        counter = pools(inline=True)
+        monkeypatch.setattr(simulate, "_block_size",
+                            _one_two_three_blocks(20, 50, 100))
+        ran = []
+        run_block = simulate._run_block
+
+        def recording(task):
+            ran.append((task.spec.k, task.start, task.stop, task.processes))
+            return run_block(task)
+
+        monkeypatch.setattr(simulate, "_run_block", recording)
+        res = reproduce_table("tab2", workers=3, **{**self.TABLE,
+                                                    "size_pairs": [(5, 10)]})
+        assert counter.sizes == [3]
+        assert ran == [(20, 0, 30, 3), (50, 0, 15, 3), (50, 15, 30, 3),
+                       (100, 0, 10, 3), (100, 10, 20, 3), (100, 20, 30, 3)]
+        monkeypatch.setattr(simulate, "_run_block", run_block)
+        assert res.rows == reproduce_table("tab2", workers=1, **{
+            **self.TABLE, "size_pairs": [(5, 10)]}).rows
+
+    def test_progress_keeps_cell_order(self, pools, monkeypatch):
+        counter = pools()
+        monkeypatch.setattr(simulate, "_block_size",
+                            _one_two_three_blocks(20, 50, 100))
+        lines = []
+        reproduce_table("tab2", workers=2, progress=lines.append, **self.TABLE)
+        assert counter.sizes == [2]
+        assert lines == [f"tab2: cell {i + 1} (setting 1, d=5, k={k}, "
+                         f"sizes=({n1},{n2}))"
+                         for i, (k, (n1, n2)) in enumerate(
+                             (k, sizes) for k in (20, 50, 100)
+                             for sizes in ((5, 10), (10, 10)))]
+
+    def test_keep_heap_sets_both_thresholds(self, monkeypatch):
+        calls = []
+
+        class Mallopt:
+            def __call__(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        class Libc:
+            mallopt = Mallopt()
+
+        monkeypatch.setattr(simulate.ctypes, "CDLL", lambda name: Libc())
+        simulate._keep_heap()
+        assert calls == list(simulate._MALLOPT)
+        assert Libc.mallopt.argtypes == (simulate.ctypes.c_int,) * 2
+        assert Libc.mallopt.restype is simulate.ctypes.c_int
+
+    def test_keep_heap_without_mallopt(self, monkeypatch):
+        monkeypatch.setattr(simulate.ctypes, "CDLL", lambda name: object())
+        assert simulate._keep_heap() is None
+
+
 def _bootstrap_statistics(spec, reps, B):
     """Each replicate's ``test7`` z-score and smallest ``minp`` p-value."""
     [(_, stats)] = simulate._run_cells(
@@ -1567,11 +1686,12 @@ class TestThreadedBootstraps:
         assert sizes == threads
 
     @pytest.mark.parametrize("cpus, reps, block50, pool, threads", [
-        # k = 20 runs two blocks on a pool of two, k = 50 one block here
-        (6, 4, 1024, 2, [2, 2, 4]),
+        # k = 20 runs two blocks on a pool of two, k = 50 one block on
+        # it too, with 6 // 2 threads
+        (6, 4, 1024, 2, [2, 2, 3]),
         # k = 20 runs four blocks on a pool of four, k = 50 two blocks on
-        # two of its processes, with 12 // 2 threads each
-        (12, 8, 4, 4, [2, 2, 2, 2, 4, 4]),
+        # two of its processes, with 12 // 4 threads each
+        (12, 8, 4, 4, [2, 2, 2, 2, 3, 3]),
     ])
     def test_table_cells_share_the_pool_size(self, cpus, reps, block50, pool,
                                              threads, executors, pools,
@@ -1611,8 +1731,8 @@ class TestThreadedBootstraps:
 
     def test_no_thread_alive_when_the_pool_forks(self, executors, pools,
                                                  monkeypatch):
-        # the single-block k = 20 cell draws on threads in this process;
-        # the two-block k = 50 cell then forks the table's pool
+        # the table's pool forks before any block runs; the single-block
+        # k = 20 cell then draws on 4 // 2 threads in a pooled process
         counter = pools(inline=True)
         sizes = executors(4)
         monkeypatch.setattr(simulate, "_block_size",
@@ -1620,7 +1740,7 @@ class TestThreadedBootstraps:
         before = threading.active_count()
         reproduce_table("rev1", reps=3, workers=2, k_values=[20, 50],
                         size_pairs=[(5, 10)])
-        assert sizes[0] == 3
+        assert sizes[0] == 2
         assert counter.sizes == [2]
         assert counter.threads_at_fork == [before]
         assert threading.active_count() == before

@@ -466,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--sizes", default=None,
                        help="size pairs like '5,10;10,10'")
     p_sim.add_argument("--progress", action="store_true",
-                       help="report each cell on stderr as it starts")
+                       help="report each cell on stderr as the run reaches it")
     p_sim.add_argument("--export-replicate", type=int, default=None,
                        metavar="INDEX",
                        help="write one generated replicate as a counts CSV")

@@ -736,7 +736,7 @@ def _timed_block(task: _CellTask):
 
 
 #: ``mallopt`` settings of a pool worker: glibc's ``M_TRIM_THRESHOLD`` at
-#: 256 MiB and ``M_MMAP_THRESHOLD`` at 32 MiB, the most it takes.
+#: 256 MiB and ``M_MMAP_THRESHOLD`` at 32 MiB, its dynamic threshold's cap.
 _MALLOPT = ((-1, 256 << 20), (-3, 32 << 20))
 
 

@@ -1323,9 +1323,9 @@ class TestTableGrids:
 
 class _PoolCounter:
     """Stands in for ``multiprocessing`` inside ``grouphom.simulate`` and
-    records the size of each worker pool started, and the threads alive
-    when it would fork.  Inline pools run their blocks in this process
-    and start none."""
+    records the size and initializer of each worker pool started, and the
+    threads alive when it would fork.  Inline pools run their blocks in
+    this process, start none and never run the initializer."""
 
     def __init__(self, inline):
         self.sizes = []
@@ -1533,14 +1533,13 @@ class TestBlockStream:
             return run_block(task)
 
         monkeypatch.setattr(simulate, "_run_block", recording)
-        res = reproduce_table("tab2", workers=3, **{**self.TABLE,
-                                                    "size_pairs": [(5, 10)]})
+        kwargs = {**self.TABLE, "size_pairs": [(5, 10)]}
+        res = reproduce_table("tab2", workers=3, **kwargs)
         assert counter.sizes == [3]
         assert ran == [(20, 0, 30, 3), (50, 0, 15, 3), (50, 15, 30, 3),
                        (100, 0, 10, 3), (100, 10, 20, 3), (100, 20, 30, 3)]
         monkeypatch.setattr(simulate, "_run_block", run_block)
-        assert res.rows == reproduce_table("tab2", workers=1, **{
-            **self.TABLE, "size_pairs": [(5, 10)]}).rows
+        assert res.rows == reproduce_table("tab2", workers=1, **kwargs).rows
 
     def test_progress_keeps_cell_order(self, pools, monkeypatch):
         counter = pools()
@@ -1549,11 +1548,10 @@ class TestBlockStream:
         lines = []
         reproduce_table("tab2", workers=2, progress=lines.append, **self.TABLE)
         assert counter.sizes == [2]
+        grid = [(k, n1, n2) for k in (20, 50, 100) for n1, n2 in ((5, 10), (10, 10))]
         assert lines == [f"tab2: cell {i + 1} (setting 1, d=5, k={k}, "
                          f"sizes=({n1},{n2}))"
-                         for i, (k, (n1, n2)) in enumerate(
-                             (k, sizes) for k in (20, 50, 100)
-                             for sizes in ((5, 10), (10, 10)))]
+                         for i, (k, n1, n2) in enumerate(grid)]
 
     def test_keep_heap_sets_both_thresholds(self, monkeypatch):
         calls = []
@@ -1569,6 +1567,11 @@ class TestBlockStream:
         monkeypatch.setattr(simulate.ctypes, "CDLL", lambda name: Libc())
         simulate._keep_heap()
         assert calls == list(simulate._MALLOPT)
+        # glibc's M_TRIM_THRESHOLD and M_MMAP_THRESHOLD, the latter no
+        # higher than glibc's own dynamic threshold goes on 64-bit hosts
+        settings = dict(calls)
+        assert sorted(settings) == [-3, -1]
+        assert settings[-3] <= 32 << 20 <= settings[-1]
         assert Libc.mallopt.argtypes == (simulate.ctypes.c_int,) * 2
         assert Libc.mallopt.restype is simulate.ctypes.c_int
 

@@ -13,8 +13,9 @@ Runs ``grouphom.simulate.reproduce_table`` on the restricted grid with
 CPU time of the whole process (its bootstrap threads included), minor
 page faults and the process's peak RSS after the block, with the number
 of blocks that process ran before it (a first block also pays for the
-heap it grows).  Prints one line per block, in grid order, then each
-process's block count and peak RSS.
+heap it grows).  Prints one line per block, sorted by cell (setting, d,
+k, sizes, pi0) and replicates, then each process's block count and peak
+RSS.
 ``--block-size`` splits every cell into blocks of that many replicates
 (the outputs do not depend on it), so that small runs reach the pool.
 ``--src`` imports grouphom from another checkout's ``src`` directory, to
@@ -44,16 +45,17 @@ _blocks_before = 0  # blocks this process measured so far
 def measured_block(task):
     """``_run_block(task)``, with its costs appended to the log file."""
     global _blocks_before
-    usage0, cpu0, t0 = resource.getrusage(resource.RUSAGE_SELF), time.process_time(), time.perf_counter()
+    faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    cpu0, t0 = time.process_time(), time.perf_counter()
     out = _run_block(task)
     wall, cpu = time.perf_counter() - t0, time.process_time() - cpu0
     usage = resource.getrusage(resource.RUSAGE_SELF)
     spec = task.spec
     record = {"pid": os.getpid(), "before": _blocks_before,
               "cell": [spec.setting, spec.d, spec.k, spec.n1, spec.n2, spec.pi0],
-              "replicates": [task.start, task.stop], "processes": getattr(task, "processes", None),
+              "replicates": [task.start, task.stop], "processes": task.processes,
               "wall_ms": 1e3 * wall, "cpu_ms": 1e3 * cpu,
-              "minor_faults": usage.ru_minflt - usage0.ru_minflt,
+              "minor_faults": usage.ru_minflt - faults0,
               "peak_rss_mb": usage.ru_maxrss / 1024.0}
     with open(_log, "a") as fh:  # one short append per block
         fh.write(json.dumps(record) + "\n")
@@ -70,7 +72,6 @@ def main(argv=None) -> int:
     parser.add_argument("--d", type=int, nargs="+", help="d values")
     parser.add_argument("--reps", type=int, required=True)
     parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--block-size", type=int,
                         help="replicates per block (default: the engine's)")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
@@ -89,7 +90,7 @@ def main(argv=None) -> int:
         _log = os.path.join(tmp, "blocks.jsonl")
         open(_log, "w").close()
         t0 = time.perf_counter()
-        simulate.reproduce_table(args.table, reps=args.reps, seed=args.seed,
+        simulate.reproduce_table(args.table, reps=args.reps,
                                  workers=args.workers, k_values=args.k,
                                  size_pairs=sizes or None, d_values=args.d)
         total = time.perf_counter() - t0
@@ -101,14 +102,15 @@ def main(argv=None) -> int:
     print("pid      before setting  d     k  n1  n2  pi0  replicates   processes"
           "  wall ms   cpu ms  minor faults  peak RSS MB")
     main_pid = os.getpid()
-    for r in sorted(records, key=lambda r: (*[-1 if v is None else v for v in r["cell"]],
-                                            r["replicates"][0])):
+    for r in sorted(records, key=lambda r: ([-1 if v is None else v for v in r["cell"]],
+                                            r["replicates"])):
         setting, d, k, n1, n2, pi0 = r["cell"]
-        print(f"{r['pid']:<8d} {r['before']:6d} {setting:7d} {d:2d} {k:5d} {n1:3d} {n2:3d} "
-              f"{'-' if pi0 is None else pi0:>4} {r['replicates'][0]:5d}-{r['replicates'][1]:<5d} "
-              f"{r['processes'] if r['processes'] is not None else '-':>10} "
-              f"{r['wall_ms']:8.1f} {r['cpu_ms']:8.1f} {r['minor_faults']:13d} "
-              f"{r['peak_rss_mb']:12.1f}")
+        start, stop = r["replicates"]
+        print(f"{r['pid']:<8d} {r['before']:6d} {setting:7d} {d:2d} {k:5d} "
+              f"{n1:3d} {n2:3d} {'-' if pi0 is None else pi0:>4} "
+              f"{start:5d}-{stop:<5d} {r['processes']:10d} "
+              f"{r['wall_ms']:8.1f} {r['cpu_ms']:8.1f} "
+              f"{r['minor_faults']:13d} {r['peak_rss_mb']:12.1f}")
     for pid in sorted({r["pid"] for r in records}):
         mine = [r for r in records if r["pid"] == pid]
         where = "this process" if pid == main_pid else "pool worker"

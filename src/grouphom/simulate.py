@@ -39,14 +39,14 @@ bit-identical; the few draws the search cannot settle, and cells numpy
 draws by BTPE, go through the per-replicate binomial calls.
 
 Each public call runs its cells through :func:`_run_cells`, which forks
-at most one worker pool, with no more workers than a cell has blocks of
-replicates, sends it every cell's blocks as one stream, and lets its
-workers keep their freed heap (:func:`_keep_heap`).  Within a process, the
-``test7`` and ``minp`` bootstraps draw a block's replicates ahead on
-``max(1, CPUs // processes)`` threads, at most one per replicate (see
-:func:`_replicate_null_draws`); they hold ``2 B k d`` counts per thread
-plus one more replicate's, as int16 while both sample totals are at
-most 181 (else int64), but at most ``2 d`` MiB in a process (``8 d``
+at most one worker pool, with no more workers than the largest cell has
+blocks of replicates, sends it every cell's blocks as one stream, and
+lets its workers keep their freed heap (:func:`_keep_heap`).  Within a
+process, the ``test7`` and ``minp`` bootstraps draw a block's replicates
+ahead on ``max(1, CPUs // processes)`` threads, at most one per replicate
+(see :func:`_replicate_null_draws`); they hold ``2 B k d`` counts per
+thread plus one more replicate's, as int16 while both sample totals are
+at most 181 (else int64), but at most ``2 d`` MiB in a process (``8 d``
 MiB as int64) unless one replicate needs more (fewer threads then), and
 no thread outlives a block, so a pool never forks a process with
 bootstrap threads running.

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -53,6 +54,17 @@ def _report_payload(report: decision.TestReport) -> dict:
     }
 
 
+def _null_non_finite(node) -> None:
+    """Set each NaN or infinite float in ``node``'s dicts and lists to None,
+    which JSON writes as null (RFC 8259 has no NaN); in place, as each
+    payload is built for one write."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        if isinstance(value, (dict, list)):
+            _null_non_finite(value)
+        elif isinstance(value, float) and not math.isfinite(value):
+            node[key] = None
+
+
 def _emit(fmt: str, human, payload=None, table=None, note=None) -> int:
     """Write one subcommand's result to stdout in ``fmt``; returns 0.
 
@@ -62,7 +74,8 @@ def _emit(fmt: str, human, payload=None, table=None, note=None) -> int:
     and for a format the result has no part for.
     """
     if fmt == "json" and payload is not None:
-        json.dump(payload, sys.stdout, indent=2)
+        _null_non_finite(payload)
+        json.dump(payload, sys.stdout, indent=2, allow_nan=False)
         sys.stdout.write("\n")
     elif fmt == "csv" and table is not None:
         for line in simulate._csv_lines(*table):

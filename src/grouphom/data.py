@@ -5,12 +5,15 @@ vectors over the same ``d`` categories, one per population.  In memory it
 is two read-only ``(k, d)`` int64 arrays and a tuple of ``k`` group ids
 (:class:`GroupedDataset`).  The on-disk format is a CSV with header
 ``group,population,c1,...,cd`` where ``population`` is 1 or 2 and each
-group must contribute exactly one row per population.
+group must contribute exactly one row per population.  numpy's C reader
+parses it into columns, which validation checks as arrays; a row reader
+(``csv`` and ``int``) takes over where numpy refuses a file.
 """
 
 from __future__ import annotations
 
 import csv
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -181,28 +184,48 @@ class GroupedDataset:
 
 RawRow = tuple[str, int, Sequence[int]]
 
+# numpy's reader drops an id's trailing NUL, reads \x1c-\x1f next to a
+# number as space (``int`` refuses it) and cuts ids to _ID_WIDTH characters.
+_UNSAFE, _ID_WIDTH = b"\x00\x1c\x1d\x1e\x1f", 32
+
 
 def validate_dataset(rows: Iterable[RawRow]) -> GroupedDataset:
     """Assemble raw ``(group, population, counts)`` rows into a dataset.
 
     Groups appear in the output in order of first appearance; each group
-    must contribute exactly one row per population.
+    must contribute exactly one row per population.  ``rows`` is the
+    array :func:`read_counts_csv` returns, or rows that one pass turns
+    into the same columns; the checks then run on the columns.
 
     Raises
     ------
     EmptyInput, MixedDimension, NegativeCount, DuplicateSample, MissingMate
         On the corresponding defect; :class:`DatasetError` on a
-        population other than 1 or 2 or fewer than 2 categories.
+        population other than 1 or 2 or fewer than 2 categories.  The
+        first bad population, row length or repeated sample in row order
+        wins, then the first group, by appearance, that lacks a sample.
         Validation is idempotent: re-running it on a dataset's own rows
         returns an equal dataset.
     """
-    rows = list(rows)
-    if not rows:
+    table = isinstance(rows, np.ndarray) and rows.dtype.names is not None
+    rows = rows if table else list(rows)
+    if not len(rows):
         raise EmptyInput("no data rows")
     d = len(rows[0][2])
-    # Row index of each group's two samples, in order of first appearance.
-    where: dict[str, list] = {}
-    for i, (group_id, population, counts) in enumerate(rows):
+    if table:
+        ids, pops, short = rows["group"], rows["population"], False
+    else:
+        ids, pops, short = (np.fromiter(column, object, len(rows)) for column in zip(
+            *[(str(group_id), population, len(counts) != d)
+              for group_id, population, counts in rows]))
+    bad, two = (pops != 1) & (pops != 2), (pops == 2).astype(int)
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    group = np.argsort(np.argsort(first))[inverse]  # numbered by appearance
+    again = np.ones(len(rows), dtype=bool)  # a repeated (group, population)
+    again[np.unique(2 * group + two, return_index=True)[1]] = False
+    defect = np.flatnonzero(bad | short | again)
+    if defect.size:
+        group_id, population, counts = rows[defect[0]]
         group_id = str(group_id)
         if population not in (1, 2):
             raise DatasetError(
@@ -213,26 +236,40 @@ def validate_dataset(rows: Iterable[RawRow]) -> GroupedDataset:
                 f"group {group_id!r} population {population}: row has "
                 f"{len(counts)} categories, expected {d}"
             )
-        slots = where.setdefault(group_id, [None, None])
-        j = 0 if population == 1 else 1
-        if slots[j] is not None:
-            raise DuplicateSample(
-                f"group {group_id!r} population {population} appears twice"
-            )
-        slots[j] = i
-    for group_id, slots in where.items():
-        if None in slots:
-            raise MissingMate(
-                f"group {group_id!r} is missing population "
-                f"{slots.index(None) + 1}"
-            )
-    matrix = _frozen_array([row[2] for row in rows], np.int64, 2)
-    index = np.array(list(where.values()), dtype=np.intp)
-    return GroupedDataset(matrix[index[:, 0]], matrix[index[:, 1]], where.keys())
+        raise DuplicateSample(
+            f"group {group_id!r} population {population} appears twice"
+        )
+    index = np.full((first.size, 2), -1)  # each group's two rows
+    index[group, two] = np.arange(len(rows))
+    lonely = np.flatnonzero(index.min(axis=1) < 0)
+    if lonely.size:
+        pair = index[lonely[0]]
+        raise MissingMate(f"group {str(ids[pair.max()])!r} is missing "
+                          f"population {pair.argmin() + 1}")
+    matrix = rows["counts"] if table else _frozen_array(
+        [row[2] for row in rows], np.int64, 2)
+    return GroupedDataset(matrix[index[:, 0]], matrix[index[:, 1]],
+                          ids[index[:, 0]].tolist())
 
 
-def read_counts_csv(path) -> list[RawRow]:
-    """Read raw rows from a ``group,population,c1,...,cd`` CSV file."""
+def read_counts_csv(path) -> Sequence[RawRow]:
+    """Read raw rows from a ``group,population,c1,...,cd`` CSV file.
+
+    Returns numpy's C parse: a structured array with fields ``group``
+    (str), ``population`` (int64) and ``counts`` (``(d,)`` int64), whose
+    records unpack as rows.  Where numpy refuses the file or could read
+    it otherwise, the row reader (``csv`` and ``int``) returns a list of
+    tuples: it accepts what numpy refuses, such as ``1_000``, and words
+    each error with its line.  A byte that is not UTF-8 raises
+    :class:`DatasetError` naming its offset.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: byte {exc.start} is not UTF-8") from None
+    fast = not any(byte in raw for byte in _UNSAFE)
     # utf-8-sig drops the byte-order mark spreadsheet programs write.
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -247,6 +284,25 @@ def read_counts_csv(path) -> list[RawRow]:
                 f"(got {','.join(header)})"
             )
         d = len(header) - 2
+        try:
+            if fast:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # older numpy may only warn
+                    table = np.loadtxt(
+                        fh, dtype=[("group", f"U{_ID_WIDTH}"),
+                                   ("population", np.int64), ("counts", np.int64, (d,))],
+                        delimiter=",", quotechar='"', comments=None,
+                        encoding="utf-8-sig", ndmin=1)
+                width = np.char.str_len(table["group"]).max()
+                if width < _ID_WIDTH:
+                    table = table.astype([("group", f"U{max(width, 1)}"),
+                                          *table.dtype.descr[1:]])
+                    table["group"] = np.char.strip(table["group"])
+                    return table
+        except Exception:  # refused (older numpy not only with ValueError):
+            pass  # the row reader accepts the file or words the error
+        fh.seek(0)
+        next(reader)
         rows: list[RawRow] = []
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
@@ -273,7 +329,8 @@ def read_counts_csv(path) -> list[RawRow]:
 
 
 def load_dataset(path) -> GroupedDataset:
-    """Read and validate a dataset CSV in one step."""
+    """Read and validate a dataset CSV in one step: :func:`read_counts_csv`,
+    then :func:`validate_dataset`, each looked up by name at the call."""
     return validate_dataset(read_counts_csv(path))
 
 

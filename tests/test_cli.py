@@ -115,6 +115,28 @@ class TestTestCommand:
             == plain["reports"]["test2"]["statistic"]
         )
 
+    def test_non_utf8_csv_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"group,population,c1,c2\ng\xff,1,2,1\ng\xff,2,2,2\n")
+        assert main(["test", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: byte 24 is not UTF-8\n"
+
+    def test_json_writes_non_finite_as_null(self, tmp_path, capsys):
+        # both populations put all mass on one category: the variance is 0
+        path = tmp_path / "flat.csv"
+        path.write_text("group,population,c1,c2\ng1,1,4,0\ng1,2,4,0\n"
+                        "g2,1,0,5\ng2,2,0,5\n")
+        assert main(["test", str(path), "--estimator", "test1",
+                     "--format", "json"]) == 0
+        out = capsys.readouterr().out
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        report = json.loads(out, parse_constant=refuse)["reports"]["test1"]
+        assert report["degenerate_variance"] is True
+        assert report["z"] is None
+
     def test_single_category_exits_2(self, tmp_path, capsys):
         path = tmp_path / "d1.csv"
         path.write_text("group,population,c1\ng1,1,3\ng1,2,4\n")

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from grouphom import data
 from grouphom.data import (
     GroupedDataset,
     ProbVector,
@@ -350,3 +354,156 @@ class TestCsvRoundTrip:
         path.write_text("group,population,c1,c2\ng1,1,3,x\n")
         with pytest.raises(DatasetError):
             read_counts_csv(path)
+
+
+def outcome(path):
+    """``load_dataset(path)`` as ``("ok", ids, c1, c2)``, or its error as
+    ``("error", class name, message)``."""
+    try:
+        ds = load_dataset(path)
+    except Exception as exc:  # compared, not swallowed
+        return ("error", type(exc).__name__, str(exc))
+    return ("ok", ds.ids, ds.c1.tolist(), ds.c2.tolist())
+
+
+def row_reader_outcome(path):
+    """:func:`outcome` with numpy's parser refusing every file, so that
+    ``read_counts_csv`` falls back to the row reader."""
+    with mock.patch.object(data.np, "loadtxt", side_effect=ValueError("off")):
+        return outcome(path)
+
+
+HEADER = "group,population,c1,c2\n"
+PAIRS = "g1,1,3,1\ng1,2,2,2\ng2,1,0,4\ng2,2,1,1\n"
+
+
+class TestReaderParity:
+    """numpy's parser and the row reader load every file alike, or raise
+    the same error class and message."""
+
+    FAST = {
+        "plain": HEADER + PAIRS,
+        "byte-order mark": "\ufeff" + HEADER + PAIRS,
+        "quoted ids": HEADER + '"a,b",1,1,2\n"say ""hi""",1,3,4\n'
+                               '"a,b",2,5,6\n"say ""hi""",2,7,8\n',
+        "outer spaces": HEADER + " g1 ,1,3,1\ng1,2,2,2\n",
+        "hash id": HEADER + "#x,1,1,2\n#x,2,3,4\n",
+        "blank lines": HEADER + "\n" + PAIRS + "\n\n",
+        "CRLF": (HEADER + PAIRS).replace("\n", "\r\n"),
+        "spaced counts": HEADER + "g1,1, 3 ,+3\ng1,2,03,-0\n",
+        "quoted counts": HEADER + 'g1,"1","3",1\ng1,2,2,"2"\n',
+        "no final newline": HEADER + PAIRS.rstrip(),
+        "negative count": HEADER + "g1,1,3,-1\ng1,2,2,2\n",
+        "bad population": HEADER + "g1,3,3,1\ng1,2,2,2\n",
+        "duplicate": HEADER + "g1,1,3,1\ng1,1,3,1\ng1,2,2,2\n",
+        "missing mate": HEADER + "g1,1,3,1\ng2,2,2,2\ng2,1,1,1\n",
+        "single category": "group,population,c1\ng1,1,3\ng1,2,4\n",
+        "non-ASCII ids": HEADER + "caf\u00e9,1,1,2\n\u00e9t\u00e9,1,3,4\n"
+                                  "caf\u00e9,2,5,6\n\u00e9t\u00e9,2,7,8\n",
+    }
+    ROW_READER = {
+        "whitespace-only line": HEADER + "g1,1,3,1\n   \ng1,2,2,2\n",
+        "row of empty cells": HEADER + "g1,1,3,1\n,,,\ng1,2,2,2\n",
+        "underscore count": HEADER + "g1,1,1_000,1\ng1,2,2,2\n",
+        "Arabic-Indic digit": HEADER + "g1,1,\u0663,1\ng1,2,2,2\n",
+        "float count": HEADER + "g1,1,3.0,1\ng1,2,2,2\n",
+        "empty count": HEADER + "g1,1,,1\ng1,2,2,2\n",
+        "count of 2**63": HEADER + f"g1,1,{2**63},1\ng1,2,2,2\n",
+        "float population": HEADER + "g1,1.0,3,1\ng1,2,2,2\n",
+        "short row": HEADER + "g1,1,3\ng1,2,2,2\n",
+        "long id": HEADER + f"{'x' * 40},1,3,1\n{'x' * 40},2,2,2\n",
+        "trailing NUL": HEADER + "g1\x00,1,3,1\ng1,2,2,2\n",
+        "separator around a count": HEADER + "g1,1,\x1c3,1\ng1,2,2,2\n",
+        "bad header": "id,population,c1,c2\n" + PAIRS,
+        "empty file": "",
+        "header only": HEADER,
+    }
+
+    def write(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        return path
+
+    @pytest.mark.parametrize("name", sorted(FAST))
+    def test_numpy_parses(self, tmp_path, name):
+        path = self.write(tmp_path, self.FAST[name])
+        assert isinstance(read_counts_csv(path), np.ndarray)
+        assert outcome(path) == row_reader_outcome(path)
+
+    @pytest.mark.parametrize("name", sorted(ROW_READER))
+    def test_row_reader_reads(self, tmp_path, name):
+        path = self.write(tmp_path, self.ROW_READER[name])
+        try:
+            rows = read_counts_csv(path)
+        except Exception:  # a refusal; its message is compared below
+            rows = None
+        assert not isinstance(rows, np.ndarray)
+        assert outcome(path) == row_reader_outcome(path)
+
+    def test_ids_keep_their_order(self, tmp_path):
+        path = self.write(tmp_path, HEADER + "b,2,0,3\na,1,1,1\nb,1,2,2\na,2,5,5\n")
+        ds = load_dataset(path)
+        assert ds.ids == ("b", "a")
+        assert ds == validate_dataset(list(read_counts_csv(path)))
+
+    @pytest.mark.parametrize("prefix", [b"", b"\xef\xbb\xbf"])
+    def test_non_utf8_names_the_byte(self, tmp_path, prefix):
+        path = tmp_path / "data.csv"
+        text = prefix + HEADER.encode() + b"g\xff,1,3,1\n"
+        path.write_bytes(text)
+        offset = len(prefix) + len(HEADER) + 1
+        message = f"{path}: byte {offset} is not UTF-8"
+        for load in (outcome, row_reader_outcome):
+            assert load(path) == ("error", "DatasetError", message)
+
+    @given(st.lists(st.tuples(
+        st.sampled_from(["g1", "g2", " g1", "#g", '"a,b"', '"q""q"', "", "g\x1c"]),
+        st.sampled_from(["1", "2", "2", "1", " 1", "3", "1.0", ""]),
+        st.lists(st.sampled_from(["0", "1", "7", " 2 ", "+3", "03", "-1", "1_0",
+                                  "3.0", ""]), min_size=2, max_size=3),
+    ), max_size=6), st.sampled_from(["\n", "\r\n", "\r"]), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_generated_files(self, tmp_path_factory, rows, newline, bom):
+        lines = ["group,population,c1,c2"] + [
+            ",".join([group_id, population, *counts])
+            for group_id, population, counts in rows]
+        path = tmp_path_factory.mktemp("parity") / "data.csv"
+        path.write_bytes((("\ufeff" if bom else "") + newline.join(lines)
+                          + newline).encode("utf-8"))
+        assert outcome(path) == row_reader_outcome(path)
+
+
+class TestValidatePrecedence:
+    """On rows, the first defect in row order wins; missing mates come
+    after every row-level defect, in order of first appearance."""
+
+    @pytest.mark.parametrize("rows, error, message", [
+        ([("a", 1, [1, 2]), ("a", 2, [1, 2]), ("a", 1, [3, 4]),
+          ("b", 1, [1, 2]), ("b", 3, [1, 2])],
+         DuplicateSample, "group 'a' population 1 appears twice"),
+        ([("a", 1, [1, 2]), ("b", 3, [1, 2]), ("a", 2, [1, 2]),
+          ("a", 2, [1, 2])],
+         DatasetError, "group 'b': population must be 1 or 2, got 3"),
+        ([("a", 1, [1, 2]), ("b", 1, [1, 2, 3]), ("a", 1, [1, 2])],
+         MixedDimension,
+         "group 'b' population 1: row has 3 categories, expected 2"),
+        ([("b", 1, [1, 2]), ("a", 2, [1, 2]), ("c", 1, [1, 2]),
+          ("c", 1, [1, 2])],
+         DuplicateSample, "group 'c' population 1 appears twice"),
+        ([("b", 2, [1, 2]), ("a", 1, [1, 2]), ("a", 2, [1, 2]),
+          ("c", 1, [1, 2])],
+         MissingMate, "group 'b' is missing population 1"),
+        ([(1, 1, [1, 2]), ("1", 1, [1, 2])],
+         DuplicateSample, "group '1' population 1 appears twice"),
+        ([("a", True, [1, 2]), ("a", 2.0, [1, 2]), ("a", "1", [1, 2])],
+         DatasetError, "group 'a': population must be 1 or 2, got 1"),
+    ])
+    def test_first_defect_wins(self, rows, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            validate_dataset(rows)
+
+    def test_ids_keep_trailing_nul(self):
+        ds = validate_dataset([("a\x00", 1, [1, 2]), ("a", 1, [3, 4]),
+                               ("a", 2, [1, 1]), ("a\x00", 2, [2, 2])])
+        assert ds.ids == ("a\x00", "a")
+        assert ds.c2.tolist() == [[2, 2], [1, 1]]
